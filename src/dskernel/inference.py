@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import S_LIMIT
 from .errors import ConvergenceError, ParameterError
 from .kernel import pairwise_sq_dists
 
@@ -29,7 +30,7 @@ class EstimateTable:
 
 def distance_bias(epsilon, dim, s):
     """The global additive bias eps * d * log(s) / (2(s-1)) of corrected distances."""
-    if s == "limit" or s is None:
+    if s == S_LIMIT or s is None:
         return epsilon * dim / 2.0
     return epsilon * dim * np.log(s) / (2.0 * (s - 1.0))
 

@@ -40,12 +40,15 @@ class AffinityMatrix:
 def pairwise_sq_dists(points):
     """Squared Euclidean distance matrix via the expanded-form product.
 
-    Negative values from floating-point cancellation are clamped at zero and
-    the upper triangle is mirrored so symmetry is exact.
+    The points are centered first, since distances do not depend on the
+    origin and a common offset would cancel catastrophically in the expanded
+    form. Negative values from floating-point cancellation are clamped at
+    zero and the upper triangle is mirrored so symmetry is exact.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ParameterError("need at least two points")
+    points = points - points.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", points, points)
     d = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
     np.maximum(d, 0.0, out=d)

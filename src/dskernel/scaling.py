@@ -7,52 +7,82 @@ doubly stochastic case). The iteration is the damped symmetric fixed point
 
 applied to all rows simultaneously, with a fallback to alternating Sinkhorn
 sweeps (followed by symmetrization) if the residual stalls.
+
+Every row log-sum-exp is one linear matrix-vector product, stabilized by
+absorption (Schmitzer, SIAM J. Sci. Comput. 2019): log d is folded into a
+stored matrix whose rows peak at exactly 1, and only its drift since then is
+exponentiated. This one path is exact at every bandwidth, however far log K
+reaches below the range of exp.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, ParameterError
-from .kernel import log_degrees
 
 STALL_WINDOW = 50
 STALL_IMPROVEMENT = 1e-3
-# linear-domain matvec is exact-enough and much faster when no kernel entry
-# can underflow after shifting by max(log d)
-_LINEAR_SAFE_FLOOR = -600.0
+# re-absorb once log d has drifted this far from the absorption point; every
+# scaled row sum then lies in [e^-30, n e^30]
+ABSORB_THRESHOLD = 30.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
 class ScalingSolution:
+    """Scaling factors of one solve and how the solve went.
+
+    ``absorptions`` counts how many times the stabilized matrix was built.
+    ``fallback_iteration`` is the iteration at which the residual was found
+    to stall and alternating sweeps took over from the next one; None if the
+    damped fixed point ran to the end.
+    """
+
     log_d: np.ndarray
     residual: float
     iterations: int
     converged: bool
     residual_history: np.ndarray = field(repr=False, default=None)
+    absorptions: int = 0
+    fallback_iteration: int | None = None
 
 
-def _make_row_lse(log_a):
-    """Return a function u -> logsumexp_j(log_a[i,j] + u[j]), row-wise.
+class _RowLogSumExp:
+    """The row-wise map u -> logsumexp_j(log_a[i, j] + u[j]) by absorption.
 
-    Uses a linear-domain matrix-vector product when every finite entry of
-    ``log_a`` is large enough that exp cannot underflow; otherwise falls back
-    to an exact log-sum-exp. Both paths agree to roundoff where both apply.
+    At the absorption point b the operator holds
+    B_ij = exp(log_a[i, j] + b_j - m_i) with m_i = max_j(log_a[i, j] + b_j),
+    so every row of B peaks at exactly 1, and evaluates
+    log(B @ exp(u - b)) + m with one matrix-vector product. It re-absorbs
+    (b <- u) when max |u - b| exceeds ABSORB_THRESHOLD. An entry of B that
+    underflows lies below double resolution of its row sum, so the result
+    is exact to roundoff for any u and any offset on log_a.
     """
-    finite = log_a[np.isfinite(log_a)]
-    if finite.size and finite.min() > _LINEAR_SAFE_FLOOR:
-        a_lin = np.exp(log_a)  # -inf slots become exact zeros
 
-        def fast(u):
-            shift = u.max()
-            out = np.log(a_lin @ np.exp(u - shift)) + shift
-            if np.all(np.isfinite(out)):
-                return out
-            return logsumexp(log_a + u[None, :], axis=1)
+    def __init__(self, log_a):
+        self._log_a = log_a
+        self._b = None
+        self._m = None
+        self._mat = np.empty_like(log_a)
+        self.absorptions = 0
 
-        return fast
-    return lambda u: logsumexp(log_a + u[None, :], axis=1)
+    def _absorb(self, u):
+        mat = self._mat
+        np.add(self._log_a, u[None, :], out=mat)
+        self._m = mat.max(axis=1)
+        mat -= self._m[:, None]
+        np.exp(mat, out=mat)  # -inf slots become exact zeros
+        # subnormal entries lie far below the resolution of their row sum and
+        # slow every matrix-vector product severalfold; flush them to zero
+        mat[mat < _TINY] = 0.0
+        self._b = u.copy()
+        self.absorptions += 1
+
+    def __call__(self, u):
+        if self._b is None or np.abs(u - self._b).max() > ABSORB_THRESHOLD:
+            self._absorb(u)
+        return np.log(self._mat @ np.exp(u - self._b)) + self._m
 
 
 def _scale_log_matrix(log_a, tol, max_iter, log_targets=None, log_d0=None):
@@ -62,10 +92,11 @@ def _scale_log_matrix(log_a, tol, max_iter, log_targets=None, log_d0=None):
     the targets. Returns a ScalingSolution.
     """
     n = log_a.shape[0]
-    if not np.all(np.isfinite(log_a) | np.isneginf(log_a)):
+    # max propagates NaN, so one reduction rejects both NaN and +inf
+    if not log_a.max() < np.inf:
         raise ParameterError("affinity matrix contains NaN or +inf in log domain")
     log_t = np.zeros(n) if log_targets is None else np.asarray(log_targets, float)
-    row_lse = _make_row_lse(log_a)
+    row_lse = _RowLogSumExp(log_a)
 
     if log_d0 is not None:
         log_d = np.asarray(log_d0, dtype=float).copy()
@@ -73,12 +104,11 @@ def _scale_log_matrix(log_a, tol, max_iter, log_targets=None, log_d0=None):
             raise ParameterError("log_d0 must be a finite vector of length n")
     else:
         # D^(-1/2) start: one iteration of the accelerated scaling scheme
-        log_d = 0.5 * (log_t - logsumexp(log_a, axis=1))
+        log_d = 0.5 * (log_t - row_lse(np.zeros(n)))
     history = []
-    alternating = False
-    log_u = None
+    fallback_iteration = None
     for iteration in range(1, max_iter + 1):
-        if not alternating:
+        if fallback_iteration is None:
             lse = row_lse(log_d)
             residual = np.abs(np.expm1(log_d + lse - log_t)).max()
             log_d = 0.5 * (log_d + log_t - lse)
@@ -92,12 +122,14 @@ def _scale_log_matrix(log_a, tol, max_iter, log_targets=None, log_d0=None):
             residual = np.abs(np.expm1(log_d + lse - log_t)).max()
         history.append(residual)
         if residual <= tol:
-            return ScalingSolution(log_d, residual, iteration, True, np.array(history))
-        if (not alternating and iteration > STALL_WINDOW
+            return ScalingSolution(log_d, residual, iteration, True, np.array(history),
+                                   row_lse.absorptions, fallback_iteration)
+        if (fallback_iteration is None and iteration > STALL_WINDOW
                 and history[-STALL_WINDOW] > 0
                 and 1.0 - history[-1] / history[-STALL_WINDOW] < STALL_IMPROVEMENT):
-            alternating = True
-    return ScalingSolution(log_d, history[-1], max_iter, False, np.array(history))
+            fallback_iteration = iteration
+    return ScalingSolution(log_d, history[-1], max_iter, False, np.array(history),
+                           row_lse.absorptions, fallback_iteration)
 
 
 def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):

@@ -71,3 +71,12 @@ def test_traditional_normalization_matches_dense_oracle():
         expected = compensated / compensated.sum(axis=1, keepdims=True)
         got = kernel.traditional_normalization(aff, alpha)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
+
+
+def test_pairwise_sq_dists_accurate_on_offset_data():
+    # a large common offset must not cancel away the small differences
+    pts = 1e4 + 1e-3 * random_points(50, 20, seed=6)
+    got = kernel.pairwise_sq_dists(pts)
+    expected = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    off = ~np.eye(50, dtype=bool)
+    assert (np.abs(got[off] - expected[off]) / expected[off]).max() <= 1e-6

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from dskernel import geometry, kernel, scaling
+from dskernel import geometry, harness, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 from oracles import newton_symmetric_scaling
 
@@ -75,11 +78,70 @@ def test_underflowing_kernel_is_handled_in_log_domain():
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 2e-5)
     off_log = aff.masked_log()[~np.eye(40, dtype=bool)]
-    assert off_log.max() < -700  # exp() underflows, forcing the log-sum-exp path
+    assert off_log.max() < -700  # exp() of the raw log K underflows everywhere
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9, max_iter=50_000)
     assert sol.converged
     w = scaling.assemble_W(aff, sol)
     np.testing.assert_allclose(w.w.sum(axis=1), 1.0, rtol=0, atol=1e-8)
+
+
+def test_isolated_outlier_far_below_exp_range_converges():
+    # one point so far from the rest that its whole kernel row sits near
+    # exp(-2133); its scaling factor must grow to about e^2133 to compensate
+    sample = geometry.sample_circle(200, SIGMA_SQ, seed=0)
+    pts = sample.clean_points.copy()
+    pts[0] = (9.0, 0.0)
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.03)
+    assert aff.masked_log()[0].max() < -2100
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
+    assert sol.converged and sol.residual <= 1e-9
+    assert sol.log_d[0] > 2100
+    w = scaling.assemble_W(aff, sol)
+    np.testing.assert_allclose(w.w.sum(axis=1), 1.0, rtol=0, atol=1e-8)
+
+
+def test_small_bandwidth_circle_converges_within_budget():
+    pipe = harness.circle_pipeline(1000, 1000, 1e-3, max_iter=300)
+    assert pipe.solution.converged
+    assert pipe.solution.iterations <= 300
+
+
+def test_solution_reports_absorptions_and_no_fallback():
+    sol = harness.circle_pipeline(300, 300, 0.1).solution
+    assert sol.converged
+    assert sol.fallback_iteration is None
+    assert sol.absorptions >= 1
+
+
+def test_solution_reports_the_alternating_fallback():
+    sol = harness.circle_pipeline(300, 300, 2e-4, max_iter=200).solution
+    assert sol.fallback_iteration is not None
+    assert scaling.STALL_WINDOW < sol.fallback_iteration < 200
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
+       depth=st.floats(1.0, 2500.0), drift=st.floats(0.0, 400.0))
+def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
+    # symmetric log matrix with a -inf diagonal, entries in [-depth, 0]
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-depth, 0.0, size=(n, n)), 1)
+    log_a = upper + upper.T
+    np.fill_diagonal(log_a, -np.inf)
+    row_lse = scaling._RowLogSumExp(log_a)
+    u = rng.uniform(-drift, drift, size=n)
+    for step in range(12):
+        # alternate steps that stay near the absorption point with jumps
+        # of up to ``drift`` that force a re-absorption
+        width = drift if step % 3 == 2 else 5.0
+        u = u + rng.uniform(-width, width, size=n)
+        expected = logsumexp(log_a + u, axis=1)
+        # near a zero result the rounding of log_a + u, at the scale of the
+        # largest exponent, bounds the error instead
+        scale = depth + np.abs(u).max()
+        np.testing.assert_allclose(row_lse(u), expected, rtol=1e-12,
+                                   atol=1e-15 * scale)
+    assert row_lse.absorptions >= 1
 
 
 def test_residual_history_reaches_tolerance():
