@@ -2,12 +2,14 @@
 
 Subcommands: simulate, scale, density, denoise, laplacian, scrna, bench.
 Parameter errors exit with status 1 and a one-line "error: ..." message on
-stderr; usage errors exit with argparse's status 2.
+stderr; usage errors exit with argparse's status 2. Non-fatal notes (rejected
+zero-total rows, negative corrected distances) go through ``warnings``.
 """
 
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
@@ -223,9 +225,8 @@ def _cmd_denoise(args):
         np.savetxt(args.dists_out, table.corrected_dists, delimiter=",")
         negatives = int((table.corrected_dists < 0).sum())
         if negatives:
-            print(f"note: {negatives} corrected distances are negative "
-                  "(expected after bias subtraction; ranking is unaffected)",
-                  file=sys.stderr)
+            warnings.warn(f"note: {negatives} corrected distances are negative "
+                          "(expected after bias subtraction; ranking is unaffected)")
 
 
 def _cmd_laplacian(args):
@@ -259,7 +260,7 @@ def _cmd_scrna(args):
         labels = np.loadtxt(args.labels, delimiter=",", dtype=str, ndmin=1)
     cm = counts_mod.ingest_counts(args.input, fmt=args.format, labels=labels)
     if cm.rejected_rows:
-        print(f"rejected zero-total rows: {list(cm.rejected_rows)}", file=sys.stderr)
+        warnings.warn(f"rejected zero-total rows: {list(cm.rejected_rows)}")
     if cm.labels is not None and args.subsample:
         keep = _subsample_per_class(cm.labels, args.subsample, args.seed)
         cm = counts_mod.CountMatrix(entries=cm.entries[keep], totals=cm.totals[keep],
@@ -283,8 +284,8 @@ def _cmd_scrna(args):
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
-        rows = harness.transition_error_table(y, cm.labels, [args.epsilon],
-                                              tol=args.tol, max_iter=args.max_iter)
+        # the solve above, reused; transitions keep the DS-KDE at s=2 whatever --s is
+        rows = harness.transition_errors(affinity, scaled, cm.labels, args.epsilon)
         with open(args.transitions_out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epsilon", "alpha", "family", "mean_error",

@@ -2,12 +2,14 @@
 generator standing in for real sequencing data.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError, ParseError
+from .geometry import load_points_csv
 
 
 @dataclass(frozen=True)
@@ -41,58 +43,136 @@ def _finalize(matrix, labels=None):
                        rejected_rows=rejected)
 
 
-def _parse_matrix_market(path):
-    """Minimal coordinate-format Matrix Market reader with line diagnostics.
+# one Matrix Market entry line: integer row, integer column, float value
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
-    Duplicate (i, j) entries are summed, per the format convention.
+
+def _read_entries(source, skiprows=0):
+    """Entry records from a path (after ``skiprows`` lines) or a list of lines.
+
+    Raises ValueError on any line that is not exactly an integer, an integer
+    and a float. Blank lines are skipped; each line is judged on its own.
+    """
+    with warnings.catch_warnings():
+        # an empty entry block is judged against the declared count instead
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(source, dtype=_ENTRY, comments=None, skiprows=skiprows, ndmin=1)
+
+
+def _entry_lines(path, size_line):
+    """(file line number, text) of each non-blank line after the size line.
+
+    Only error paths call this. Blank means whitespace only, which is also
+    what ``np.loadtxt`` skips, so item k is the line of entry record k.
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
+        lines = fh.read().split("\n")[size_line:]
+    return [(n, text) for n, text in enumerate(lines, start=size_line + 1) if text.strip()]
+
+
+def _first_rejected_entry(path, size_line):
+    """ParseError at the first entry line that ``_read_entries`` rejects.
+
+    The whole block has failed to read. Lines are judged independently, so
+    halving keeps the first rejected line inside [lo, hi) with the reader
+    itself deciding; numpy's error text is never parsed.
+    """
+    lines = _entry_lines(path, size_line)
+    texts = [text for _, text in lines]
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _read_entries(texts[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    lineno, text = lines[lo]
+    if len(text.split()) != 3:
+        return ParseError("entry must have three fields", line=lineno)
+    return ParseError(f"malformed entry {text.strip()!r}", line=lineno)
+
+
+def _read_header(fh):
+    """Parse the banner, comment and size lines; return (shape, nnz, symmetric, size line)."""
+    first = fh.readline()
+    if not first:
         raise ParseError("empty file", line=1)
-    header = lines[0].strip().lower().split()
-    if len(header) < 4 or header[0] != "%%matrixmarket" or header[1] != "matrix":
+    header = first.lower().split()
+    if len(header) < 2 or header[0] != "%%matrixmarket" or header[1] != "matrix":
         raise ParseError("missing %%MatrixMarket header", line=1)
-    if header[2] != "coordinate":
-        raise ParseError(f"unsupported storage format {header[2]!r}", line=1)
-    symmetric = len(header) > 4 and header[4] == "symmetric"
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("missing size line", line=idx + 1)
-    parts = lines[idx].split()
+    if len(header) != 5:
+        raise ParseError("header must be '%%MatrixMarket matrix coordinate "
+                         "<field> <symmetry>'", line=1)
+    _, _, storage, field, symmetry = header
+    if storage != "coordinate":
+        raise ParseError(f"unsupported storage format {storage!r}", line=1)
+    if field not in ("integer", "real"):
+        raise ParseError(f"unsupported field {field!r}", line=1)
+    if symmetry not in ("general", "symmetric"):
+        raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
+    lineno = 2
+    line = fh.readline()
+    while line.lstrip().startswith("%"):
+        line = fh.readline()
+        lineno += 1
+    if not line:
+        raise ParseError("missing size line", line=lineno)
+    parts = line.split()
     if len(parts) != 3:
-        raise ParseError("size line must have three fields", line=idx + 1)
+        raise ParseError("size line must have three fields", line=lineno)
     try:
         n_rows, n_cols, nnz = (int(p) for p in parts)
     except ValueError:
-        raise ParseError("non-integer size line", line=idx + 1) from None
-    rows, cols, vals = [], [], []
-    for offset, line in enumerate(lines[idx + 1:], start=idx + 2):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 3:
-            raise ParseError("entry must have three fields", line=offset)
-        try:
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise ParseError(f"malformed entry {line.strip()!r}", line=offset) from None
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise ParseError("entry index out of bounds", line=offset)
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-        if symmetric and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
-    if len(vals) < nnz:
-        raise ParseError(f"expected {nnz} entries, found {len(vals)}",
-                         line=len(lines))
+        raise ParseError("non-integer size line", line=lineno) from None
+    if min(n_rows, n_cols, nnz) < 0:
+        raise ParseError("negative size", line=lineno)
+    symmetric = symmetry == "symmetric"
+    if symmetric and n_rows != n_cols:
+        raise ParseError("symmetric matrix must be square", line=lineno)
+    return (n_rows, n_cols), nnz, symmetric, lineno
+
+
+def _parse_matrix_market(path):
+    """Coordinate-format Matrix Market reader with line diagnostics.
+
+    The header is read line by line; the entry block is read in one
+    ``np.loadtxt`` call with a fixed (int, int, float) record per line. Every
+    rejection names its file line: a malformed entry, an index out of bounds,
+    a NaN or infinite value, or an entry count other than the declared one.
+    Duplicate (i, j) entries are summed, per the format convention.
+    """
+    with open(path) as fh:
+        shape, nnz, symmetric, size_line = _read_header(fh)
+    try:
+        entries = _read_entries(path, skiprows=size_line)
+    except ValueError:
+        raise _first_rejected_entry(path, size_line) from None
+    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    faults = np.flatnonzero((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])
+                            | ~np.isfinite(v))
+    # the first bad entry, or the first one beyond the declared count
+    k = min(faults[0], nnz) if faults.size else nnz
+    if k < len(entries):
+        lineno, text = _entry_lines(path, size_line)[k]
+        if k == nnz:
+            message = f"more entries than the declared {nnz}"
+        elif not np.isfinite(v[k]):
+            message = f"non-finite value in entry {text.strip()!r}"
+        else:
+            message = "entry index out of bounds"
+        raise ParseError(message, line=lineno)
+    if len(entries) < nnz:
+        lines = _entry_lines(path, size_line)
+        raise ParseError(f"expected {nnz} entries, found {len(entries)}",
+                         line=lines[-1][0] if lines else size_line)
+    if symmetric:
+        off = i != j
+        i, j, v = (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
+                   np.concatenate([v, v[off]]))
     # coo -> csr sums duplicates
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    return sparse.coo_matrix((v, (i, j)), shape=shape)
 
 
 def ingest_counts(path, fmt="matrix-market", labels=None):
@@ -100,13 +180,7 @@ def ingest_counts(path, fmt="matrix-market", labels=None):
     if fmt == "matrix-market":
         matrix = _parse_matrix_market(path)
     elif fmt == "csv":
-        try:
-            dense = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        if dense.size == 0:
-            raise ParseError("empty file", line=1)
-        matrix = sparse.csr_matrix(dense)
+        matrix = sparse.csr_matrix(load_points_csv(path))
     else:
         raise ParameterError(f"unknown format {fmt!r}")
     return _finalize(matrix, labels)

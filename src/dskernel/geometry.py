@@ -6,11 +6,12 @@ magnitudes) needed to score the estimators downstream.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 
 TWO_PI = 2.0 * np.pi
 
@@ -206,8 +207,61 @@ def save_dataset_csv(points_path, sidecar_path, sample, noise=None):
                              _fmt(sample.density_values[i]), _fmt(noise_sq[i])])
 
 
+def _read_csv(source):
+    with warnings.catch_warnings():
+        # an empty file, blank line or comment holds no data; callers check
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", ndmin=2)
+
+
+def _first_csv_fault(path):
+    """ParseError at the first value, row width or NaN/infinity the CSV read rejects.
+
+    Only error paths call this. Each line is read on its own by the same
+    reader, and each column of a rejected line, so numpy's error text is
+    never parsed.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            row = _read_csv([line])
+        except ValueError:
+            fields = line.split("#", 1)[0].split(",")
+            for col, field in enumerate(fields):
+                try:
+                    np.loadtxt([line], delimiter=",", usecols=[col])
+                except ValueError:
+                    return ParseError(f"column {col + 1}: cannot parse {field.strip()!r}",
+                                      line=lineno)
+            return ParseError(f"cannot parse {line.strip()!r}", line=lineno)
+        if row.size == 0:
+            continue
+        if width is None:
+            width = row.shape[1]
+        if row.shape[1] != width:
+            return ParseError(f"expected {width} fields, found {row.shape[1]}", line=lineno)
+        bad = np.flatnonzero(~np.isfinite(row[0]))
+        if bad.size:
+            return ParseError(f"column {bad[0] + 1}: non-finite value {row[0, bad[0]]!r}",
+                              line=lineno)
+    return ParseError(f"unreadable CSV {path}")
+
+
 def load_points_csv(path):
-    points = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Dense numeric CSV, one row per point, as a 2-D float array.
+
+    Raises ParseError naming the line (and column) of the first value that
+    does not parse, the first row of another width, or the first NaN or
+    infinity; ``ingest_counts`` reads count CSVs through it too.
+    """
+    try:
+        points = _read_csv(path)
+    except ValueError:
+        raise _first_csv_fault(path) from None
+    if not np.isfinite(points).all():
+        raise _first_csv_fault(path)
     if points.size == 0:
-        raise ParameterError(f"no data in {path}")
+        raise ParseError("no data", line=1)
     return points

@@ -332,6 +332,23 @@ def _fig8(config):
     return header, rows, [result["solution"].residual]
 
 
+def transition_errors(affinity, scaled, labels, epsilon, alphas=(0.0, 0.5, 1.0), s=2.0):
+    """Mean and worst-class transition errors per (alpha, family) for one solve.
+
+    ``affinity`` is the kernel at ``epsilon`` and ``scaled`` its W.
+    """
+    qhat = density.ds_kde(scaled, s)
+    rows = []
+    for alpha in alphas:
+        robust = laplacian.robust_markov(scaled, qhat, alpha)
+        trad = laplacian.traditional_markov(affinity, alpha)
+        for fam in (robust, trad):
+            mean_err, worst_err = laplacian.transition_error(fam, labels)
+            rows.append({"epsilon": epsilon, "alpha": alpha, "family": fam.source_tag,
+                         "mean_error": mean_err, "worst_class_error": worst_err})
+    return rows
+
+
 def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
                            s=2.0, tol=1e-6, max_iter=10_000):
     """Mean and worst-class transition errors per (epsilon, alpha, family)."""
@@ -339,15 +356,8 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
     for eps in epsilons:
         affinity = gaussian_kernel(pairwise_sq_dists(normalized), eps)
         solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-        scaled = assemble_W(affinity, solution)
-        qhat = density.ds_kde(scaled, s)
-        for alpha in alphas:
-            robust = laplacian.robust_markov(scaled, qhat, alpha)
-            trad = laplacian.traditional_markov(affinity, alpha)
-            for fam in (robust, trad):
-                mean_err, worst_err = laplacian.transition_error(fam, labels)
-                rows.append({"epsilon": eps, "alpha": alpha, "family": fam.source_tag,
-                             "mean_error": mean_err, "worst_class_error": worst_err})
+        rows += transition_errors(affinity, assemble_W(affinity, solution), labels, eps,
+                                  alphas, s)
     return rows
 
 

@@ -122,6 +122,17 @@ def test_scrna_pipeline(tmp_path):
     assert len(trows) == 6  # three alphas x both families
 
 
+def test_scrna_warns_about_rejected_rows(tmp_path):
+    cm = counts.synth_poisson_counts(40, 200, seed=5)
+    entries = sparse.vstack([cm.entries, sparse.csr_matrix((1, 200))])  # last row all zero
+    mtx = tmp_path / "counts.mtx"
+    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(entries))
+    with pytest.warns(UserWarning, match=r"rejected zero-total rows: \[40\]"):
+        code = run(["scrna", "--input", str(mtx), "--epsilon", "0.0002",
+                    "--out", str(tmp_path / "scrna.csv")])
+    assert code == 0
+
+
 def test_bench_subcommand(tmp_path):
     out = tmp_path / "fig3.csv"
     code = run(["bench", "fig3", "--sweep", "60", "90", "--repeats", "1",
@@ -151,3 +162,16 @@ def test_usage_error_exits_with_two():
     with pytest.raises(SystemExit) as exc:
         run(["scale"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text, where", [("1,2\n3,x\n", "line 2: column 2"),
+                                         ("1,2\n3,4\nnan,5\n", "line 3: column 1")])
+def test_malformed_points_csv_is_a_one_line_error(tmp_path, capsys, text, where):
+    points = tmp_path / "bad.csv"
+    points.write_text(text)
+    code = run(["scale", "--input", str(points), "--epsilon", "0.1",
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert len(err.strip().splitlines()) == 1

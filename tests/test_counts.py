@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dskernel import counts
 from dskernel.errors import ParameterError, ParseError
@@ -104,6 +106,159 @@ def test_csv_ingestion(tmp_path):
     bad.write_text("1,2\n3,oops\n")
     with pytest.raises(ParseError):
         counts.ingest_counts(bad, fmt="csv")
+
+
+@pytest.fixture(scope="module")
+def mm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mm")
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """A coordinate file with duplicates, blank lines, tabs and CRLF line ends."""
+    symmetric = draw(st.booleans())
+    field = draw(st.sampled_from(["integer", "real"]))
+    n_rows = draw(st.integers(1, 6))
+    n_cols = n_rows if symmetric else draw(st.integers(1, 6))
+    n_entries = draw(st.integers(0, 25))
+    # few distinct (i, j) pairs so duplicates are common; quarters add exactly
+    entries = [(draw(st.integers(1, n_rows)), draw(st.integers(1, n_cols)),
+                draw(st.integers(0, 40)) / (1 if field == "integer" else 4))
+               for _ in range(n_entries)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"%%MatrixMarket matrix coordinate {field} "
+             f"{'symmetric' if symmetric else 'general'}", "% a comment",
+             f"{n_rows} {n_cols} {n_entries}"]
+    for i, j, v in entries:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        sep = draw(st.sampled_from([" ", "\t", " \t  "]))
+        value = str(int(v)) if field == "integer" else repr(v)
+        lines.append(sep.join([str(i), str(j), value]))
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=matrix_market_texts())
+def test_matrix_market_round_trip_matches_naive_oracle(mm_dir, text):
+    path = mm_dir / "prop.mtx"
+    path.write_bytes(text.encode())
+    cm = counts.ingest_counts(path)
+    oracle = naive_matrix_market(path)
+    np.testing.assert_array_equal(cm.entries.toarray(), oracle[oracle.sum(axis=1) > 0])
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    return path
+
+
+def test_wrong_field_count_after_blank_lines_reports_file_line(tmp_path):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            "2 2 2\n1 1 3\n\n\n2 2\n")
+    with pytest.raises(ParseError, match="line 6: entry must have three fields"):
+        counts.ingest_counts(path)
+
+
+def test_four_field_entry_is_rejected(tmp_path):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            "2 2 2\n1 1 3\n2 2 4 5\n")
+    with pytest.raises(ParseError, match="line 4: entry must have three fields"):
+        counts.ingest_counts(path)
+
+
+@pytest.mark.parametrize("entry", ["1.0 1 3", "1x 1 3", "1 1 3x", "1 1 0x10", "1 1 1_0"])
+def test_malformed_entry_fields_are_rejected(tmp_path, entry):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                            f"2 2 2\n2 2 1\n{entry}\n")
+    with pytest.raises(ParseError, match="line 4: malformed entry"):
+        counts.ingest_counts(path)
+
+
+def test_bad_last_line_of_a_large_file_reports_its_line(tmp_path):
+    n = 100_000
+    rng = np.random.default_rng(0)
+    good = "\n".join(f"{i} {j} {v}" for i, j, v in zip(
+        rng.integers(1, 301, n), rng.integers(1, 201, n), rng.integers(1, 9, n)))
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            f"300 200 {n + 1}\n{good}\n1 1 7y\n")
+    with pytest.raises(ParseError, match=f"line {n + 3}: malformed entry '1 1 7y'"):
+        counts.ingest_counts(path)
+
+
+def test_first_of_several_bad_lines_is_reported(tmp_path):
+    body = ["1 1 1"] * 1000
+    body[300] = "2 2"
+    body[301] = ""
+    body[700] = "1 1 z"
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            "2 2 999\n\n" + "\n".join(body) + "\n")
+    with pytest.raises(ParseError, match="line 304: entry must have three fields"):
+        counts.ingest_counts(path)
+    body[300] = "1 1 1"
+    path.write_text(path.read_text().replace("\n2 2\n", "\n1 1 1\n"))
+    with pytest.raises(ParseError, match="line 704: malformed entry '1 1 z'"):
+        counts.ingest_counts(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_matrix_market_values_are_rejected_with_line(tmp_path, value):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                            f"2 2 2\n1 1 3\n\n2 2 {value}\n")
+    with pytest.raises(ParseError, match="line 5: non-finite value"):
+        counts.ingest_counts(path)
+
+
+def test_symmetric_entry_count_is_the_number_of_stored_lines(tmp_path):
+    # two off-diagonal lines mirror to four entries but declare 4 stored lines
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n"
+                            "3 3 4\n2 1 5\n3 2 6\n")
+    with pytest.raises(ParseError, match="line 4: expected 4 entries, found 2"):
+        counts.ingest_counts(path)
+
+
+def test_more_entry_lines_than_declared_are_rejected(tmp_path):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            "2 2 2\n1 1 3\n\n2 2 4\n1 2 5\n")
+    with pytest.raises(ParseError, match="line 6: more entries than the declared 2"):
+        counts.ingest_counts(path)
+
+
+@pytest.mark.parametrize("header", [
+    "%%MatrixMarket matrix coordinate integer skew-symmetric",
+    "%%MatrixMarket matrix coordinate real hermitian",
+    "%%MatrixMarket matrix coordinate complex general",
+    "%%MatrixMarket matrix coordinate pattern general",
+    "%%MatrixMarket matrix coordinate integer",
+])
+def test_unsupported_header_is_rejected_at_line_one(tmp_path, header):
+    path = _write(tmp_path, f"{header}\n2 2 1\n2 1 3\n")
+    with pytest.raises(ParseError, match="line 1:"):
+        counts.ingest_counts(path)
+
+
+@pytest.mark.parametrize("size, message", [
+    ("3 2 1", "symmetric matrix must be square"),  # mirroring would leave the shape
+    ("3 3 -1", "negative size"),
+])
+def test_inconsistent_size_line_is_rejected(tmp_path, size, message):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer symmetric\n"
+                            f"% comment\n{size}\n3 2 4\n")
+    with pytest.raises(ParseError, match=f"line 3: {message}"):
+        counts.ingest_counts(path)
+
+
+def test_csv_counts_reject_non_finite_and_malformed_values(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("1,0,2\n0,nan,1\n")
+    with pytest.raises(ParseError, match="line 2: column 2: non-finite"):
+        counts.ingest_counts(path, fmt="csv")
+    path.write_text("1,0,2\n\n0,1,inf\n")
+    with pytest.raises(ParseError, match="line 3: column 3: non-finite"):
+        counts.ingest_counts(path, fmt="csv")
+    path.write_text("1,0,2\n3,oops,1\n")
+    with pytest.raises(ParseError, match="line 2: column 2: cannot parse 'oops'"):
+        counts.ingest_counts(path, fmt="csv")
 
 
 def test_normalize_counts_rows_sum_to_one():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dskernel import geometry
-from dskernel.errors import ParameterError
+from dskernel.errors import ParameterError, ParseError
 
 SIGMA_SQ = 0.16 * np.pi**2
 
@@ -167,3 +167,18 @@ def test_load_points_rejects_empty(tmp_path):
     empty.write_text("")
     with pytest.raises(Exception):
         geometry.load_points_csv(empty)
+
+
+def test_load_points_rejects_non_finite_and_malformed_values(tmp_path):
+    path = tmp_path / "points.csv"
+    cases = [
+        ("1,2\n3,nan\n", "line 2: column 2: non-finite"),
+        ("1,2\n# comment\n\n-inf,4\n", "line 4: column 1: non-finite"),
+        ("1,2\n3,x\n", "line 2: column 2: cannot parse 'x'"),
+        ("1,2\n3,4,5\n", "line 2: expected 2 fields, found 3"),
+        ("1,2\n3,\n", "line 2: column 2: cannot parse ''"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            geometry.load_points_csv(path)
