@@ -17,13 +17,9 @@ from . import counts as counts_mod
 from . import density as density_mod
 from . import geometry, harness, inference, laplacian
 from .errors import ConvergenceError, ParameterError, ParseError
+from .geometry import _fmt
 from .kernel import gaussian_kernel, pairwise_sq_dists
 from .scaling import assemble_W, sinkhorn_symmetric
-
-
-def _fmt(value):
-    """Full-precision decimal text for CSV fields (plain float repr)."""
-    return repr(float(value))
 
 
 def _parse_s(text):
@@ -132,10 +128,6 @@ def build_parser():
     return parser
 
 
-def _load_points(path):
-    return geometry.load_points_csv(path)
-
-
 def _scale_points(points, epsilon, tol, max_iter):
     affinity = gaussian_kernel(pairwise_sq_dists(points), epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
@@ -153,19 +145,13 @@ def _read_sidecar_column(path, column):
 
 
 def _cmd_simulate(args):
-    seq = np.random.SeedSequence(args.seed)
-    s_sample, s_embed, s_noise = seq.spawn(3)
-    if args.two_circles:
-        sample = geometry.sample_two_circles(n_per_circle=args.n // 2, seed=s_sample)
-    else:
-        sample = geometry.sample_circle(args.n, 0.16 * np.pi**2, seed=s_sample)
-    sample = geometry.embed_orthogonal(sample, args.m, seed=s_embed)
-    noise = geometry.apply_noise(sample, args.noise, seed=s_noise)
+    sample, noise = harness.circle_dataset(args.n, args.m, args.noise, args.seed,
+                                           args.two_circles)
     geometry.save_dataset_csv(args.out, args.sidecar, sample, noise)
 
 
 def _cmd_scale(args):
-    points = _load_points(args.input)
+    points = geometry.load_points_csv(args.input)
     _, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -181,13 +167,10 @@ def _cmd_scale(args):
 
 
 def _cmd_density(args):
-    points = _load_points(args.input)
+    points = geometry.load_points_csv(args.input)
     affinity, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
     scaled = assemble_W(affinity, solution)
-    if args.s == density_mod.S_LIMIT:
-        est = density_mod.ds_kde_entropy(scaled, dim=args.dim)
-    else:
-        est = density_mod.ds_kde(scaled, args.s, dim=args.dim)
+    est = density_mod.ds_kde(scaled, args.s, dim=args.dim)
     truth = None
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_density")
@@ -201,13 +184,10 @@ def _cmd_density(args):
 
 
 def _cmd_denoise(args):
-    points = _load_points(args.input)
+    points = geometry.load_points_csv(args.input)
     affinity, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
     scaled = assemble_W(affinity, solution)
-    if args.s == density_mod.S_LIMIT:
-        qhat = density_mod.ds_kde_entropy(scaled)
-    else:
-        qhat = density_mod.ds_kde(scaled, args.s)
+    qhat = density_mod.ds_kde(scaled, args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon,
                                      debias=args.debias, dim=args.dim)
     table = inference.signal_magnitude_and_distances(
@@ -269,10 +249,7 @@ def _cmd_scrna(args):
     y, _ = counts_mod.normalize_counts(cm)
     affinity, solution = _scale_points(y, args.epsilon, args.tol, args.max_iter)
     scaled = assemble_W(affinity, solution)
-    if args.s == density_mod.S_LIMIT:
-        qhat = density_mod.ds_kde_entropy(scaled)
-    else:
-        qhat = density_mod.ds_kde(scaled, args.s)
+    qhat = density_mod.ds_kde(scaled, args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

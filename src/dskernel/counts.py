@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError, ParseError
-from .geometry import load_points_csv
+from .geometry import csv_row_lines, load_points_csv, read_text_lines
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,6 @@ class CountMatrix:
 
 def _finalize(matrix, labels=None):
     matrix = sparse.csr_matrix(matrix)
-    if matrix.nnz and matrix.data.min() < 0:
-        raise ParseError("negative count entry")
     totals = np.asarray(matrix.sum(axis=1)).ravel()
     keep = totals > 0
     rejected = tuple(np.nonzero(~keep)[0].tolist())
@@ -65,8 +63,7 @@ def _entry_lines(path, size_line):
     Only error paths call this. Blank means whitespace only, which is also
     what ``np.loadtxt`` skips, so item k is the line of entry record k.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")[size_line:]
+    lines = read_text_lines(path)[size_line:]
     return [(n, text) for n, text in enumerate(lines, start=size_line + 1) if text.strip()]
 
 
@@ -139,19 +136,22 @@ def _parse_matrix_market(path):
 
     The header is read line by line; the entry block is read in one
     ``np.loadtxt`` call with a fixed (int, int, float) record per line. Every
-    rejection names its file line: a malformed entry, an index out of bounds,
-    a NaN or infinite value, or an entry count other than the declared one.
-    Duplicate (i, j) entries are summed, per the format convention.
+    rejection names its file line: a byte that does not decode, a malformed
+    entry, an index out of bounds, a NaN, infinite or negative value, or an
+    entry count other than the declared one. Duplicate (i, j) entries are
+    summed, per the format convention.
     """
-    with open(path) as fh:
+    # a byte that does not decode fails a header check at its line here, or
+    # the entry read below
+    with open(path, errors="replace") as fh:
         shape, nnz, symmetric, size_line = _read_header(fh)
     try:
         entries = _read_entries(path, skiprows=size_line)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError included
         raise _first_rejected_entry(path, size_line) from None
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
     faults = np.flatnonzero((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])
-                            | ~np.isfinite(v))
+                            | ~np.isfinite(v) | (v < 0))
     # the first bad entry, or the first one beyond the declared count
     k = min(faults[0], nnz) if faults.size else nnz
     if k < len(entries):
@@ -160,6 +160,8 @@ def _parse_matrix_market(path):
             message = f"more entries than the declared {nnz}"
         elif not np.isfinite(v[k]):
             message = f"non-finite value in entry {text.strip()!r}"
+        elif v[k] < 0:
+            message = f"negative count in entry {text.strip()!r}"
         else:
             message = "entry index out of bounds"
         raise ParseError(message, line=lineno)
@@ -180,7 +182,12 @@ def ingest_counts(path, fmt="matrix-market", labels=None):
     if fmt == "matrix-market":
         matrix = _parse_matrix_market(path)
     elif fmt == "csv":
-        matrix = sparse.csr_matrix(load_points_csv(path))
+        matrix = load_points_csv(path)
+        negative = np.argwhere(matrix < 0)
+        if negative.size:
+            row, col = negative[0]
+            raise ParseError(f"column {col + 1}: negative count {matrix[row, col]:g}",
+                             line=csv_row_lines(path)[row])
     else:
         raise ParameterError(f"unknown format {fmt!r}")
     return _finalize(matrix, labels)
@@ -225,4 +232,4 @@ def synth_poisson_counts(n, m, n_clusters=2, depth_range=(500.0, 2500.0),
         rates = rng.uniform(ranges[labels, 0], ranges[labels, 1])
     means = profiles[labels] * rates[:, None]
     counts = rng.poisson(means)
-    return _finalize(sparse.csr_matrix(counts), labels)
+    return _finalize(counts, labels)

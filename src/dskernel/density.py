@@ -30,18 +30,6 @@ class DensityEstimate:
     intrinsic_dim: int
 
 
-def _log_w_of(w):
-    if isinstance(w, ScaledMatrix):
-        return w.log_w, w.epsilon
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ParameterError("W entries must be nonnegative")
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    np.fill_diagonal(log_w, -np.inf)
-    return log_w, None
-
-
 def normalization_constant(epsilon, dim, s):
     """The Theorem-3 global constant relating the raw estimator to q.
 
@@ -59,14 +47,15 @@ def ds_kde(w, s, epsilon=None, dim=None):
     """Doubly stochastic kernel density estimator with exponent ``s``.
 
     q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1), computed via log-sum-exp of
-    s * log W. Use :func:`ds_kde_entropy` for the s -> 1 limit.
+    s * log W. ``s=S_LIMIT`` gives the s -> 1 limit, :func:`ds_kde_entropy`.
     """
+    if s == S_LIMIT:
+        return ds_kde_entropy(w, epsilon, dim)
     if s <= 0 or s == 1:
         raise ParameterError("s must be positive and different from 1")
-    log_w, eps_from_w = _log_w_of(w)
-    epsilon = eps_from_w if epsilon is None else epsilon
-    n = log_w.shape[0]
-    log_raw = -np.log(n - 1) + logsumexp(s * log_w, axis=1) / (1.0 - s)
+    scaled = ScaledMatrix.from_linear(w)
+    epsilon = scaled.epsilon if epsilon is None else epsilon
+    log_raw = -np.log(scaled.n - 1) + logsumexp(s * scaled.log_w, axis=1) / (1.0 - s)
     raw = np.exp(log_raw)
     normalized = None
     if dim is not None:
@@ -77,17 +66,15 @@ def ds_kde(w, s, epsilon=None, dim=None):
 
 def ds_kde_entropy(w, epsilon=None, dim=None):
     """The s -> 1 limit of the DS-KDE: row perplexity over (n - 1)."""
-    log_w, eps_from_w = _log_w_of(w)
-    epsilon = eps_from_w if epsilon is None else epsilon
+    scaled = ScaledMatrix.from_linear(w)
+    epsilon = scaled.epsilon if epsilon is None else epsilon
+    log_w = scaled.log_w
     if not isinstance(w, ScaledMatrix):
-        w_lin = np.asarray(w, dtype=float)
-        off_diag = w_lin[~np.eye(len(w_lin), dtype=bool)]
-        if np.any(off_diag <= 0):
+        # from_linear rejected negative entries; a zero one has log -inf
+        if np.isneginf(log_w[~np.eye(scaled.n, dtype=bool)]).any():
             raise ParameterError("entropy limit requires strictly positive off-diagonal W")
-    n = log_w.shape[0]
-    p = np.exp(log_w)
-    entropy = -np.sum(p * np.where(np.isfinite(log_w), log_w, 0.0), axis=1)
-    raw = np.exp(entropy) / (n - 1)
+    entropy = -np.sum(scaled.w * np.where(np.isfinite(log_w), log_w, 0.0), axis=1)
+    raw = np.exp(entropy) / (scaled.n - 1)
     normalized = None
     if dim is not None:
         normalized = raw / normalization_constant(epsilon, dim, S_LIMIT)

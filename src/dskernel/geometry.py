@@ -214,17 +214,34 @@ def _read_csv(source):
         return np.loadtxt(source, delimiter=",", ndmin=2)
 
 
+def read_text_lines(path):
+    """The lines of a text file; a byte that does not decode raises ParseError
+    at its line. Only error paths call this."""
+    with open(path) as fh:
+        try:
+            return fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            # one read() decodes the whole file, so exc.start is a file offset
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"not {exc.encoding} text", line=line) from None
+
+
+def csv_row_lines(path):
+    """The file line of each row that ``load_points_csv`` read from ``path``."""
+    return [lineno for lineno, line in enumerate(read_text_lines(path), start=1)
+            if _read_csv([line]).size]
+
+
 def _first_csv_fault(path):
-    """ParseError at the first value, row width or NaN/infinity the CSV read rejects.
+    """ParseError at the first byte, value, row width or NaN/infinity the CSV
+    read rejects.
 
     Only error paths call this. Each line is read on its own by the same
     reader, and each column of a rejected line, so numpy's error text is
     never parsed.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
         try:
             row = _read_csv([line])
         except ValueError:
@@ -252,13 +269,13 @@ def _first_csv_fault(path):
 def load_points_csv(path):
     """Dense numeric CSV, one row per point, as a 2-D float array.
 
-    Raises ParseError naming the line (and column) of the first value that
-    does not parse, the first row of another width, or the first NaN or
-    infinity; ``ingest_counts`` reads count CSVs through it too.
+    Raises ParseError naming the line (and column) of the first byte that
+    does not decode, value that does not parse, row of another width, or NaN
+    or infinity; ``ingest_counts`` reads count CSVs through it too.
     """
     try:
         points = _read_csv(path)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError included
         raise _first_csv_fault(path) from None
     if not np.isfinite(points).all():
         raise _first_csv_fault(path)

@@ -12,6 +12,7 @@ import numpy as np
 from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
 from .errors import ParameterError
+from .geometry import _fmt
 from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
@@ -19,11 +20,6 @@ EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
 
 SIMULATION_PROFILE = {"tol": 1e-9, "max_iter": 100_000}
 COUNTS_PROFILE = {"tol": 1e-6, "max_iter": 10_000}
-
-
-def _fmt(value):
-    """Full-precision decimal text for CSV fields (plain float repr)."""
-    return repr(float(value))
 
 
 @dataclass
@@ -60,9 +56,11 @@ class PipelineResult:
     scaled: object
 
 
-def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
-                    tol=1e-9, max_iter=100_000, two_circles=False):
-    """Sample, embed, corrupt, and scale a circle dataset in one call."""
+def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
+    """Sample, embed and corrupt a circle dataset; returns (sample, noise).
+
+    The seed is split into one stream each for sampling, embedding and noise.
+    """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     s_sample, s_embed, s_noise = seq.spawn(3)
     if two_circles:
@@ -70,7 +68,13 @@ def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
     else:
         sample = geometry.sample_circle(n, sigma_sq=0.16 * np.pi**2, seed=s_sample)
     sample = geometry.embed_orthogonal(sample, m, seed=s_embed)
-    noise = geometry.apply_noise(sample, noise_model, seed=s_noise)
+    return sample, geometry.apply_noise(sample, noise_model, seed=s_noise)
+
+
+def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
+                    tol=1e-9, max_iter=100_000, two_circles=False):
+    """Sample, embed, corrupt, and scale a circle dataset in one call."""
+    sample, noise = circle_dataset(n, m, noise_model, seed, two_circles)
     affinity = gaussian_kernel(pairwise_sq_dists(noise.noisy_points), epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
     scaled = assemble_W(affinity, solution) if solution.converged else None
@@ -85,12 +89,9 @@ def _density_errors(pipe, s_values, dim=1):
     kde = standard_kde(pipe.affinity) / (np.pi * eps) ** (dim / 2.0)
     errors["kde"] = np.abs(kde - truth).max()
     for s in s_values:
-        if s == density.S_LIMIT:
-            est = density.ds_kde_entropy(pipe.scaled, dim=dim)
-            errors["dskde_s_limit"] = np.abs(est.normalized - truth).max()
-        else:
-            est = density.ds_kde(pipe.scaled, s, dim=dim)
-            errors[f"dskde_s{s:g}"] = np.abs(est.normalized - truth).max()
+        est = density.ds_kde(pipe.scaled, s, dim=dim)
+        name = "dskde_s_limit" if s == density.S_LIMIT else f"dskde_s{s:g}"
+        errors[name] = np.abs(est.normalized - truth).max()
     return errors
 
 
@@ -279,8 +280,7 @@ def laplacian_errors(n, epsilon, noise_model, seed, s=2.0, alpha=1.0):
     """Max operator error of the robust vs traditional Laplacians at alpha."""
     pipe = circle_pipeline(n, n, epsilon, noise_model, seed)
     f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
-    qhat = (density.ds_kde_entropy(pipe.scaled) if s == density.S_LIMIT
-            else density.ds_kde(pipe.scaled, s))
+    qhat = density.ds_kde(pipe.scaled, s)
     robust = laplacian.robust_markov(pipe.scaled, qhat, alpha)
     trad = laplacian.traditional_markov(pipe.affinity, alpha)
     return {

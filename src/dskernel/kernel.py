@@ -19,22 +19,23 @@ from .errors import ParameterError
 class AffinityMatrix:
     """Symmetric Gaussian affinity stored as log K_ij; the diagonal is excluded.
 
-    ``log_entries`` holds finite values everywhere; the diagonal slots are a
-    placeholder (0.0) and are masked out of every reduction.
+    The diagonal of ``log_entries`` holds -inf (K_ii = 0), so every row
+    reduction reads the matrix as it is. A matrix built with any other
+    diagonal is copied once with -inf written there.
     """
 
     log_entries: np.ndarray
     epsilon: float
 
+    def __post_init__(self):
+        if not np.isneginf(np.diagonal(self.log_entries)).all():
+            log_entries = np.array(self.log_entries, dtype=float)
+            np.fill_diagonal(log_entries, -np.inf)
+            object.__setattr__(self, "log_entries", log_entries)
+
     @property
     def n(self):
         return self.log_entries.shape[0]
-
-    def masked_log(self):
-        """Log entries with the diagonal set to -inf, ready for reductions."""
-        out = self.log_entries.copy()
-        np.fill_diagonal(out, -np.inf)
-        return out
 
 
 def pairwise_sq_dists(points):
@@ -63,13 +64,13 @@ def gaussian_kernel(sq_dists, epsilon):
         raise ParameterError("epsilon must be positive")
     sq_dists = np.asarray(sq_dists, dtype=float)
     log_entries = -sq_dists / epsilon
-    np.fill_diagonal(log_entries, 0.0)
+    np.fill_diagonal(log_entries, -np.inf)
     return AffinityMatrix(log_entries=log_entries, epsilon=float(epsilon))
 
 
 def log_degrees(affinity):
     """log of the row sums of K, diagonal excluded."""
-    return logsumexp(affinity.masked_log(), axis=1)
+    return logsumexp(affinity.log_entries, axis=1)
 
 
 def degrees(affinity):
@@ -95,10 +96,7 @@ def traditional_normalization(affinity, alpha):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    log_k = affinity.masked_log()
-    log_deg = logsumexp(log_k, axis=1)
-    log_p = log_k - alpha * (log_deg[:, None] + log_deg[None, :])
+    log_deg = log_degrees(affinity)
+    log_p = affinity.log_entries - alpha * (log_deg[:, None] + log_deg[None, :])
     log_p -= logsumexp(log_p, axis=1, keepdims=True)
-    p = np.exp(log_p)
-    np.fill_diagonal(p, 0.0)
-    return p
+    return np.exp(log_p)  # the -inf diagonal gives exact zeros

@@ -35,19 +35,11 @@ def robust_markov(scaled, qhat, alpha):
     if np.any(raw <= 0):
         raise ParameterError("density estimates must be strictly positive")
     log_q = np.log(raw)
-    log_w = scaled.log_w if isinstance(scaled, ScaledMatrix) else _log_of(scaled)
+    log_w = ScaledMatrix.from_linear(scaled).log_w
     log_tilde = log_w - (alpha - 0.5) * (log_q[:, None] + log_q[None, :])
     log_tilde -= logsumexp(log_tilde, axis=1, keepdims=True)
-    markov = np.exp(log_tilde)
-    np.fill_diagonal(markov, 0.0)
-    return MarkovFamily(alpha=alpha, markov=markov, source_tag="robust")
-
-
-def _log_of(w):
-    with np.errstate(divide="ignore"):
-        log_w = np.log(np.asarray(w, dtype=float))
-    np.fill_diagonal(log_w, -np.inf)
-    return log_w
+    # the -inf diagonal of log W gives exact zeros
+    return MarkovFamily(alpha=alpha, markov=np.exp(log_tilde), source_tag="robust")
 
 
 def traditional_markov(affinity, alpha):

@@ -16,6 +16,7 @@ reaches below the range of exp.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,37 +144,55 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")
-    return _scale_log_matrix(affinity.masked_log(), tol, max_iter, log_d0=log_d0)
+    return _scale_log_matrix(affinity.log_entries, tol, max_iter, log_d0=log_d0)
 
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """Doubly stochastic W = diag(d) K diag(d) in both linear and log form."""
+    """Doubly stochastic W = diag(d) K diag(d), stored as log W.
 
-    w: np.ndarray
-    log_w: np.ndarray  # diagonal at -inf
+    The diagonal of ``log_w`` is -inf. The linear ``w`` is computed on first
+    use and kept.
+    """
+
+    log_w: np.ndarray
     epsilon: float
+
+    @classmethod
+    def from_linear(cls, w):
+        """W given as a nonnegative array, its diagonal excluded and its
+        bandwidth unknown; a ScaledMatrix is returned as it is."""
+        if isinstance(w, cls):
+            return w
+        w = np.asarray(w, dtype=float)
+        if np.any(w < 0):
+            raise ParameterError("W entries must be nonnegative")
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        np.fill_diagonal(log_w, -np.inf)
+        return cls(log_w=log_w, epsilon=None)
 
     @property
     def n(self):
-        return self.w.shape[0]
+        return self.log_w.shape[0]
+
+    @cached_property
+    def w(self):
+        return np.exp(self.log_w)
 
 
 def assemble_W(affinity, solution):
-    """Materialize W from a converged scaling solution.
+    """Log W = log d_i + log d_j + log K_ij from a converged scaling solution.
 
-    W is exactly symmetric (upper triangle mirrored), has a zero diagonal,
-    and every row sums to 1 within the solver tolerance.
+    W is exactly symmetric, since log d_i + log d_j is and so is log K; its
+    diagonal is zero, and every row sums to 1 within the solver tolerance.
     """
     if not solution.converged:
         raise ConvergenceError("scaling did not converge; refusing to assemble W")
     log_d = solution.log_d
-    log_w = log_d[:, None] + affinity.masked_log() + log_d[None, :]
-    upper = np.triu(log_w, 1)
-    log_w = upper + upper.T
-    np.fill_diagonal(log_w, -np.inf)
-    w = np.exp(log_w)
-    return ScaledMatrix(w=w, log_w=log_w, epsilon=affinity.epsilon)
+    log_w = log_d[:, None] + log_d[None, :]
+    log_w += affinity.log_entries
+    return ScaledMatrix(log_w=log_w, epsilon=affinity.epsilon)
 
 
 def scaling_factor_diagnostics(solution, epsilon, n, dim, density):

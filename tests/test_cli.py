@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sparse
 
-from dskernel import cli, counts
+from dskernel import cli, counts, harness
 
 
 def run(argv):
@@ -31,6 +31,12 @@ def test_simulate_outputs(simulated):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 250
     assert float(rows[0]["true_density"]) > 0
+
+
+def test_simulate_writes_the_circle_pipeline_points(simulated):
+    points, _ = simulated
+    pipe = harness.circle_pipeline(250, 120, 0.1, "varying_ball", seed=3)
+    assert np.array_equal(np.loadtxt(points, delimiter=","), pipe.noise.noisy_points)
 
 
 def test_scale_writes_log_d_and_residuals(simulated, tmp_path):
@@ -174,4 +180,20 @@ def test_malformed_points_csv_is_a_one_line_error(tmp_path, capsys, text, where)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, name, text, where", [
+    ("scale", "bad.csv", b"1,2\n3,\xff\n", "line 2"),
+    ("scrna", "bad.mtx", b"%%MatrixMarket matrix coordinate integer general\n"
+                         b"2 2 1\n1 1 \xff\n", "line 3"),
+])
+def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, name, text, where):
+    path = tmp_path / name
+    path.write_bytes(text)
+    code = run([command, "--input", str(path), "--epsilon", "0.1",
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: not utf-8 text")
     assert len(err.strip().splitlines()) == 1

@@ -84,6 +84,30 @@ def test_negative_counts_rejected(tmp_path):
         counts.ingest_counts(path)
 
 
+def test_negative_counts_are_rejected_with_their_location(tmp_path):
+    path = tmp_path / "neg.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                    "% comment\n2 2 2\n1 1 3\n2 2 -5\n")
+    with pytest.raises(ParseError, match="line 5: negative count in entry '2 2 -5'"):
+        counts.ingest_counts(path)
+    path = tmp_path / "neg.csv"
+    path.write_text("1,0,2\n\n# comment\n0,1,-5\n")
+    with pytest.raises(ParseError, match="line 4: column 3: negative count -5"):
+        counts.ingest_counts(path, fmt="csv")
+
+
+@pytest.mark.parametrize("where", ["header", "comment", "entry"])
+def test_non_utf8_matrix_market_byte_is_reported_with_line(tmp_path, where):
+    lines = [b"%%MatrixMarket matrix coordinate integer general", b"% comment",
+             b"2 2 2", b"1 1 3", b"2 2 4"]
+    bad_line = {"header": 1, "comment": 2, "entry": 5}[where]
+    lines[bad_line - 1] += b" \xff"
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match=f"line {bad_line}: "):
+        counts.ingest_counts(path)
+
+
 def test_zero_total_rows_are_rejected_with_labels(tmp_path):
     path = tmp_path / "z.mtx"
     path.write_text("%%MatrixMarket matrix coordinate integer general\n"

@@ -40,6 +40,16 @@ def test_entropy_limit_agrees_with_s_near_one():
     np.testing.assert_allclose(limit.raw, near.raw, rtol=1e-4)
 
 
+def test_ds_kde_routes_the_limit_to_the_entropy_form():
+    _, scaled = scaled_circle(n=100, seed=4)
+    for w in (scaled, scaled.w):
+        via_s = density.ds_kde(w, density.S_LIMIT, epsilon=0.1, dim=1)
+        direct = density.ds_kde_entropy(w, epsilon=0.1, dim=1)
+        assert via_s.s == direct.s == density.S_LIMIT
+        assert np.array_equal(via_s.raw, direct.raw)
+        assert np.array_equal(via_s.normalized, direct.normalized)
+
+
 def test_normalization_constant_values_and_limit():
     # (pi*eps)^(d/2) * s^(d/(2(s-1))) at eps=0.1, d=1, s=2
     expected = np.sqrt(np.pi * 0.1) * 2.0 ** 0.5

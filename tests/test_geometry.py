@@ -182,3 +182,10 @@ def test_load_points_rejects_non_finite_and_malformed_values(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError, match=message):
             geometry.load_points_csv(path)
+
+
+def test_load_points_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"1,2\n# caf\xe9\n3,4\n")
+    with pytest.raises(ParseError, match="line 2: not utf-8 text"):
+        geometry.load_points_csv(path)

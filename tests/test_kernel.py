@@ -31,7 +31,7 @@ def test_gaussian_kernel_entries_and_diagonal():
     aff = kernel.gaussian_kernel(sq, 0.7)
     off = ~np.eye(25, dtype=bool)
     np.testing.assert_allclose(np.exp(aff.log_entries)[off], np.exp(-sq / 0.7)[off])
-    masked = aff.masked_log()
+    masked = aff.log_entries
     assert np.all(np.isneginf(np.diag(masked)))
     assert aff.n == 25
     assert aff.epsilon == 0.7
@@ -46,7 +46,7 @@ def test_gaussian_kernel_rejects_bad_epsilon():
 def test_degrees_match_direct_sum():
     pts = random_points(30, 4, seed=4)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.5)
-    lin = np.exp(aff.masked_log())
+    lin = np.exp(aff.log_entries)
     np.testing.assert_allclose(kernel.degrees(aff), lin.sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(kernel.standard_kde(aff), lin.sum(axis=1) / 29, rtol=1e-12)
 
@@ -64,7 +64,7 @@ def test_traditional_normalization_row_stochastic(alpha):
 def test_traditional_normalization_matches_dense_oracle():
     pts = random_points(20, 3, seed=6)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.6)
-    k_lin = np.exp(aff.masked_log())
+    k_lin = np.exp(aff.log_entries)
     deg = k_lin.sum(axis=1)
     for alpha in (0.0, 0.5, 1.0):
         compensated = k_lin / np.outer(deg**alpha, deg**alpha)

@@ -30,6 +30,8 @@ def test_alpha_half_returns_w_bit_identically():
     _, aff, scaled, qhat = circle_setup(n=150)
     fam = laplacian.robust_markov(scaled, qhat, 0.5)
     assert fam.markov is scaled.w
+    raw = scaled.w.copy()
+    assert laplacian.robust_markov(raw, qhat, 0.5).markov is raw
 
 
 def test_robust_markov_is_row_stochastic():
@@ -48,6 +50,8 @@ def test_robust_markov_matches_dense_oracle():
     expected = comp / comp.sum(axis=1, keepdims=True)
     got = laplacian.robust_markov(scaled, qhat, alpha).markov
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
+    from_raw = laplacian.robust_markov(scaled.w, qhat, alpha).markov
+    np.testing.assert_allclose(from_raw, expected, rtol=1e-10, atol=1e-15)
 
 
 def test_alpha_out_of_range_raises():

@@ -37,7 +37,7 @@ def test_matches_newton_oracle_on_small_matrices():
         aff = kernel.gaussian_kernel(sq, 1.3)
         sol = scaling.sinkhorn_symmetric(aff, tol=1e-13, max_iter=200_000)
         assert sol.converged
-        k_lin = np.exp(aff.masked_log())
+        k_lin = np.exp(aff.log_entries)
         expected = newton_symmetric_scaling(k_lin)
         np.testing.assert_allclose(sol.log_d, expected, rtol=0, atol=1e-8)
 
@@ -62,6 +62,37 @@ def test_kernel_scale_invariance_of_w():
     np.testing.assert_allclose(w_a.w, w_b.w, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("diagonal", [0.0, 5.0, np.nan])
+def test_hand_built_diagonal_is_excluded(diagonal):
+    aff = circle_affinity(60, 0.2, seed=6)
+    # a matrix that already excludes its diagonal is kept, not copied
+    assert kernel.AffinityMatrix(aff.log_entries, aff.epsilon).log_entries is aff.log_entries
+    log_k = aff.log_entries.copy()
+    np.fill_diagonal(log_k, diagonal)
+    hand = kernel.AffinityMatrix(log_entries=log_k, epsilon=aff.epsilon)
+    assert np.all(np.isneginf(np.diag(hand.log_entries)))
+    assert not np.isneginf(log_k[0, 0])  # the caller's array is left alone
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
+    sol_hand = scaling.sinkhorn_symmetric(hand, tol=1e-12)
+    assert np.array_equal(sol_hand.log_d, sol.log_d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       depth=st.floats(1.0, 2500.0), spread=st.floats(0.0, 300.0))
+def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth, spread):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-depth, 0.0, size=(n, n)), 1)
+    log_k = upper + upper.T  # diagonal 0.0, excluded on construction
+    aff = kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
+    log_d = rng.uniform(-spread, spread, size=n)  # log W stays within exp range
+    scaled = scaling.assemble_W(aff, scaling.ScalingSolution(log_d, 0.0, 1, True))
+    assert np.array_equal(scaled.log_w, scaled.log_w.T)
+    assert np.all(np.isneginf(np.diag(scaled.log_w)))
+    assert scaled.w is scaled.w
+    assert np.array_equal(scaled.w, np.exp(scaled.log_w))
+
+
 def test_permutation_equivariance():
     aff = circle_affinity(60, 0.2, seed=5)
     perm = np.random.default_rng(1).permutation(60)
@@ -77,7 +108,7 @@ def test_underflowing_kernel_is_handled_in_log_domain():
     angles = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 2e-5)
-    off_log = aff.masked_log()[~np.eye(40, dtype=bool)]
+    off_log = aff.log_entries[~np.eye(40, dtype=bool)]
     assert off_log.max() < -700  # exp() of the raw log K underflows everywhere
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9, max_iter=50_000)
     assert sol.converged
@@ -92,7 +123,7 @@ def test_isolated_outlier_far_below_exp_range_converges():
     pts = sample.clean_points.copy()
     pts[0] = (9.0, 0.0)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.03)
-    assert aff.masked_log()[0].max() < -2100
+    assert aff.log_entries[0].max() < -2100
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.converged and sol.residual <= 1e-9
     assert sol.log_d[0] > 2100
