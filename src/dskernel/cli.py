@@ -15,11 +15,10 @@ import numpy as np
 
 from . import counts as counts_mod
 from . import density as density_mod
-from . import geometry, harness, inference, laplacian
+from . import geometry, harness, inference
 from .errors import ConvergenceError, ParameterError, ParseError
-from .geometry import _fmt
-from .kernel import gaussian_kernel, pairwise_sq_dists
-from .scaling import assemble_W, sinkhorn_symmetric
+from .geometry import _fmt, _write_csv
+from .scaling import assemble_W
 
 
 def _parse_s(text):
@@ -128,16 +127,6 @@ def build_parser():
     return parser
 
 
-def _scale_points(points, epsilon, tol, max_iter):
-    affinity = gaussian_kernel(pairwise_sq_dists(points), epsilon)
-    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    if not solution.converged:
-        raise ConvergenceError(
-            f"scaling stopped at residual {solution.residual:.3e} after "
-            f"{solution.iterations} iterations")
-    return affinity, solution
-
-
 def _read_sidecar_column(path, column):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -152,55 +141,43 @@ def _cmd_simulate(args):
 
 def _cmd_scale(args):
     points = geometry.load_points_csv(args.input)
-    _, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "log_d", "residual", "iterations"])
-        for i, v in enumerate(solution.log_d):
-            writer.writerow([i, _fmt(v), _fmt(solution.residual), solution.iterations])
+    _, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    _write_csv(args.out, ["index", "log_d", "residual", "iterations"],
+               ([i, _fmt(v), _fmt(solution.residual), solution.iterations]
+                for i, v in enumerate(solution.log_d)))
     if args.residuals_out:
-        with open(args.residuals_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "residual"])
-            for i, r in enumerate(solution.residual_history, start=1):
-                writer.writerow([i, _fmt(r)])
+        _write_csv(args.residuals_out, ["iteration", "residual"],
+                   ([i, _fmt(r)] for i, r in enumerate(solution.residual_history, start=1)))
 
 
 def _cmd_density(args):
     points = geometry.load_points_csv(args.input)
-    affinity, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
-    scaled = assemble_W(affinity, solution)
-    est = density_mod.ds_kde(scaled, args.s, dim=args.dim)
+    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    est = density_mod.ds_kde(assemble_W(affinity, solution), args.s, dim=args.dim)
     truth = None
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_density")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "raw", "normalized", "true_density_if_known", "abs_error"])
-        for i in range(len(est.raw)):
-            t = "" if truth is None else _fmt(truth[i])
-            err = "" if truth is None else _fmt(abs(est.normalized[i] - truth[i]))
-            writer.writerow([i, _fmt(est.raw[i]), _fmt(est.normalized[i]), t, err])
+    _write_csv(args.out, ["index", "raw", "normalized", "true_density_if_known", "abs_error"],
+               ([i, _fmt(est.raw[i]), _fmt(est.normalized[i]),
+                 "" if truth is None else _fmt(truth[i]),
+                 "" if truth is None else _fmt(abs(est.normalized[i] - truth[i]))]
+                for i in range(len(est.raw))))
 
 
 def _cmd_denoise(args):
     points = geometry.load_points_csv(args.input)
-    affinity, solution = _scale_points(points, args.epsilon, args.tol, args.max_iter)
-    scaled = assemble_W(affinity, solution)
-    qhat = density_mod.ds_kde(scaled, args.s)
+    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    qhat = density_mod.ds_kde(assemble_W(affinity, solution), args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon,
                                      debias=args.debias, dim=args.dim)
-    table = inference.signal_magnitude_and_distances(
-        points, nhat, args.epsilon, args.s, args.dim, scaled=scaled, qhat=qhat)
+    table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
+                                                     args.dim)
     truth = None
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_noise_sq")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"])
-        for i in range(len(nhat)):
-            t = "" if truth is None else _fmt(truth[i])
-            writer.writerow([i, _fmt(nhat[i]), _fmt(table.signal_sq_hat[i]), t])
+    _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
+               ([i, _fmt(nhat[i]), _fmt(table.signal_sq_hat[i]),
+                 "" if truth is None else _fmt(truth[i])] for i in range(len(nhat))))
     if args.dists_out:
         np.savetxt(args.dists_out, table.corrected_dists, delimiter=",")
         negatives = int((table.corrected_dists < 0).sum())
@@ -217,10 +194,7 @@ def _cmd_laplacian(args):
         for fam in ("robust", "traditional"):
             if args.family in (fam, "both"):
                 rows.append([eps, fam, args.alpha, _fmt(errs[fam])])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "family", "alpha", "max_error"])
-        writer.writerows(rows)
+    _write_csv(args.out, ["epsilon", "family", "alpha", "max_error"], rows)
 
 
 def _subsample_per_class(labels, per_class, seed):
@@ -247,29 +221,22 @@ def _cmd_scrna(args):
                                     labels=cm.labels[keep],
                                     rejected_rows=cm.rejected_rows)
     y, _ = counts_mod.normalize_counts(cm)
-    affinity, solution = _scale_points(y, args.epsilon, args.tol, args.max_iter)
+    affinity, solution = harness.scale_points(y, args.epsilon, args.tol, args.max_iter)
     scaled = assemble_W(affinity, solution)
     qhat = density_mod.ds_kde(scaled, args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "total_count", "inv_count", "noise_sq_hat"])
-        for i in range(len(nhat)):
-            label = "" if cm.labels is None else cm.labels[i]
-            writer.writerow([i, label, int(cm.totals[i]),
-                             _fmt(1.0 / cm.totals[i]), _fmt(nhat[i])])
+    _write_csv(args.out, ["index", "label", "total_count", "inv_count", "noise_sq_hat"],
+               ([i, "" if cm.labels is None else cm.labels[i], int(cm.totals[i]),
+                 _fmt(1.0 / cm.totals[i]), _fmt(nhat[i])] for i in range(len(nhat))))
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
-        # the solve above, reused; transitions keep the DS-KDE at s=2 whatever --s is
-        rows = harness.transition_errors(affinity, scaled, cm.labels, args.epsilon)
-        with open(args.transitions_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "alpha", "family", "mean_error",
-                             "worst_class_error"])
-            for row in rows:
-                writer.writerow([row["epsilon"], row["alpha"], row["family"],
-                                 _fmt(row["mean_error"]), _fmt(row["worst_class_error"])])
+        rows = harness.transition_errors(affinity, scaled, cm.labels, args.epsilon,
+                                         s=args.s)
+        _write_csv(args.transitions_out,
+                   ["epsilon", "alpha", "family", "mean_error", "worst_class_error"],
+                   ([row["epsilon"], row["alpha"], row["family"], _fmt(row["mean_error"]),
+                     _fmt(row["worst_class_error"])] for row in rows))
 
 
 def _cmd_bench(args):

@@ -23,6 +23,17 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _write_csv(path, header, rows, meta=None):
+    """Write a header row and ``rows`` as CSV; ``meta``, a dict, goes first as
+    one "# key=value, ..." comment line."""
+    with open(path, "w", newline="") as fh:
+        if meta is not None:
+            fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass(frozen=True)
 class ManifoldSample:
     """Clean points on one or more circles plus their analytic annotations.
@@ -199,12 +210,10 @@ def save_dataset_csv(points_path, sidecar_path, sample, noise=None):
     points = sample.clean_points if noise is None else noise.noisy_points
     noise_sq = np.zeros(len(sample.angles)) if noise is None else noise.true_noise_sq
     np.savetxt(points_path, points, delimiter=",")
-    with open(sidecar_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "angle", "radius", "true_density", "true_noise_sq"])
-        for i in range(len(sample.angles)):
-            writer.writerow([i, _fmt(sample.angles[i]), _fmt(sample.radius_labels[i]),
-                             _fmt(sample.density_values[i]), _fmt(noise_sq[i])])
+    _write_csv(sidecar_path, ["index", "angle", "radius", "true_density", "true_noise_sq"],
+               ([i, _fmt(sample.angles[i]), _fmt(sample.radius_labels[i]),
+                 _fmt(sample.density_values[i]), _fmt(noise_sq[i])]
+                for i in range(len(sample.angles))))
 
 
 def _read_csv(source):

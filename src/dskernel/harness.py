@@ -2,24 +2,21 @@
 kernel -> scaling -> estimation pipeline, and writes aggregate CSV tables.
 """
 
-import csv
 import importlib.metadata
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .geometry import _fmt
 from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
-
-SIMULATION_PROFILE = {"tol": 1e-9, "max_iter": 100_000}
-COUNTS_PROFILE = {"tol": 1e-6, "max_iter": 10_000}
 
 
 @dataclass
@@ -31,7 +28,6 @@ class ExperimentConfig:
     seed: int = 0
     epsilon: float = 0.1
     s: object = 2.0
-    dim: int = 1
     noise: str = None
     out: str = None
 
@@ -53,7 +49,26 @@ class PipelineResult:
     noise: object
     affinity: object
     solution: object
-    scaled: object
+
+    @cached_property
+    def scaled(self):
+        """W of the solve; raises ConvergenceError if the solve did not converge."""
+        return assemble_W(self.affinity, self.solution)
+
+
+def scale_points(points, epsilon, tol, max_iter):
+    """The Gaussian kernel of ``points`` and its converged scaling solution.
+
+    Raises ConvergenceError with the residual and iteration count when the
+    solve stops short of ``tol``.
+    """
+    affinity = gaussian_kernel(pairwise_sq_dists(points), epsilon)
+    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
+    if not solution.converged:
+        raise ConvergenceError(
+            f"scaling stopped at residual {solution.residual:.3e} after "
+            f"{solution.iterations} iterations")
+    return affinity, solution
 
 
 def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
@@ -73,34 +88,34 @@ def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
 
 def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
                     tol=1e-9, max_iter=100_000, two_circles=False):
-    """Sample, embed, corrupt, and scale a circle dataset in one call."""
+    """Sample, embed, corrupt, and scale a circle dataset in one call.
+
+    A solve that did not converge is kept as it is; ``scaled`` refuses it.
+    """
     sample, noise = circle_dataset(n, m, noise_model, seed, two_circles)
     affinity = gaussian_kernel(pairwise_sq_dists(noise.noisy_points), epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    scaled = assemble_W(affinity, solution) if solution.converged else None
-    return PipelineResult(sample, noise, affinity, solution, scaled)
+    return PipelineResult(sample, noise, affinity, solution)
+
+
+def _dskde_name(s):
+    return "dskde_s_limit" if s == density.S_LIMIT else f"dskde_s{s:g}"
+
+
+def _density_estimates(pipe, s_values, dim):
+    """The normalized standard KDE and DS-KDE per exponent, by column name."""
+    eps = pipe.affinity.epsilon
+    estimates = {"kde": standard_kde(pipe.affinity) / (np.pi * eps) ** (dim / 2.0)}
+    for s in s_values:
+        estimates[_dskde_name(s)] = density.ds_kde(pipe.scaled, s, dim=dim).normalized
+    return estimates
 
 
 def _density_errors(pipe, s_values, dim=1):
     """Max abs error of the normalized estimators against the true density."""
     truth = pipe.sample.density_values
-    eps = pipe.affinity.epsilon
-    errors = {}
-    kde = standard_kde(pipe.affinity) / (np.pi * eps) ** (dim / 2.0)
-    errors["kde"] = np.abs(kde - truth).max()
-    for s in s_values:
-        est = density.ds_kde(pipe.scaled, s, dim=dim)
-        name = "dskde_s_limit" if s == density.S_LIMIT else f"dskde_s{s:g}"
-        errors[name] = np.abs(est.normalized - truth).max()
-    return errors
-
-
-def _write_csv(path, header, rows, meta):
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    return {name: np.abs(est - truth).max()
+            for name, est in _density_estimates(pipe, s_values, dim).items()}
 
 
 def _package_version():
@@ -130,7 +145,7 @@ def run_experiment(config):
         }
         if config.sweep is not None:
             meta["sweep"] = ";".join(str(v) for v in config.sweep)
-        _write_csv(config.out, header, rows, meta)
+        geometry._write_csv(config.out, header, rows, meta)
     return header, rows
 
 
@@ -140,58 +155,53 @@ def _noise_settings(config):
     return ["none", "varying_ball", "outlier_gaussian"]
 
 
-def _repeat_seeds(config, count):
-    return np.random.SeedSequence(config.seed).spawn(count)
-
-
 def _fig1(config):
     n = m = 2000
-    header = ["noise", "index", "angle", "true_density", "kde", "dskde_s2"]
+    header = ["noise", "index", "angle", "true_density", "kde", _dskde_name(config.s)]
     rows, residuals = [], []
-    seeds = _repeat_seeds(config, len(_noise_settings(config)))
-    for noise_model, seed in zip(_noise_settings(config), seeds):
+    noises = _noise_settings(config)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(noises))
+    for noise_model, seed in zip(noises, seeds):
         pipe = circle_pipeline(n, m, config.epsilon, noise_model, seed)
         residuals.append(pipe.solution.residual)
-        eps = config.epsilon
-        kde = standard_kde(pipe.affinity) / (np.pi * eps) ** (config.dim / 2.0)
-        est = density.ds_kde(pipe.scaled, 2.0, dim=config.dim)
+        est = _density_estimates(pipe, [config.s], pipe.sample.intrinsic_dim)
+        kde, dskde = est["kde"], est[header[-1]]
         for i in range(n):
             rows.append([noise_model, i, _fmt(pipe.sample.angles[i]),
                          _fmt(pipe.sample.density_values[i]),
-                         _fmt(kde[i]), _fmt(est.normalized[i])])
+                         _fmt(kde[i]), _fmt(dskde[i])])
     return header, rows, residuals
 
 
-def _error_sweep(config, sweep_kind):
-    sweep = config.sweep or ([500, 1000, 2000, 3000] if sweep_kind == "n"
-                             else [0.025, 0.05, 0.1, 0.2, 0.4])
-    s_values = [0.5, 2.0, density.S_LIMIT]
-    methods = ["kde", "dskde_s0.5", "dskde_s2", "dskde_s_limit"]
-    header = [sweep_kind, "noise", "method", "mean_max_error", "std_max_error", "status"]
+def _sweep(config, sweep_kind, default_sweep, noises, column, names, measure):
+    """Mean and std over ``config.repeats`` circles of each ``measure(pipe)``
+    entry in ``names``, per sweep value and noise model.
+
+    A sweep point stops at its first failing repeat and records the failure
+    in its rows' status.
+    """
+    header = [sweep_kind, "noise", column, "mean_max_error", "std_max_error", "status"]
     rows, residuals = [], []
-    for value in sweep:
-        for noise_model in _noise_settings(config):
-            per_method = {name: [] for name in methods}
+    for value in config.sweep or default_sweep:
+        n = int(value) if sweep_kind == "n" else 2000
+        eps = config.epsilon if sweep_kind == "n" else float(value)
+        for noise_model in noises:
+            per_name = {name: [] for name in names}
             status = "ok"
             seeds = np.random.SeedSequence(
                 [config.seed, int(value * 1e6), zlib.crc32(noise_model.encode())]
             ).spawn(config.repeats)
             for seed in seeds:
-                n = int(value) if sweep_kind == "n" else 2000
-                eps = config.epsilon if sweep_kind == "n" else float(value)
                 try:
                     pipe = circle_pipeline(n, n, eps, noise_model, seed)
-                    if pipe.scaled is None:
-                        raise ParameterError("scaling did not converge")
-                    residuals.append(pipe.solution.residual)
-                    errs = _density_errors(pipe, s_values, config.dim)
+                    errs = measure(pipe)
                 except Exception as exc:  # diagnostic row, never a silent skip
                     status = f"failed: {exc}"
                     break
-                for name in methods:
-                    per_method[name].append(errs[name])
-            for name in methods:
-                vals = per_method[name]
+                residuals.append(pipe.solution.residual)
+                for name in names:
+                    per_name[name].append(errs[name])
+            for name, vals in per_name.items():
                 rows.append([value, noise_model, name,
                              _fmt(float(np.mean(vals))) if vals else "",
                              _fmt(float(np.std(vals))) if vals else "",
@@ -199,29 +209,52 @@ def _error_sweep(config, sweep_kind):
     return header, rows, residuals
 
 
+def _density_sweep(config, sweep_kind, default_sweep):
+    s_values = [0.5, 2.0, density.S_LIMIT]
+    names = ["kde"] + [_dskde_name(s) for s in s_values]
+    return _sweep(config, sweep_kind, default_sweep, _noise_settings(config), "method",
+                  names, lambda pipe: _density_errors(pipe, s_values,
+                                                      pipe.sample.intrinsic_dim))
+
+
 def _fig3(config):
-    return _error_sweep(config, "n")
+    return _density_sweep(config, "n", [500, 1000, 2000, 3000])
 
 
 def _fig5(config):
-    return _error_sweep(config, "epsilon")
+    return _density_sweep(config, "epsilon", [0.025, 0.05, 0.1, 0.2, 0.4])
+
+
+def _fig7(config):
+    sweep_kind = config.sweep_param or "epsilon"
+    default_sweep = [1000, 2000, 5000] if sweep_kind == "n" else [0.05, 0.1, 0.2, 0.4]
+    noises = [config.noise] if config.noise else ["none", "varying_ball"]
+    return _sweep(config, sweep_kind, default_sweep, noises, "family",
+                  ["robust", "traditional"],
+                  lambda pipe: _laplacian_errors(pipe, config.s))
+
+
+def _estimate_table(pipe, s):
+    """Noise magnitudes, signal magnitudes and corrected distances of one circle."""
+    eps = pipe.affinity.epsilon
+    qhat = density.ds_kde(pipe.scaled, s)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, eps)
+    return inference.signal_magnitude_and_distances(
+        pipe.noise.noisy_points, nhat, eps, s, pipe.sample.intrinsic_dim)
 
 
 def _fig4(config):
     pipe = circle_pipeline(1000, 500, config.epsilon, "outlier_scaled_gaussian",
                            config.seed, two_circles=True)
-    qhat = density.ds_kde(pipe.scaled, 2.0, dim=config.dim)
-    nhat = inference.noise_magnitude(pipe.solution, qhat, config.epsilon)
-    table = inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, config.epsilon, 2.0, config.dim)
+    table = _estimate_table(pipe, config.s)
     header = ["index", "radius", "noisy_sq_norm", "noise_sq_hat", "true_noise_sq",
               "signal_sq_hat", "true_signal_sq"]
     rows = []
     y_sq = np.einsum("ij,ij->i", pipe.noise.noisy_points, pipe.noise.noisy_points)
     x_sq = np.einsum("ij,ij->i", pipe.sample.clean_points, pipe.sample.clean_points)
-    for i in range(len(nhat)):
+    for i in range(len(y_sq)):
         rows.append([i, _fmt(pipe.sample.radius_labels[i]), _fmt(y_sq[i]),
-                     _fmt(nhat[i]), _fmt(pipe.noise.true_noise_sq[i]),
+                     _fmt(table.noise_sq_hat[i]), _fmt(pipe.noise.true_noise_sq[i]),
                      _fmt(table.signal_sq_hat[i]), _fmt(x_sq[i])])
     return header, rows, [pipe.solution.residual]
 
@@ -230,10 +263,7 @@ def _fig6(config):
     n = m = 1000
     k_max = 50
     pipe = circle_pipeline(n, m, config.epsilon, "varying_ball", config.seed)
-    qhat = density.ds_kde(pipe.scaled, 2.0, dim=config.dim)
-    nhat = inference.noise_magnitude(pipe.solution, qhat, config.epsilon)
-    table = inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, config.epsilon, 2.0, config.dim)
+    table = _estimate_table(pipe, config.s)
     clean = pairwise_sq_dists(pipe.sample.clean_points)
     noisy = pairwise_sq_dists(pipe.noise.noisy_points)
     acc_corr = inference.knn_recovery_accuracy(table.corrected_dists, clean, k_max)
@@ -243,51 +273,20 @@ def _fig6(config):
     return header, rows, [pipe.solution.residual]
 
 
-def _fig7(config):
-    sweep_kind = config.sweep_param or "epsilon"
-    sweep = config.sweep or ([1000, 2000, 5000] if sweep_kind == "n"
-                             else [0.05, 0.1, 0.2, 0.4])
-    header = [sweep_kind, "noise", "family", "mean_max_error", "std_max_error", "status"]
-    rows, residuals = [], []
-    noises = [config.noise] if config.noise else ["none", "varying_ball"]
-    for value in sweep:
-        for noise_model in noises:
-            per_family = {"robust": [], "traditional": []}
-            status = "ok"
-            seeds = np.random.SeedSequence(
-                [config.seed, int(value * 1e6), zlib.crc32(noise_model.encode())]
-            ).spawn(config.repeats)
-            for seed in seeds:
-                n = int(value) if sweep_kind == "n" else 2000
-                eps = config.epsilon if sweep_kind == "n" else float(value)
-                try:
-                    errs = laplacian_errors(n, eps, noise_model, seed, config.s)
-                except Exception as exc:
-                    status = f"failed: {exc}"
-                    break
-                residuals.append(errs.pop("residual"))
-                for fam in per_family:
-                    per_family[fam].append(errs[fam])
-            for fam, vals in per_family.items():
-                rows.append([value, noise_model, fam,
-                             _fmt(float(np.mean(vals))) if vals else "",
-                             _fmt(float(np.std(vals))) if vals else "",
-                             status])
-    return header, rows, residuals
+def _laplacian_errors(pipe, s, alpha=1.0):
+    f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
+    eps = pipe.affinity.epsilon
+    qhat = density.ds_kde(pipe.scaled, s)
+    robust = laplacian.robust_markov(pipe.scaled, qhat, alpha)
+    trad = laplacian.traditional_markov(pipe.affinity, alpha)
+    return {"robust": laplacian.operator_error(robust, f, lap_f, eps),
+            "traditional": laplacian.operator_error(trad, f, lap_f, eps)}
 
 
 def laplacian_errors(n, epsilon, noise_model, seed, s=2.0, alpha=1.0):
     """Max operator error of the robust vs traditional Laplacians at alpha."""
     pipe = circle_pipeline(n, n, epsilon, noise_model, seed)
-    f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
-    qhat = density.ds_kde(pipe.scaled, s)
-    robust = laplacian.robust_markov(pipe.scaled, qhat, alpha)
-    trad = laplacian.traditional_markov(pipe.affinity, alpha)
-    return {
-        "robust": laplacian.operator_error(robust, f, lap_f, epsilon),
-        "traditional": laplacian.operator_error(trad, f, lap_f, epsilon),
-        "residual": pipe.solution.residual,
-    }
+    return {**_laplacian_errors(pipe, s, alpha), "residual": pipe.solution.residual}
 
 
 def median_sq_dist_epsilon(points, divisor=16.0):
@@ -307,8 +306,7 @@ def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
     y, predicted = counts_mod.normalize_counts(cm)
     if epsilon is None:
         epsilon = median_sq_dist_epsilon(y)
-    affinity = gaussian_kernel(pairwise_sq_dists(y), epsilon)
-    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
+    affinity, solution = scale_points(y, epsilon, tol, max_iter)
     scaled = assemble_W(affinity, solution)
     qhat = density.ds_kde(scaled, s)
     nhat = inference.noise_magnitude(solution, qhat, epsilon)
@@ -321,7 +319,7 @@ def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
 
 def _fig8(config):
     result = poisson_noise_experiment(
-        seed=config.seed, s=config.s if config.s != density.S_LIMIT else 2.0,
+        seed=config.seed, s=config.s,
         cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
     header = ["index", "label", "total_count", "inv_count", "noise_sq_hat"]
     rows = []
@@ -354,8 +352,7 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
     """Mean and worst-class transition errors per (epsilon, alpha, family)."""
     rows = []
     for eps in epsilons:
-        affinity = gaussian_kernel(pairwise_sq_dists(normalized), eps)
-        solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
+        affinity, solution = scale_points(normalized, eps, tol, max_iter)
         rows += transition_errors(affinity, assemble_W(affinity, solution), labels, eps,
                                   alphas, s)
     return rows

@@ -79,7 +79,7 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
 
     When ``scaled`` and ``qhat`` are supplied, the affinity-based form of the
     corrected distances is computed as well and verified to agree with the
-    subtraction form to 1e-8.
+    subtraction form to 1e-8. The check holds for undebiased estimates only.
     """
     noisy_points = np.asarray(noisy_points, dtype=float)
     nhat = np.asarray(nhat, dtype=float)

@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sparse
 
-from dskernel import cli, counts, harness
+from dskernel import cli, counts, harness, inference
 
 
 def run(argv):
@@ -93,6 +93,21 @@ def test_denoise_outputs_and_distances(simulated, tmp_path):
     assert d.shape == (250, 250)
 
 
+def test_denoise_debias_subtracts_half_the_distance_bias(simulated, tmp_path):
+    points, _ = simulated
+    nhat = {}
+    for name, flags in (("plain", []), ("debiased", ["--debias"])):
+        out = tmp_path / f"{name}.csv"
+        code = run(["denoise", "--input", str(points), "--epsilon", "0.1", "--dim", "1",
+                    "--out", str(out)] + flags)
+        assert code == 0
+        with open(out) as fh:
+            nhat[name] = np.array([float(r["noise_sq_hat"]) for r in csv.DictReader(fh)])
+    shift = nhat["plain"] - nhat["debiased"]
+    np.testing.assert_allclose(shift, inference.distance_bias(0.1, 1, 2.0) / 2.0,
+                               rtol=0, atol=1e-12)
+
+
 def test_laplacian_sweep(tmp_path):
     out = tmp_path / "lap.csv"
     code = run(["laplacian", "--n", "300", "--epsilon", "0.1", "--epsilon", "0.2",
@@ -104,13 +119,19 @@ def test_laplacian_sweep(tmp_path):
     assert {r["family"] for r in rows} == {"robust", "traditional"}
 
 
-def test_scrna_pipeline(tmp_path):
+@pytest.fixture
+def labelled_counts(tmp_path):
     cm = counts.synth_poisson_counts(
         80, 300, seed=5, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
     mtx = tmp_path / "counts.mtx"
     scipy.io.mmwrite(str(mtx), sparse.coo_matrix(cm.entries))
     labels_path = tmp_path / "labels.csv"
     labels_path.write_text("\n".join(str(c) for c in cm.labels) + "\n")
+    return mtx, labels_path
+
+
+def test_scrna_pipeline(labelled_counts, tmp_path):
+    mtx, labels_path = labelled_counts
     out = tmp_path / "scrna.csv"
     trans = tmp_path / "transitions.csv"
     code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
@@ -126,6 +147,24 @@ def test_scrna_pipeline(tmp_path):
     with open(trans) as fh:
         trows = list(csv.DictReader(fh))
     assert len(trows) == 6  # three alphas x both families
+
+
+def test_scrna_transitions_use_the_exponent(labelled_counts, tmp_path):
+    mtx, labels_path = labelled_counts
+    tables = {}
+    for s in ("2", "limit"):
+        trans = tmp_path / f"transitions-{s}.csv"
+        code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                    "--epsilon", "0.0002", "--s", s, "--out", str(tmp_path / "scrna.csv"),
+                    "--transitions-out", str(trans)])
+        assert code == 0
+        with open(trans) as fh:
+            tables[s] = list(csv.DictReader(fh))
+    for fam, same in (("robust", False), ("traditional", True)):
+        rows_2, rows_limit = ([r for r in tables[s] if r["family"] == fam]
+                              for s in ("2", "limit"))
+        assert len(rows_2) == 3
+        assert (rows_2 == rows_limit) is same
 
 
 def test_scrna_warns_about_rejected_rows(tmp_path):

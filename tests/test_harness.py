@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dskernel import harness
-from dskernel.errors import ParameterError
+from dskernel import density, harness
+from dskernel.errors import ConvergenceError, ParameterError
 
 
 def test_circle_pipeline_is_deterministic():
@@ -18,6 +18,13 @@ def test_circle_pipeline_two_circles():
     pipe = harness.circle_pipeline(100, 50, 0.1, "none", seed=1, two_circles=True)
     assert pipe.sample.clean_points.shape == (100, 50)
     assert set(np.unique(pipe.sample.radius_labels)) == {0.5, 1.0}
+
+
+def test_non_converged_circle_refuses_w():
+    pipe = harness.circle_pipeline(300, 300, 2e-4, max_iter=200)
+    assert not pipe.solution.converged
+    with pytest.raises(ConvergenceError):
+        pipe.scaled
 
 
 def test_experiment_config_validation():
@@ -52,6 +59,16 @@ def test_fig6_experiment_shape(tmp_path):
     assert len(rows) == 50
     accs = np.array([[float(r[1]), float(r[2])] for r in rows])
     assert np.all((accs >= 0.0) & (accs <= 1.0))
+
+
+def test_fig8_uses_the_limit_exponent():
+    noise = {}
+    for s in (2.0, density.S_LIMIT):
+        header, rows = harness.run_experiment(
+            harness.ExperimentConfig(experiment="fig8-synthetic", s=s))
+        noise[s] = [row[header.index("noise_sq_hat")] for row in rows]
+    assert len(noise[2.0]) == len(noise[density.S_LIMIT]) == 600
+    assert noise[2.0] != noise[density.S_LIMIT]
 
 
 def test_laplacian_errors_keys_and_magnitudes():
