@@ -15,7 +15,7 @@ from .harness import ExperimentConfig, circle_pipeline, run_experiment
 from .inference import (EstimateTable, corrected_dists_from_affinity,
                         knn_recovery_accuracy, noise_magnitude,
                         signal_magnitude_and_distances)
-from .kernel import (AffinityMatrix, degrees, gaussian_kernel,
+from .kernel import (AffinityMatrix, KernelOperator, degrees, gaussian_kernel,
                      pairwise_sq_dists, standard_kde, traditional_normalization)
 from .laplacian import (MarkovFamily, apply_laplacian, operator_error,
                         robust_markov, traditional_markov, transition_error)
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityMatrix", "ConvergenceError", "CountMatrix", "DensityEstimate",
-    "EstimateTable", "ExperimentConfig", "ManifoldSample", "MarkovFamily",
+    "EstimateTable", "ExperimentConfig", "KernelOperator", "ManifoldSample",
+    "MarkovFamily",
     "NoiseRealization", "ParameterError", "ParseError", "PopulationScaling",
     "S_LIMIT", "ScaledMatrix", "ScalingSolution", "apply_laplacian",
     "apply_noise", "assemble_W", "circle_pipeline",

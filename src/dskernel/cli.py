@@ -232,7 +232,7 @@ def _cmd_scrna(args):
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
         rows = harness.transition_errors(affinity, scaled, cm.labels, args.epsilon,
-                                         s=args.s)
+                                         s=args.s, qhat=qhat)
         _write_csv(args.transitions_out,
                    ["epsilon", "alpha", "family", "mean_error", "worst_class_error"],
                    ([row["epsilon"], row["alpha"], row["family"], _fmt(row["mean_error"]),

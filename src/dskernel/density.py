@@ -1,13 +1,17 @@
 """Density estimation from the doubly stochastic affinity matrix, plus the
 1-D population scaling solver used to validate its small-bandwidth theory.
+
+Both estimators are row reductions of W = diag(d) K diag(d) through the
+kernel operator W holds: sum_j W_ij^s = d_i^s sum_j (K_ij d_j)^s is one pass
+over the absorbed matrix, and so is the row entropy of W.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError
+from .kernel import KernelOperator
 from .scaling import ScaledMatrix, _scale_log_matrix
 
 S_LIMIT = "limit"
@@ -46,8 +50,10 @@ def normalization_constant(epsilon, dim, s):
 def ds_kde(w, s, epsilon=None, dim=None):
     """Doubly stochastic kernel density estimator with exponent ``s``.
 
-    q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1), computed via log-sum-exp of
-    s * log W. ``s=S_LIMIT`` gives the s -> 1 limit, :func:`ds_kde_entropy`.
+    q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1), with
+    log sum_j W_ij^s = s log d_i + log sum_j (K_ij d_j)^s from the operator.
+    ``w`` is a ScaledMatrix or a raw array (see ScaledMatrix.from_linear).
+    ``s=S_LIMIT`` gives the s -> 1 limit, :func:`ds_kde_entropy`.
     """
     if s == S_LIMIT:
         return ds_kde_entropy(w, epsilon, dim)
@@ -55,7 +61,9 @@ def ds_kde(w, s, epsilon=None, dim=None):
         raise ParameterError("s must be positive and different from 1")
     scaled = ScaledMatrix.from_linear(w)
     epsilon = scaled.epsilon if epsilon is None else epsilon
-    log_raw = -np.log(scaled.n - 1) + logsumexp(s * scaled.log_w, axis=1) / (1.0 - s)
+    log_d = scaled.log_d
+    log_power_sum = s * log_d + scaled.operator.power_lse(log_d, s)
+    log_raw = -np.log(scaled.n - 1) + log_power_sum / (1.0 - s)
     raw = np.exp(log_raw)
     normalized = None
     if dim is not None:
@@ -65,15 +73,19 @@ def ds_kde(w, s, epsilon=None, dim=None):
 
 
 def ds_kde_entropy(w, epsilon=None, dim=None):
-    """The s -> 1 limit of the DS-KDE: row perplexity over (n - 1)."""
+    """The s -> 1 limit of the DS-KDE: row perplexity over (n - 1).
+
+    The row entropy -sum_j W_ij log W_ij is one pass over the operator's
+    absorbed matrix and log K, the excluded diagonal adding nothing.
+    """
     scaled = ScaledMatrix.from_linear(w)
     epsilon = scaled.epsilon if epsilon is None else epsilon
-    log_w = scaled.log_w
     if not isinstance(w, ScaledMatrix):
-        # from_linear rejected negative entries; a zero one has log -inf
-        if np.isneginf(log_w[~np.eye(scaled.n, dtype=bool)]).any():
+        # from_linear rejected negative entries; a zero one has log -inf,
+        # and so has each of the n diagonal slots
+        if np.isneginf(scaled.operator.log_a).sum() > scaled.n:
             raise ParameterError("entropy limit requires strictly positive off-diagonal W")
-    entropy = -np.sum(scaled.w * np.where(np.isfinite(log_w), log_w, 0.0), axis=1)
+    entropy = scaled.operator.row_entropy(scaled.log_d, scaled.log_d)
     raw = np.exp(entropy) / (scaled.n - 1)
     normalized = None
     if dim is not None:
@@ -122,7 +134,7 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     log_c = log_k + 0.5 * (log_w_quad[:, None] + log_w_quad[None, :])
     # row targets q_k * h * sqrt(pi eps) make psi = rho * sqrt(q h) the scaled vector
     log_targets = log_w_quad + 0.5 * np.log(np.pi * epsilon)
-    sol = _scale_log_matrix(log_c, tol=1e-11, max_iter=100_000,
+    sol = _scale_log_matrix(KernelOperator(log_c), tol=1e-11, max_iter=100_000,
                             log_targets=log_targets)
     if not sol.converged:
         raise ParameterError("population scaling solve did not converge")

@@ -17,6 +17,8 @@ from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
+# figures that always compare s = 0.5, 2 and the limit, whatever --s says
+_ALL_EXPONENTS = ("fig3", "fig5")
 
 
 @dataclass
@@ -143,6 +145,8 @@ def run_experiment(config):
             "version": _package_version(),
             "max_scaling_residual": max(residuals) if residuals else "n/a",
         }
+        if config.experiment in _ALL_EXPONENTS:
+            del meta["s"]
         if config.sweep is not None:
             meta["sweep"] = ";".join(str(v) for v in config.sweep)
         geometry._write_csv(config.out, header, rows, meta)
@@ -330,12 +334,15 @@ def _fig8(config):
     return header, rows, [result["solution"].residual]
 
 
-def transition_errors(affinity, scaled, labels, epsilon, alphas=(0.0, 0.5, 1.0), s=2.0):
+def transition_errors(affinity, scaled, labels, epsilon, alphas=(0.0, 0.5, 1.0), s=2.0,
+                      qhat=None):
     """Mean and worst-class transition errors per (alpha, family) for one solve.
 
-    ``affinity`` is the kernel at ``epsilon`` and ``scaled`` its W.
+    ``affinity`` is the kernel at ``epsilon`` and ``scaled`` its W. ``qhat``
+    is the DS-KDE of W at ``s``; it is computed when not given.
     """
-    qhat = density.ds_kde(scaled, s)
+    if qhat is None:
+        qhat = density.ds_kde(scaled, s)
     rows = []
     for alpha in alphas:
         robust = laplacian.robust_markov(scaled, qhat, alpha)

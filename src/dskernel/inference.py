@@ -61,14 +61,16 @@ def corrected_dists_from_affinity(scaled, qhat, epsilon=None):
     """Corrected distances straight from W: -eps*log((n-1) sqrt(q_i) W_ij sqrt(q_j)).
 
     Algebraically identical to the subtraction form given the matching noise
-    estimates; kept as an independent route for cross-checking.
+    estimates; kept as an independent route for cross-checking. Built as
+    -eps * (h_i + h_j + log K_ij) with h = (log(n-1) + log q) / 2 + log d, in
+    one n x n array that is exactly symmetric.
     """
     epsilon = scaled.epsilon if epsilon is None else epsilon
     raw = qhat.raw if hasattr(qhat, "raw") else np.asarray(qhat, dtype=float)
-    n = scaled.n
-    log_q = np.log(raw)
-    d = -epsilon * (np.log(n - 1) + 0.5 * (log_q[:, None] + log_q[None, :])
-                    + scaled.log_w)
+    half = 0.5 * (np.log(scaled.n - 1) + np.log(raw)) + scaled.log_d
+    d = half[:, None] + half[None, :]
+    d += scaled.operator.log_a
+    d *= -epsilon
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -87,14 +89,15 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
         raise ParameterError("noisy_points and noise estimates disagree in length")
     sq_norms = np.einsum("ij,ij->i", noisy_points, noisy_points)
     signal = sq_norms - nhat
-    dists = pairwise_sq_dists(noisy_points)
+    corrected = pairwise_sq_dists(noisy_points)
     # grouping the noise terms keeps the matrix exactly symmetric
-    corrected = dists - (nhat[:, None] + nhat[None, :])
+    corrected -= nhat[:, None] + nhat[None, :]
     np.fill_diagonal(corrected, 0.0)
     if scaled is not None and qhat is not None:
         alt = corrected_dists_from_affinity(scaled, qhat, epsilon)
-        off = ~np.eye(len(nhat), dtype=bool)
-        gap = np.abs(alt[off] - corrected[off]).max()
+        alt -= corrected  # both diagonals are zero
+        np.abs(alt, out=alt)
+        gap = alt.max()
         if gap > 1e-8:
             raise ParameterError(
                 f"affinity-form distances disagree with subtraction form by {gap:.2e}")

@@ -1,18 +1,158 @@
-"""Pairwise distances, the zero-diagonal Gaussian kernel, and the classical
-degree-based normalization family.
+"""Pairwise distances, the zero-diagonal Gaussian kernel, the kernel operator
+behind every row reduction, and the classical degree-based normalization
+family.
 
-Every kernel quantity is kept in log domain end to end; nothing here
-materializes exp(-dist^2/eps) until a caller asks for linear-domain output.
-This matters at the tiny bandwidths used for normalized count data, where
-the kernel entries underflow catastrophically in linear arithmetic.
+Every kernel quantity is kept in log domain end to end. This matters at the
+tiny bandwidths used for normalized count data, where the kernel entries
+underflow catastrophically in linear arithmetic. Every row reduction of K
+with diagonal weights (the degrees, the scaling solve, W = diag(d) K diag(d),
+the DS-KDE and both Markov families) is a product with one
+:class:`KernelOperator`. It holds K absorbed at a weight vector, so that each
+reduction is one BLAS product or one elementwise pass over a matrix whose
+rows peak at exactly 1 (absorption stabilization: Schmitzer, SIAM J. Sci.
+Comput. 41, 2019). Nothing here materializes K = exp(-dist^2/eps) itself
+until a caller asks for linear-domain output.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ParameterError
+
+# re-absorb once a weight vector has drifted this far from the absorption
+# point; every weighted row sum then lies in [e^-30, n e^30]
+ABSORB_THRESHOLD = 30.0
+_TINY = np.finfo(float).tiny
+_LOG_TINY = np.log(_TINY)
+_LOG_EPS = np.log(np.finfo(float).eps)
+_BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
+
+
+class KernelOperator:
+    """Row reductions of a matrix A, given as log A, against weights e^u.
+
+    At its absorption point b the operator holds
+    B_ij = exp(log_a[i, j] + b_j - m_i) with m_i = max_j(log_a[i, j] + b_j),
+    so every row of B peaks at exactly 1, and reduces rows of A diag(e^u)
+    as rows of B against g = exp(u - b). A weight vector with
+    max |u - b| > ABSORB_THRESHOLD re-absorbs (b <- u) first; ``absorptions``
+    counts the builds of B. An entry of B that underflows lies below double
+    resolution of its row sum, so every reduction is exact to roundoff for
+    any u and any offset on log A. Slots holding -inf (the diagonal of log K)
+    are exact zeros of B and take part in no reduction.
+
+    ``log_a`` is kept by reference, never written.
+    """
+
+    def __init__(self, log_a):
+        self.log_a = log_a
+        self.absorptions = 0
+        self._b = None
+        self._m = None
+        self._mat = None
+
+    @property
+    def n(self):
+        return self.log_a.shape[0]
+
+    def absorb(self, u):
+        """Rebuild B at the absorption point ``u``."""
+        if self._mat is None:
+            self._mat = np.empty_like(self.log_a)
+        mat = self._mat
+        np.add(self.log_a, u[None, :], out=mat)
+        self._m = mat.max(axis=1)
+        mat -= self._m[:, None]
+        np.exp(mat, out=mat)  # -inf slots become exact zeros
+        # subnormal entries lie far below the resolution of their row sum and
+        # slow every matrix-vector product severalfold; flush them to zero
+        mat[mat < _TINY] = 0.0
+        self._b = u.copy()
+        self.absorptions += 1
+
+    def _weights(self, u):
+        """exp(u - b), re-absorbing at ``u`` first if it has drifted too far."""
+        if self._b is None or np.abs(u - self._b).max() > ABSORB_THRESHOLD:
+            self.absorb(u)
+        return np.exp(u - self._b)
+
+    def _row_blocks(self):
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        return (slice(r, r + rows) for r in range(0, self.n, rows))
+
+    def row_lse(self, u):
+        """log sum_j A_ij e^(u_j), one matrix-vector product."""
+        g = self._weights(u)
+        return np.log(self._mat @ g) + self._m
+
+    def matvec(self, u, x, log_row):
+        """e^(log_row_i) sum_j A_ij e^(u_j) x_j for a vector or an n x k block x.
+
+        ``log_row + log(A e^u)`` must lie within the range of exp, as it does
+        for the rows of a stochastic matrix.
+        """
+        g = self._weights(u)
+        x = np.asarray(x, dtype=float)
+        scale = np.exp(log_row + self._m)
+        if x.ndim == 1:
+            return scale * (self._mat @ (g * x))
+        return scale[:, None] * (self._mat @ (g[:, None] * x))
+
+    def row_mean(self, u, x):
+        """sum_j A_ij e^(u_j) x_j / sum_j A_ij e^(u_j) for a vector or an n x k
+        block x: x under the row-normalized A diag(e^u), one matrix product."""
+        g = self._weights(u)
+        x = np.asarray(x, dtype=float)
+        block = x.reshape(len(x), -1)
+        y = self._mat @ np.column_stack([g, g[:, None] * block])
+        return (y[:, 1:] / y[:, :1]).reshape(x.shape)
+
+    def power_lse(self, u, s):
+        """log sum_j (A_ij e^(u_j))^s for an exponent s > 0.
+
+        The powered row sums of B against g^s lie in [e^(-sT), n e^(sT)] for
+        T = ABSORB_THRESHOLD, and the entries flushed from B add at most
+        n (tiny e^(2T))^s relative to them. Where both stay within double
+        range and resolution, as for s = 2 and s = 1/2, this is one blockwise
+        pass over B; otherwise it is a blockwise log-sum-exp over log A.
+        """
+        log_n = np.log(self.n)
+        if (log_n + s * (_LOG_TINY + 2.0 * ABSORB_THRESHOLD) < _LOG_EPS
+                and log_n + s * ABSORB_THRESHOLD < _LOG_EPS - _LOG_TINY):
+            g_s = self._weights(u) ** s
+            sums = np.empty(self.n)
+            for rows in self._row_blocks():
+                sums[rows] = self._mat[rows] ** s @ g_s
+            return np.log(sums) + s * self._m
+        lse = np.empty(self.n)
+        for rows in self._row_blocks():
+            lse[rows] = logsumexp(s * (self.log_a[rows] + u), axis=1)
+        return lse
+
+    def row_entropy(self, u, log_row):
+        """-sum_j p_ij log p_ij of p_ij = e^(log_row_i) A_ij e^(u_j).
+
+        One blockwise pass over B and log A; an entry with p_ij = 0 adds 0.
+        """
+        g = self._weights(u)
+        acc = np.empty(self.n)
+        for rows in self._row_blocks():
+            mat = self._mat[rows]
+            t = self.log_a[rows] + u
+            t += log_row[rows, None]  # log p_ij
+            t[mat == 0.0] = 0.0  # p log p -> 0; the excluded slots hold -inf
+            t *= mat
+            acc[rows] = t @ g
+        return -np.exp(log_row + self._m) * acc
+
+    def dense(self, u):
+        """The dense row-normalized A diag(e^u), for callers that ask for it."""
+        log_p = self.log_a + u[None, :]
+        log_p -= self.row_lse(u)[:, None]
+        return np.exp(log_p, out=log_p)  # -inf slots give exact zeros
 
 
 @dataclass(frozen=True)
@@ -36,6 +176,11 @@ class AffinityMatrix:
     @property
     def n(self):
         return self.log_entries.shape[0]
+
+    @cached_property
+    def operator(self):
+        """The kernel operator over log K that the solve and every later step share."""
+        return KernelOperator(self.log_entries)
 
 
 def pairwise_sq_dists(points):
@@ -70,7 +215,7 @@ def gaussian_kernel(sq_dists, epsilon):
 
 def log_degrees(affinity):
     """log of the row sums of K, diagonal excluded."""
-    return logsumexp(affinity.log_entries, axis=1)
+    return affinity.operator.row_lse(np.zeros(affinity.n))
 
 
 def degrees(affinity):
@@ -92,11 +237,10 @@ def traditional_normalization(affinity, alpha):
     """Row-stochastic matrix obtained from D^-alpha K D^-alpha.
 
     Assembled entirely in log domain; each output row sums to 1 up to
-    roundoff regardless of the bandwidth.
+    roundoff regardless of the bandwidth. The row factor D^-alpha cancels in
+    the normalization, so this is the dense view of K diag(D^-alpha)
+    normalized by its row sums.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    log_deg = log_degrees(affinity)
-    log_p = affinity.log_entries - alpha * (log_deg[:, None] + log_deg[None, :])
-    log_p -= logsumexp(log_p, axis=1, keepdims=True)
-    return np.exp(log_p)  # the -inf diagonal gives exact zeros
+    return affinity.operator.dense(-alpha * log_degrees(affinity))

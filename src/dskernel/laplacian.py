@@ -1,58 +1,98 @@
-"""Robust and traditional Markov normalizations and their graph Laplacians."""
+"""Robust and traditional Markov normalizations and their graph Laplacians.
 
-from dataclasses import dataclass
+Both families are products with a kernel operator, never dense matrices:
+the robust M f = W(q^-c f) / W(q^-c) with c = alpha - 1/2, which is W itself
+at alpha = 1/2, and the traditional M f = K(D^-alpha f) / K(D^-alpha).
+"""
+
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError
-from .kernel import traditional_normalization
+from .kernel import log_degrees
 from .scaling import ScaledMatrix
 
 
-@dataclass(frozen=True)
 class MarkovFamily:
-    """A row-stochastic matrix from either the robust or traditional family."""
+    """A row-stochastic matrix M from either the robust or traditional family.
 
-    alpha: float
-    markov: np.ndarray
-    source_tag: str  # "robust" or "traditional"
+    The pipeline builds M in operator form: W itself (``scaled``), or
+    A diag(e^u) normalized by its row sums for the kernel operator A of
+    ``operator`` and the column weights ``log_u``. ``apply`` multiplies by M
+    through that operator. ``markov`` is the dense M, computed on first use
+    and kept; a family built from a dense ``markov`` applies that matrix.
+    """
+
+    def __init__(self, alpha, markov, source_tag, *, scaled=None, operator=None,
+                 log_u=None):
+        self.alpha = alpha
+        self.source_tag = source_tag  # "robust" or "traditional"
+        self._scaled = scaled
+        self._operator = operator
+        self._log_u = log_u
+        if markov is not None:
+            self.__dict__["markov"] = markov
+
+    @property
+    def n(self):
+        if self._scaled is not None:
+            return self._scaled.n
+        if self._operator is not None:
+            return self._operator.n
+        return self.markov.shape[0]
+
+    @cached_property
+    def markov(self):
+        if self._scaled is not None:
+            return self._scaled.w
+        return self._operator.dense(self._log_u)
+
+    def apply(self, x):
+        """M x for a vector or an n x k block x."""
+        if self._scaled is not None:
+            return self._scaled.matvec(x)
+        if self._operator is not None:
+            return self._operator.row_mean(self._log_u, x)
+        return self.markov @ x
 
 
 def robust_markov(scaled, qhat, alpha):
     """Density-compensated row-stochastic matrix built from W.
 
-    W is divided entrywise by (qhat_i qhat_j)^(alpha - 1/2) and row-normalized.
-    At alpha = 0.5 the compensation vanishes and W itself is returned,
-    bit-identically.
+    W is divided entrywise by (qhat_i qhat_j)^(alpha - 1/2) and row-normalized;
+    the row factor cancels, so M = K diag(d q^-c) over its row sums. At
+    alpha = 0.5 the compensation vanishes and M is W itself, unnormalized;
+    its dense ``markov`` is ``scaled.w``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
+    scaled = ScaledMatrix.from_linear(scaled)
     if alpha == 0.5:
-        w = scaled.w if isinstance(scaled, ScaledMatrix) else np.asarray(scaled)
-        return MarkovFamily(alpha=alpha, markov=w, source_tag="robust")
+        return MarkovFamily(alpha, None, "robust", scaled=scaled)
     raw = qhat.raw if hasattr(qhat, "raw") else np.asarray(qhat, dtype=float)
     if np.any(raw <= 0):
         raise ParameterError("density estimates must be strictly positive")
-    log_q = np.log(raw)
-    log_w = ScaledMatrix.from_linear(scaled).log_w
-    log_tilde = log_w - (alpha - 0.5) * (log_q[:, None] + log_q[None, :])
-    log_tilde -= logsumexp(log_tilde, axis=1, keepdims=True)
-    # the -inf diagonal of log W gives exact zeros
-    return MarkovFamily(alpha=alpha, markov=np.exp(log_tilde), source_tag="robust")
+    log_u = scaled.log_d - (alpha - 0.5) * np.log(raw)
+    return MarkovFamily(alpha, None, "robust", operator=scaled.operator, log_u=log_u)
 
 
 def traditional_markov(affinity, alpha):
-    """The degree-normalized baseline, wrapped for side-by-side comparisons."""
-    return MarkovFamily(alpha=alpha,
-                        markov=traditional_normalization(affinity, alpha),
-                        source_tag="traditional")
+    """The degree-normalized baseline D^-alpha K D^-alpha, row-normalized.
+
+    The row factor cancels, so M = K diag(D^-alpha) over its row sums; its
+    dense ``markov`` equals ``traditional_normalization(affinity, alpha)``.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError("alpha must lie in [0, 1]")
+    return MarkovFamily(alpha, None, "traditional", operator=affinity.operator,
+                        log_u=-alpha * log_degrees(affinity))
 
 
 def apply_laplacian(family, f_values, epsilon):
     """Apply L = 4 (I - M) / eps to samples of a function."""
     f_values = np.asarray(f_values, dtype=float)
-    return 4.0 / epsilon * (f_values - family.markov @ f_values)
+    return 4.0 / epsilon * (f_values - family.apply(f_values))
 
 
 def operator_error(family, f_values, reference_tf, epsilon):
@@ -67,13 +107,17 @@ def transition_error(family, labels):
     """Random-walk probability of leaving one's own class.
 
     Returns (mean over points, worst per-class mean) of
-    sum_{j: label_j != label_i} M_ij.
+    sum_{j: label_j != label_i} M_ij, read off M times the one-hot label block.
     """
     labels = np.asarray(labels)
-    if len(labels) != family.markov.shape[0]:
+    n = len(labels)
+    if n != family.n:
         raise ParameterError("labels length must match the matrix size")
-    same = labels[:, None] == labels[None, :]
-    leave = np.where(same, 0.0, family.markov).sum(axis=1)
-    classes = np.unique(labels)
-    per_class = [leave[labels == c].mean() for c in classes]
+    classes, index = np.unique(labels, return_inverse=True)
+    one_hot = np.zeros((n, len(classes)))
+    one_hot[np.arange(n), index] = 1.0
+    to_class = family.apply(one_hot)
+    to_class[np.arange(n), index] = 0.0
+    leave = to_class.sum(axis=1)
+    per_class = [leave[index == c].mean() for c in range(len(classes))]
     return leave.mean(), max(per_class)

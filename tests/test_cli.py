@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sparse
 
-from dskernel import cli, counts, harness, inference
+from dskernel import cli, counts, density, harness, inference
 
 
 def run(argv):
@@ -167,6 +167,24 @@ def test_scrna_transitions_use_the_exponent(labelled_counts, tmp_path):
         assert (rows_2 == rows_limit) is same
 
 
+def test_scrna_computes_the_ds_kde_once(labelled_counts, tmp_path, monkeypatch):
+    # the noise estimates and the transition table share one DS-KDE
+    exponents = []
+    ds_kde = density.ds_kde
+
+    def counted(w, s, *args, **kwargs):
+        exponents.append(s)
+        return ds_kde(w, s, *args, **kwargs)
+
+    monkeypatch.setattr(density, "ds_kde", counted)
+    mtx, labels_path = labelled_counts
+    code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                "--epsilon", "0.0002", "--s", "limit", "--out", str(tmp_path / "scrna.csv"),
+                "--transitions-out", str(tmp_path / "transitions.csv")])
+    assert code == 0
+    assert exponents == [density.S_LIMIT]
+
+
 def test_scrna_warns_about_rejected_rows(tmp_path):
     cm = counts.synth_poisson_counts(40, 200, seed=5)
     entries = sparse.vstack([cm.entries, sparse.csr_matrix((1, 200))])  # last row all zero
@@ -184,6 +202,21 @@ def test_bench_subcommand(tmp_path):
                 "--noise", "none", "--seed", "1", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("# experiment=fig3")
+
+
+@pytest.mark.parametrize("figure,sweep", [("fig3", "60"), ("fig5", "0.4")])
+def test_all_exponent_figures_do_not_record_s(tmp_path, figure, sweep):
+    # fig3 and fig5 compare s = 0.5, 2 and the limit whatever --s says
+    files = []
+    for s in ("2", "limit"):
+        out = tmp_path / f"{figure}-{s}.csv"
+        code = run(["bench", figure, "--sweep", sweep, "--repeats", "1",
+                    "--noise", "none", "--s", s, "--out", str(out)])
+        assert code == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+    meta = files[0].decode().splitlines()[0]
+    assert "s" not in {item.split("=")[0] for item in meta[2:].split(", ")}
 
 
 def test_missing_input_is_a_one_line_error(tmp_path, capsys):

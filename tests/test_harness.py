@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dskernel import density, harness
+from dskernel import density, harness, laplacian
 from dskernel.errors import ConvergenceError, ParameterError
 
 
@@ -102,3 +102,28 @@ def test_transition_error_table_structure():
     for row in rows:
         assert row["family"] in ("robust", "traditional")
         assert 0.0 <= row["mean_error"] <= row["worst_class_error"] <= 1.0
+
+
+def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch):
+    scaled_seen, families = [], []
+
+    def spy(build):
+        def built(source, *args):
+            family = build(source, *args)
+            scaled_seen.append(source)
+            families.append(family)
+            return family
+        return built
+
+    monkeypatch.setattr(laplacian, "robust_markov", spy(laplacian.robust_markov))
+    monkeypatch.setattr(laplacian, "traditional_markov", spy(laplacian.traditional_markov))
+    harness.laplacian_errors(300, 0.1, "varying_ball", seed=0)
+    res = harness.poisson_noise_experiment(
+        n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    rows = harness.transition_errors(res["affinity"], res["scaled"], res["counts"].labels,
+                                     res["epsilon"], qhat=res["qhat"])
+    assert len(rows) == 6 and len(families) == 8
+    for family in families:
+        assert "markov" not in vars(family)
+    for source in scaled_seen:
+        assert "w" not in vars(source) and "log_w" not in vars(source)

@@ -103,6 +103,40 @@ def test_permutation_equivariance():
     np.testing.assert_allclose(sol_p.log_d, sol.log_d[perm], rtol=0, atol=1e-9)
 
 
+def random_affinity(n, seed, epsilon):
+    points = np.random.default_rng(seed).normal(size=(n, 2))
+    return kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.floats(2.0, 5.0), shift=st.floats(-50.0, 50.0))
+def test_kernel_offset_halves_into_log_d(n, seed, epsilon, shift):
+    # K e^c is scaled by d e^(-c/2): log K + c gives log d - c/2
+    aff = random_affinity(n, seed, epsilon)
+    shifted = kernel.AffinityMatrix(log_entries=aff.log_entries + shift, epsilon=epsilon)
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
+    sol_shifted = scaling.sinkhorn_symmetric(shifted, tol=1e-12)
+    assert sol.converged and sol_shifted.converged
+    np.testing.assert_allclose(sol_shifted.log_d, sol.log_d - shift / 2.0, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1), epsilon=st.floats(2.0, 5.0))
+def test_log_d_and_w_are_permutation_equivariant(n, seed, epsilon):
+    aff = random_affinity(n, seed, epsilon)
+    perm = np.random.default_rng(seed).permutation(n)
+    permuted = kernel.AffinityMatrix(
+        log_entries=aff.log_entries[np.ix_(perm, perm)], epsilon=epsilon)
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
+    sol_p = scaling.sinkhorn_symmetric(permuted, tol=1e-12)
+    assert sol.converged and sol_p.converged
+    np.testing.assert_allclose(sol_p.log_d, sol.log_d[perm], rtol=0, atol=1e-8)
+    w = scaling.assemble_W(aff, sol).w
+    w_p = scaling.assemble_W(permuted, sol_p).w
+    np.testing.assert_allclose(w_p, w[np.ix_(perm, perm)], rtol=0, atol=1e-10)
+
+
 def test_underflowing_kernel_is_handled_in_log_domain():
     # tiny epsilon pushes every off-diagonal entry far below linear-domain range
     angles = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
@@ -159,7 +193,7 @@ def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
     upper = np.triu(rng.uniform(-depth, 0.0, size=(n, n)), 1)
     log_a = upper + upper.T
     np.fill_diagonal(log_a, -np.inf)
-    row_lse = scaling._RowLogSumExp(log_a)
+    operator = kernel.KernelOperator(log_a)
     u = rng.uniform(-drift, drift, size=n)
     for step in range(12):
         # alternate steps that stay near the absorption point with jumps
@@ -170,9 +204,9 @@ def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
         # near a zero result the rounding of log_a + u, at the scale of the
         # largest exponent, bounds the error instead
         scale = depth + np.abs(u).max()
-        np.testing.assert_allclose(row_lse(u), expected, rtol=1e-12,
+        np.testing.assert_allclose(operator.row_lse(u), expected, rtol=1e-12,
                                    atol=1e-15 * scale)
-    assert row_lse.absorptions >= 1
+    assert operator.absorptions >= 1
 
 
 def test_residual_history_reaches_tolerance():
