@@ -231,8 +231,7 @@ def _cmd_scrna(args):
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
-        rows = harness.transition_errors(affinity, scaled, cm.labels, args.epsilon,
-                                         s=args.s, qhat=qhat)
+        rows = harness.transition_errors(affinity, scaled, qhat, cm.labels, args.epsilon)
         _write_csv(args.transitions_out,
                    ["epsilon", "alpha", "family", "mean_error", "worst_class_error"],
                    ([row["epsilon"], row["alpha"], row["family"], _fmt(row["mean_error"]),

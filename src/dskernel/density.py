@@ -85,7 +85,7 @@ def ds_kde_entropy(w, epsilon=None, dim=None):
         # and so has each of the n diagonal slots
         if np.isneginf(scaled.operator.log_a).sum() > scaled.n:
             raise ParameterError("entropy limit requires strictly positive off-diagonal W")
-    entropy = scaled.operator.row_entropy(scaled.log_d, scaled.log_d)
+    entropy = scaled.operator.row_entropy(scaled.log_d)
     raw = np.exp(entropy) / (scaled.n - 1)
     normalized = None
     if dim is not None:

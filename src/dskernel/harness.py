@@ -334,15 +334,12 @@ def _fig8(config):
     return header, rows, [result["solution"].residual]
 
 
-def transition_errors(affinity, scaled, labels, epsilon, alphas=(0.0, 0.5, 1.0), s=2.0,
-                      qhat=None):
+def transition_errors(affinity, scaled, qhat, labels, epsilon, alphas=(0.0, 0.5, 1.0)):
     """Mean and worst-class transition errors per (alpha, family) for one solve.
 
-    ``affinity`` is the kernel at ``epsilon`` and ``scaled`` its W. ``qhat``
-    is the DS-KDE of W at ``s``; it is computed when not given.
+    ``affinity`` is the kernel at ``epsilon``, ``scaled`` its W and ``qhat``
+    the DS-KDE of W that the robust family compensates for.
     """
-    if qhat is None:
-        qhat = density.ds_kde(scaled, s)
     rows = []
     for alpha in alphas:
         robust = laplacian.robust_markov(scaled, qhat, alpha)
@@ -360,8 +357,9 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
     rows = []
     for eps in epsilons:
         affinity, solution = scale_points(normalized, eps, tol, max_iter)
-        rows += transition_errors(affinity, assemble_W(affinity, solution), labels, eps,
-                                  alphas, s)
+        scaled = assemble_W(affinity, solution)
+        rows += transition_errors(affinity, scaled, density.ds_kde(scaled, s), labels, eps,
+                                  alphas)
     return rows
 
 

@@ -88,15 +88,16 @@ class KernelOperator:
         g = self._weights(u)
         return np.log(self._mat @ g) + self._m
 
-    def matvec(self, u, x, log_row):
-        """e^(log_row_i) sum_j A_ij e^(u_j) x_j for a vector or an n x k block x.
+    def matvec(self, u, x):
+        """e^(u_i) sum_j A_ij e^(u_j) x_j, the product with the symmetric
+        diag(e^u) A diag(e^u), for a vector or an n x k block x.
 
-        ``log_row + log(A e^u)`` must lie within the range of exp, as it does
-        for the rows of a stochastic matrix.
+        ``u + log(A e^u)`` must lie within the range of exp, as it does for
+        the rows of a stochastic matrix.
         """
         g = self._weights(u)
         x = np.asarray(x, dtype=float)
-        scale = np.exp(log_row + self._m)
+        scale = np.exp(u + self._m)
         if x.ndim == 1:
             return scale * (self._mat @ (g * x))
         return scale[:, None] * (self._mat @ (g[:, None] * x))
@@ -132,8 +133,8 @@ class KernelOperator:
             lse[rows] = logsumexp(s * (self.log_a[rows] + u), axis=1)
         return lse
 
-    def row_entropy(self, u, log_row):
-        """-sum_j p_ij log p_ij of p_ij = e^(log_row_i) A_ij e^(u_j).
+    def row_entropy(self, u):
+        """-sum_j p_ij log p_ij of p_ij = e^(u_i) A_ij e^(u_j).
 
         One blockwise pass over B and log A; an entry with p_ij = 0 adds 0.
         """
@@ -142,11 +143,11 @@ class KernelOperator:
         for rows in self._row_blocks():
             mat = self._mat[rows]
             t = self.log_a[rows] + u
-            t += log_row[rows, None]  # log p_ij
+            t += u[rows, None]  # log p_ij
             t[mat == 0.0] = 0.0  # p log p -> 0; the excluded slots hold -inf
             t *= mat
             acc[rows] = t @ g
-        return -np.exp(log_row + self._m) * acc
+        return -np.exp(u + self._m) * acc
 
     def dense(self, u):
         """The dense row-normalized A diag(e^u), for callers that ask for it."""

@@ -130,7 +130,7 @@ class ScaledMatrix:
     of K and log d.
 
     Every row reduction of W is a product with ``operator`` at the weights
-    ``log_d``, for example W x = operator.matvec(log_d, x, log_d). The dense
+    ``log_d``, for example W x = operator.matvec(log_d, x). The dense
     ``log_w`` (diagonal -inf) and linear ``w`` are views computed on first
     use and kept; no step of the pipeline reads them.
     """
@@ -176,7 +176,7 @@ class ScaledMatrix:
 
     def matvec(self, x):
         """W x for a vector or an n x k block x."""
-        return self.operator.matvec(self.log_d, x, self.log_d)
+        return self.operator.matvec(self.log_d, x)
 
 
 def assemble_W(affinity, solution):

@@ -120,8 +120,8 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch):
     harness.laplacian_errors(300, 0.1, "varying_ball", seed=0)
     res = harness.poisson_noise_experiment(
         n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
-    rows = harness.transition_errors(res["affinity"], res["scaled"], res["counts"].labels,
-                                     res["epsilon"], qhat=res["qhat"])
+    rows = harness.transition_errors(res["affinity"], res["scaled"], res["qhat"],
+                                     res["counts"].labels, res["epsilon"])
     assert len(rows) == 6 and len(families) == 8
     for family in families:
         assert "markov" not in vars(family)

@@ -139,6 +139,20 @@ def test_raw_array_runs_through_the_same_operator(noisy_circle):
         assert_rel(laplacian.apply_laplacian(fam, f, 0.05), 4.0 / 0.05 * (f - markov @ f))
 
 
+def test_raw_array_diagonal_is_excluded_at_alpha_half(noisy_circle):
+    # W's diagonal is excluded on every path, a given raw array included: at
+    # alpha = 1/2 M is the zero-diagonal W, not the caller's array
+    pipe, f, _ = noisy_circle
+    zero_diag = pipe.scaled.w
+    raw_w = zero_diag.copy()
+    np.fill_diagonal(raw_w, 0.3)
+    fam = laplacian.robust_markov(raw_w, density.ds_kde(raw_w, 2.0), 0.5)
+    assert_rel(fam.apply(f), zero_diag @ f)
+    assert_rel(laplacian.apply_laplacian(fam, f, 0.05), 4.0 / 0.05 * (f - zero_diag @ f))
+    assert fam.markov is not raw_w
+    assert not np.diagonal(fam.markov).any()
+
+
 def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_counts):
     res = small_eps_counts
     affinity, scaled, labels = res["affinity"], res["scaled"], res["counts"].labels
