@@ -8,7 +8,7 @@ noise magnitude for (inverse) density; the doubly stochastic one does not.
 
 import numpy as np
 
-from dskernel import circle_pipeline, ds_kde, ds_kde_entropy, standard_kde
+from dskernel import S_LIMIT, circle_pipeline, ds_kde, standard_kde
 
 n = m = 1000
 epsilon = 0.1
@@ -19,7 +19,7 @@ for noise_model in ("none", "varying_ball"):
 
     kde = standard_kde(pipe.affinity) / np.sqrt(np.pi * epsilon)
     est_s2 = ds_kde(pipe.scaled, s=2.0, dim=1)
-    est_lim = ds_kde_entropy(pipe.scaled, dim=1)
+    est_lim = ds_kde(pipe.scaled, S_LIMIT, dim=1)
 
     print(f"noise model: {noise_model}")
     print(f"  standard KDE      max error {np.abs(kde - truth).max():.4f}")

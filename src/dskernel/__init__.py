@@ -5,8 +5,7 @@ recovery, distance correction, and robust graph Laplacian normalizations.
 
 from .counts import CountMatrix, ingest_counts, normalize_counts, synth_poisson_counts
 from .density import (DensityEstimate, PopulationScaling, S_LIMIT, ds_kde,
-                      ds_kde_entropy, normalization_constant,
-                      solve_population_scaling_1d)
+                      normalization_constant, solve_population_scaling_1d)
 from .errors import ConvergenceError, ParameterError, ParseError
 from .geometry import (ManifoldSample, NoiseRealization, apply_noise,
                        embed_orthogonal, sample_circle, sample_two_circles,
@@ -16,11 +15,10 @@ from .inference import (EstimateTable, corrected_dists_from_affinity,
                         knn_recovery_accuracy, noise_magnitude,
                         signal_magnitude_and_distances)
 from .kernel import (AffinityMatrix, KernelOperator, degrees, gaussian_kernel,
-                     pairwise_sq_dists, standard_kde, traditional_normalization)
+                     pairwise_sq_dists, standard_kde)
 from .laplacian import (MarkovFamily, apply_laplacian, operator_error,
                         robust_markov, traditional_markov, transition_error)
-from .scaling import (ScaledMatrix, ScalingSolution, assemble_W,
-                      scaling_factor_diagnostics, sinkhorn_symmetric)
+from .scaling import ScaledMatrix, ScalingSolution, assemble_W, sinkhorn_symmetric
 
 __version__ = "0.1.0"
 
@@ -31,14 +29,14 @@ __all__ = [
     "NoiseRealization", "ParameterError", "ParseError", "PopulationScaling",
     "S_LIMIT", "ScaledMatrix", "ScalingSolution", "apply_laplacian",
     "apply_noise", "assemble_W", "circle_pipeline",
-    "corrected_dists_from_affinity", "degrees", "ds_kde", "ds_kde_entropy",
+    "corrected_dists_from_affinity", "degrees", "ds_kde",
     "embed_orthogonal", "gaussian_kernel", "ingest_counts",
     "knn_recovery_accuracy", "noise_magnitude", "normalization_constant",
     "normalize_counts", "operator_error", "pairwise_sq_dists", "robust_markov",
     "run_experiment", "sample_circle", "sample_two_circles",
-    "scaling_factor_diagnostics", "signal_magnitude_and_distances",
+    "signal_magnitude_and_distances",
     "sinkhorn_symmetric", "solve_population_scaling_1d", "standard_kde",
     "synth_poisson_counts", "test_function_and_laplacian",
-    "traditional_markov", "traditional_normalization", "transition_error",
+    "traditional_markov", "transition_error",
     "wrapped_normal_density",
 ]

@@ -42,7 +42,7 @@ def normalization_constant(epsilon, dim, s):
     """
     if epsilon <= 0 or dim < 1:
         raise ParameterError("need epsilon > 0 and dim >= 1")
-    if s == S_LIMIT or s is None:
+    if s == S_LIMIT:
         return (np.pi * np.e * epsilon) ** (dim / 2.0)
     return (np.pi * epsilon) ** (dim / 2.0) * s ** (dim / (2.0 * (s - 1.0)))
 
@@ -52,19 +52,27 @@ def ds_kde(w, s, epsilon=None, dim=None):
 
     q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1), with
     log sum_j W_ij^s = s log d_i + log sum_j (K_ij d_j)^s from the operator.
-    ``w`` is a ScaledMatrix or a raw array (see ScaledMatrix.from_linear).
-    ``s=S_LIMIT`` gives the s -> 1 limit, :func:`ds_kde_entropy`.
+    ``s=S_LIMIT`` gives the s -> 1 limit, the row perplexity
+    exp(-sum_j W_ij log W_ij) / (n-1): one pass over the operator's absorbed
+    matrix and log K, the excluded diagonal adding nothing. ``w`` is a
+    ScaledMatrix or a raw array (see ScaledMatrix.from_linear); at the limit
+    a raw array must be strictly positive off the diagonal.
     """
-    if s == S_LIMIT:
-        return ds_kde_entropy(w, epsilon, dim)
-    if s <= 0 or s == 1:
+    if s != S_LIMIT and (s <= 0 or s == 1):
         raise ParameterError("s must be positive and different from 1")
     scaled = ScaledMatrix.from_linear(w)
     epsilon = scaled.epsilon if epsilon is None else epsilon
     log_d = scaled.log_d
-    log_power_sum = s * log_d + scaled.operator.power_lse(log_d, s)
-    log_raw = -np.log(scaled.n - 1) + log_power_sum / (1.0 - s)
-    raw = np.exp(log_raw)
+    if s == S_LIMIT:
+        # from_linear rejected negative entries; a zero one has log -inf,
+        # and so has each of the n diagonal slots
+        if (not isinstance(w, ScaledMatrix)
+                and np.isneginf(scaled.operator.log_a).sum() > scaled.n):
+            raise ParameterError("entropy limit requires strictly positive off-diagonal W")
+        raw = np.exp(scaled.operator.row_entropy(log_d)) / (scaled.n - 1)
+    else:
+        log_power_sum = s * log_d + scaled.operator.power_lse(log_d, s)
+        raw = np.exp(-np.log(scaled.n - 1) + log_power_sum / (1.0 - s))
     normalized = None
     if dim is not None:
         normalized = raw / normalization_constant(epsilon, dim, s)
@@ -72,26 +80,13 @@ def ds_kde(w, s, epsilon=None, dim=None):
                            epsilon=epsilon, intrinsic_dim=dim)
 
 
-def ds_kde_entropy(w, epsilon=None, dim=None):
-    """The s -> 1 limit of the DS-KDE: row perplexity over (n - 1).
-
-    The row entropy -sum_j W_ij log W_ij is one pass over the operator's
-    absorbed matrix and log K, the excluded diagonal adding nothing.
-    """
-    scaled = ScaledMatrix.from_linear(w)
-    epsilon = scaled.epsilon if epsilon is None else epsilon
-    if not isinstance(w, ScaledMatrix):
-        # from_linear rejected negative entries; a zero one has log -inf,
-        # and so has each of the n diagonal slots
-        if np.isneginf(scaled.operator.log_a).sum() > scaled.n:
-            raise ParameterError("entropy limit requires strictly positive off-diagonal W")
-    entropy = scaled.operator.row_entropy(scaled.log_d)
-    raw = np.exp(entropy) / (scaled.n - 1)
-    normalized = None
-    if dim is not None:
-        normalized = raw / normalization_constant(epsilon, dim, S_LIMIT)
-    return DensityEstimate(raw=raw, normalized=normalized, s=S_LIMIT,
-                           epsilon=epsilon, intrinsic_dim=dim)
+def raw_density(qhat):
+    """The raw DS-KDE values of a DensityEstimate, or an array of them,
+    checked strictly positive."""
+    raw = qhat.raw if isinstance(qhat, DensityEstimate) else np.asarray(qhat, dtype=float)
+    if not np.all(raw > 0):
+        raise ParameterError("density estimates must be strictly positive")
+    return raw
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import S_LIMIT
+from .density import S_LIMIT, DensityEstimate, raw_density
 from .errors import ConvergenceError, ParameterError
 from .kernel import pairwise_sq_dists
 
@@ -30,7 +30,7 @@ class EstimateTable:
 
 def distance_bias(epsilon, dim, s):
     """The global additive bias eps * d * log(s) / (2(s-1)) of corrected distances."""
-    if s == S_LIMIT or s is None:
+    if s == S_LIMIT:
         return epsilon * dim / 2.0
     return epsilon * dim * np.log(s) / (2.0 * (s - 1.0))
 
@@ -40,20 +40,20 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
 
     N_i = eps * (log d_i + 0.5 * log((n-1) * qhat_raw_i)). The exponent s
     surfaces as a small global upward bias eps*d*log(s)/(4(s-1)); pass
-    ``debias=True`` together with ``dim`` to subtract it.
+    ``debias=True`` together with ``dim`` to subtract it. Debiasing reads s
+    from ``qhat``, so it needs a DensityEstimate, not a bare array.
     """
     if not solution.converged:
         raise ConvergenceError("scaling did not converge; refusing noise estimate")
-    raw = qhat.raw if hasattr(qhat, "raw") else np.asarray(qhat, dtype=float)
-    if np.any(raw <= 0):
-        raise ParameterError("density estimates must be strictly positive")
+    raw = raw_density(qhat)
     n = len(raw)
     nhat = epsilon * (solution.log_d + 0.5 * np.log((n - 1) * raw))
     if debias:
         if dim is None:
             raise ParameterError("debiasing requires the intrinsic dimension")
-        s = getattr(qhat, "s", None)
-        nhat = nhat - distance_bias(epsilon, dim, s) / 2.0
+        if not isinstance(qhat, DensityEstimate):
+            raise ParameterError("debiasing requires a DensityEstimate, which carries s")
+        nhat = nhat - distance_bias(epsilon, dim, qhat.s) / 2.0
     return nhat
 
 
@@ -66,7 +66,7 @@ def corrected_dists_from_affinity(scaled, qhat, epsilon=None):
     one n x n array that is exactly symmetric.
     """
     epsilon = scaled.epsilon if epsilon is None else epsilon
-    raw = qhat.raw if hasattr(qhat, "raw") else np.asarray(qhat, dtype=float)
+    raw = raw_density(qhat)
     half = 0.5 * (np.log(scaled.n - 1) + np.log(raw)) + scaled.log_d
     d = half[:, None] + half[None, :]
     d += scaled.operator.log_a

@@ -1,6 +1,5 @@
-"""Pairwise distances, the zero-diagonal Gaussian kernel, the kernel operator
-behind every row reduction, and the classical degree-based normalization
-family.
+"""Pairwise distances, the zero-diagonal Gaussian kernel, its degrees and
+classical KDE, and the kernel operator behind every row reduction.
 
 Every kernel quantity is kept in log domain end to end. This matters at the
 tiny bandwidths used for normalized count data, where the kernel entries
@@ -232,16 +231,3 @@ def standard_kde(affinity):
     Callers divide by (pi * eps)^(d/2) to compare against a true density.
     """
     return degrees(affinity) / (affinity.n - 1)
-
-
-def traditional_normalization(affinity, alpha):
-    """Row-stochastic matrix obtained from D^-alpha K D^-alpha.
-
-    Assembled entirely in log domain; each output row sums to 1 up to
-    roundoff regardless of the bandwidth. The row factor D^-alpha cancels in
-    the normalization, so this is the dense view of K diag(D^-alpha)
-    normalized by its row sums.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError("alpha must lie in [0, 1]")
-    return affinity.operator.dense(-alpha * log_degrees(affinity))

@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .density import raw_density
 from .errors import ParameterError
 from .kernel import log_degrees
 from .scaling import ScaledMatrix
@@ -70,18 +71,14 @@ def robust_markov(scaled, qhat, alpha):
     scaled = ScaledMatrix.from_linear(scaled)
     if alpha == 0.5:
         return MarkovFamily(alpha, None, "robust", scaled=scaled)
-    raw = qhat.raw if hasattr(qhat, "raw") else np.asarray(qhat, dtype=float)
-    if np.any(raw <= 0):
-        raise ParameterError("density estimates must be strictly positive")
-    log_u = scaled.log_d - (alpha - 0.5) * np.log(raw)
+    log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))
     return MarkovFamily(alpha, None, "robust", operator=scaled.operator, log_u=log_u)
 
 
 def traditional_markov(affinity, alpha):
     """The degree-normalized baseline D^-alpha K D^-alpha, row-normalized.
 
-    The row factor cancels, so M = K diag(D^-alpha) over its row sums; its
-    dense ``markov`` equals ``traditional_normalization(affinity, alpha)``.
+    The row factor cancels, so M = K diag(D^-alpha) over its row sums.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")

@@ -5,8 +5,8 @@ doubly stochastic case). The iteration is the damped symmetric fixed point
 
     log d  <-  (log d + log target - logsumexp_j(log K_ij + log d_j)) / 2
 
-applied to all rows simultaneously, with a fallback to alternating Sinkhorn
-sweeps (followed by symmetrization) if the residual stalls.
+applied to all rows simultaneously. A solve that has not met the tolerance
+after ``max_iter`` steps is returned with ``converged=False``.
 
 Every row log-sum-exp is one matrix-vector product with the kernel's
 :class:`~dskernel.kernel.KernelOperator`, stabilized by absorption
@@ -30,19 +30,15 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError
 from .kernel import KernelOperator
 
-STALL_WINDOW = 50
-STALL_IMPROVEMENT = 1e-3
-
 
 @dataclass
 class ScalingSolution:
     """Scaling factors of one solve and how the solve went.
 
+    ``residual_history[k]`` is the residual before step k + 1 and
+    ``residual`` its last entry; ``log_d`` is the vector after the last step.
     ``absorptions`` counts how many times the solve built the stabilized
     matrix.
-    ``fallback_iteration`` is the iteration at which the residual was found
-    to stall and alternating sweeps took over from the next one; None if the
-    damped fixed point ran to the end.
     """
 
     log_d: np.ndarray
@@ -51,7 +47,6 @@ class ScalingSolution:
     converged: bool
     residual_history: np.ndarray = field(repr=False, default=None)
     absorptions: int = 0
-    fallback_iteration: int | None = None
 
 
 def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
@@ -81,31 +76,16 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
         operator.absorb(np.zeros(n))
         log_d = 0.5 * (log_t - row_lse(np.zeros(n)))
     history = []
-    fallback_iteration = None
     for iteration in range(1, max_iter + 1):
-        if fallback_iteration is None:
-            lse = row_lse(log_d)
-            residual = np.abs(np.expm1(log_d + lse - log_t)).max()
-            log_d = 0.5 * (log_d + log_t - lse)
-        else:
-            # alternating sweeps: scale rows, then columns (same operator by
-            # symmetry), then symmetrize
-            log_u = log_t - row_lse(log_d)
-            log_d = log_t - row_lse(log_u)
-            log_d = 0.5 * (log_d + log_u)
-            lse = row_lse(log_d)
-            residual = np.abs(np.expm1(log_d + lse - log_t)).max()
+        lse = row_lse(log_d)
+        residual = np.abs(np.expm1(log_d + lse - log_t)).max()
+        log_d = 0.5 * (log_d + log_t - lse)
         history.append(residual)
         if residual <= tol:
             return ScalingSolution(log_d, residual, iteration, True, np.array(history),
-                                   operator.absorptions - absorbed_before,
-                                   fallback_iteration)
-        if (fallback_iteration is None and iteration > STALL_WINDOW
-                and history[-STALL_WINDOW] > 0
-                and 1.0 - history[-1] / history[-STALL_WINDOW] < STALL_IMPROVEMENT):
-            fallback_iteration = iteration
+                                   operator.absorptions - absorbed_before)
     return ScalingSolution(log_d, history[-1], max_iter, False, np.array(history),
-                           operator.absorptions - absorbed_before, fallback_iteration)
+                           operator.absorptions - absorbed_before)
 
 
 def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
@@ -190,17 +170,3 @@ def assemble_W(affinity, solution):
         raise ConvergenceError("scaling did not converge; refusing to assemble W")
     return ScaledMatrix(operator=affinity.operator, log_d=solution.log_d,
                         epsilon=affinity.epsilon)
-
-
-def scaling_factor_diagnostics(solution, epsilon, n, dim, density):
-    """Implied per-point squared noise magnitudes from the scaling factors.
-
-    Inverts the asymptotic form of d_i given the (true or estimated) density:
-    eps * (log d_i + 0.5 * log((n-1) (pi eps)^(d/2) q_i)). On clean data the
-    result is O(eps) close to zero; under noise it tracks ||eta_i||^2.
-    """
-    density = np.asarray(density, dtype=float)
-    if np.any(density <= 0):
-        raise ParameterError("density values must be strictly positive")
-    log_const = np.log(n - 1) + 0.5 * dim * np.log(np.pi * epsilon)
-    return epsilon * (solution.log_d + 0.5 * (log_const + np.log(density)))

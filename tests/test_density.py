@@ -21,7 +21,7 @@ def test_uniform_w_gives_unit_density():
     np.fill_diagonal(w, 0.0)
     est = density.ds_kde(w, 2.0)
     np.testing.assert_allclose(est.raw, 1.0, rtol=0, atol=1e-12)
-    est_limit = density.ds_kde_entropy(w)
+    est_limit = density.ds_kde(w, density.S_LIMIT)
     np.testing.assert_allclose(est_limit.raw, 1.0, rtol=0, atol=1e-12)
 
 
@@ -35,19 +35,9 @@ def test_ds_kde_matches_brute_force():
 
 def test_entropy_limit_agrees_with_s_near_one():
     _, scaled = scaled_circle(n=150, seed=2)
-    limit = density.ds_kde_entropy(scaled)
+    limit = density.ds_kde(scaled, density.S_LIMIT)
     near = density.ds_kde(scaled, 1.0 + 1e-6)
     np.testing.assert_allclose(limit.raw, near.raw, rtol=1e-4)
-
-
-def test_ds_kde_routes_the_limit_to_the_entropy_form():
-    _, scaled = scaled_circle(n=100, seed=4)
-    for w in (scaled, scaled.w):
-        via_s = density.ds_kde(w, density.S_LIMIT, epsilon=0.1, dim=1)
-        direct = density.ds_kde_entropy(w, epsilon=0.1, dim=1)
-        assert via_s.s == direct.s == density.S_LIMIT
-        assert np.array_equal(via_s.raw, direct.raw)
-        assert np.array_equal(via_s.normalized, direct.normalized)
 
 
 def test_normalization_constant_values_and_limit():
@@ -71,6 +61,10 @@ def test_ds_kde_parameter_validation():
         density.normalization_constant(0.0, 1, 2.0)
     with pytest.raises(ParameterError):
         density.ds_kde(np.array([[0.0, -1.0], [-1.0, 0.0]]), 2.0)
+    zero_off_diagonal = scaled.w.copy()
+    zero_off_diagonal[0, 1] = zero_off_diagonal[1, 0] = 0.0
+    with pytest.raises(ParameterError):
+        density.ds_kde(zero_off_diagonal, density.S_LIMIT)
 
 
 def test_normalized_estimate_tracks_true_density():

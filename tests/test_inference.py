@@ -82,6 +82,11 @@ def test_noise_magnitude_input_validation():
         inference.noise_magnitude(sol, np.zeros(100), 0.1)
     with pytest.raises(ParameterError):
         inference.noise_magnitude(sol, qhat, 0.1, debias=True)  # dim missing
+    with pytest.raises(ParameterError):
+        # a bare array does not say which exponent's bias to subtract
+        inference.noise_magnitude(sol, qhat.raw, 0.1, debias=True, dim=1)
+    with pytest.raises(ParameterError):
+        inference.corrected_dists_from_affinity(scaled, np.zeros(100), 0.1)
     bad = scaling.ScalingSolution(log_d=sol.log_d, residual=1.0, iterations=1,
                                   converged=False)
     with pytest.raises(ConvergenceError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from dskernel import kernel
+from dskernel import kernel, laplacian
 from dskernel.errors import ParameterError
 
 
@@ -55,7 +55,7 @@ def test_degrees_match_direct_sum():
 def test_traditional_normalization_row_stochastic(alpha):
     pts = random_points(35, 6, seed=5)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.4)
-    markov = kernel.traditional_normalization(aff, alpha)
+    markov = laplacian.traditional_markov(aff, alpha).markov
     np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.diag(markov) == 0.0)
     assert markov.min() >= 0.0
@@ -69,7 +69,7 @@ def test_traditional_normalization_matches_dense_oracle():
     for alpha in (0.0, 0.5, 1.0):
         compensated = k_lin / np.outer(deg**alpha, deg**alpha)
         expected = compensated / compensated.sum(axis=1, keepdims=True)
-        got = kernel.traditional_normalization(aff, alpha)
+        got = laplacian.traditional_markov(aff, alpha).markov
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
 
 
