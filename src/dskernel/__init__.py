@@ -14,7 +14,7 @@ from .harness import ExperimentConfig, circle_pipeline, run_experiment
 from .inference import (EstimateTable, corrected_dists_from_affinity,
                         knn_recovery_accuracy, noise_magnitude,
                         signal_magnitude_and_distances)
-from .kernel import (AffinityMatrix, KernelOperator, degrees, gaussian_kernel,
+from .kernel import (AffinityMatrix, KernelOperator, gaussian_kernel,
                      pairwise_sq_dists, standard_kde)
 from .laplacian import (MarkovFamily, apply_laplacian, operator_error,
                         robust_markov, traditional_markov, transition_error)
@@ -29,7 +29,7 @@ __all__ = [
     "NoiseRealization", "ParameterError", "ParseError", "PopulationScaling",
     "S_LIMIT", "ScaledMatrix", "ScalingSolution", "apply_laplacian",
     "apply_noise", "assemble_W", "circle_pipeline",
-    "corrected_dists_from_affinity", "degrees", "ds_kde",
+    "corrected_dists_from_affinity", "ds_kde",
     "embed_orthogonal", "gaussian_kernel", "ingest_counts",
     "knn_recovery_accuracy", "noise_magnitude", "normalization_constant",
     "normalize_counts", "operator_error", "pairwise_sq_dists", "robust_markov",

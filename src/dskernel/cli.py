@@ -127,10 +127,21 @@ def build_parser():
     return parser
 
 
-def _read_sidecar_column(path, column):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return np.array([float(row[column]) for row in reader])
+def _read_sidecar_column(path, column, n):
+    """One float column of a sidecar CSV holding a row for each of ``n`` points."""
+    reader = csv.DictReader(geometry.read_text_lines(path))
+    if column not in (reader.fieldnames or ()):
+        raise ParseError(f"no column {column!r}", line=1)
+    values = []
+    for row in reader:
+        try:
+            values.append(float(row[column]))
+        except (TypeError, ValueError):  # a short row leaves the field None
+            raise ParseError(f"{column}: cannot parse {row[column]!r}",
+                             line=reader.line_num) from None
+    if len(values) != n:
+        raise ParameterError(f"sidecar has {len(values)} rows for {n} points")
+    return np.array(values)
 
 
 def _cmd_simulate(args):
@@ -152,11 +163,11 @@ def _cmd_scale(args):
 
 def _cmd_density(args):
     points = geometry.load_points_csv(args.input)
-    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
-    est = density_mod.ds_kde(assemble_W(affinity, solution), args.s, dim=args.dim)
     truth = None
     if args.sidecar:
-        truth = _read_sidecar_column(args.sidecar, "true_density")
+        truth = _read_sidecar_column(args.sidecar, "true_density", len(points))
+    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    est = density_mod.ds_kde(assemble_W(affinity, solution), args.s, dim=args.dim)
     _write_csv(args.out, ["index", "raw", "normalized", "true_density_if_known", "abs_error"],
                ([i, _fmt(est.raw[i]), _fmt(est.normalized[i]),
                  "" if truth is None else _fmt(truth[i]),
@@ -166,15 +177,15 @@ def _cmd_density(args):
 
 def _cmd_denoise(args):
     points = geometry.load_points_csv(args.input)
+    truth = None
+    if args.sidecar:
+        truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
     affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
     qhat = density_mod.ds_kde(assemble_W(affinity, solution), args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon,
                                      debias=args.debias, dim=args.dim)
     table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
                                                      args.dim)
-    truth = None
-    if args.sidecar:
-        truth = _read_sidecar_column(args.sidecar, "true_noise_sq")
     _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
                ([i, _fmt(nhat[i]), _fmt(table.signal_sq_hat[i]),
                  "" if truth is None else _fmt(truth[i])] for i in range(len(nhat))))
@@ -211,7 +222,11 @@ def _subsample_per_class(labels, per_class, seed):
 def _cmd_scrna(args):
     labels = None
     if args.labels:
-        labels = np.loadtxt(args.labels, delimiter=",", dtype=str, ndmin=1)
+        try:
+            labels = np.loadtxt(args.labels, delimiter=",", dtype=str, ndmin=1)
+        except UnicodeDecodeError:
+            geometry.read_text_lines(args.labels)  # raises ParseError at the line
+            raise
     cm = counts_mod.ingest_counts(args.input, fmt=args.format, labels=labels)
     if cm.rejected_rows:
         warnings.warn(f"rejected zero-total rows: {list(cm.rejected_rows)}")

@@ -28,6 +28,8 @@ class CountMatrix:
 
 def _finalize(matrix, labels=None):
     matrix = sparse.csr_matrix(matrix)
+    if labels is not None and len(labels) != matrix.shape[0]:
+        raise ParameterError(f"{len(labels)} labels for {matrix.shape[0]} rows")
     totals = np.asarray(matrix.sum(axis=1)).ravel()
     keep = totals > 0
     rejected = tuple(np.nonzero(~keep)[0].tolist())

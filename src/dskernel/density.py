@@ -64,11 +64,12 @@ def ds_kde(w, s, epsilon=None, dim=None):
     epsilon = scaled.epsilon if epsilon is None else epsilon
     log_d = scaled.log_d
     if s == S_LIMIT:
-        # from_linear rejected negative entries; a zero one has log -inf,
-        # and so has each of the n diagonal slots
-        if (not isinstance(w, ScaledMatrix)
-                and np.isneginf(scaled.operator.log_a).sum() > scaled.n):
-            raise ParameterError("entropy limit requires strictly positive off-diagonal W")
+        # from_linear rejected negative entries; the diagonal is excluded
+        if not isinstance(w, ScaledMatrix):
+            zero = np.asarray(w) == 0
+            np.fill_diagonal(zero, False)
+            if zero.any():
+                raise ParameterError("entropy limit requires strictly positive off-diagonal W")
         raw = np.exp(scaled.operator.row_entropy(log_d)) / (scaled.n - 1)
     else:
         log_power_sum = s * log_d + scaled.operator.power_lse(log_d, s)

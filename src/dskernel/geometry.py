@@ -225,7 +225,9 @@ def _read_csv(source):
 
 def read_text_lines(path):
     """The lines of a text file; a byte that does not decode raises ParseError
-    at its line. Only error paths call this."""
+    at its line. The pipeline reads through this only to locate a fault,
+    since the traced benchmark counts geometry time as input preparation;
+    ground-truth sidecars are read through it."""
     with open(path) as fh:
         try:
             return fh.read().split("\n")

@@ -68,8 +68,7 @@ def corrected_dists_from_affinity(scaled, qhat, epsilon=None):
     epsilon = scaled.epsilon if epsilon is None else epsilon
     raw = raw_density(qhat)
     half = 0.5 * (np.log(scaled.n - 1) + np.log(raw)) + scaled.log_d
-    d = half[:, None] + half[None, :]
-    d += scaled.operator.log_a
+    d = scaled.operator.weighted_log(half)
     d *= -epsilon
     np.fill_diagonal(d, 0.0)
     return d

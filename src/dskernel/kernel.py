@@ -1,6 +1,9 @@
 """Pairwise distances, the zero-diagonal Gaussian kernel, its degrees and
 classical KDE, and the kernel operator behind every row reduction.
 
+:class:`KernelOperator` is the one owner of a dense log K: no other module
+reads it, so a sparse or truncated kernel can stand behind the same methods.
+
 Every kernel quantity is kept in log domain end to end. This matters at the
 tiny bandwidths used for normalized count data, where the kernel entries
 underflow catastrophically in linear arithmetic. Every row reduction of K
@@ -43,10 +46,14 @@ class KernelOperator:
     any u and any offset on log A. Slots holding -inf (the diagonal of log K)
     are exact zeros of B and take part in no reduction.
 
-    ``log_a`` is kept by reference, never written.
+    ``log_a`` is kept by reference, never written; one holding NaN or +inf
+    raises ParameterError.
     """
 
     def __init__(self, log_a):
+        # max propagates NaN, so one reduction rejects both NaN and +inf
+        if not log_a.max() < np.inf:
+            raise ParameterError("affinity matrix contains NaN or +inf in log domain")
         self.log_a = log_a
         self.absorptions = 0
         self._b = None
@@ -148,6 +155,13 @@ class KernelOperator:
             acc[rows] = t @ g
         return -np.exp(u + self._m) * acc
 
+    def weighted_log(self, u):
+        """The dense log(e^(u_i) A_ij e^(u_j)), summed as (u_i + u_j) + log A_ij
+        so that it is exactly symmetric when log A is."""
+        log_w = u[:, None] + u[None, :]
+        log_w += self.log_a
+        return log_w
+
     def dense(self, u):
         """The dense row-normalized A diag(e^u), for callers that ask for it."""
         log_p = self.log_a + u[None, :]
@@ -218,16 +232,11 @@ def log_degrees(affinity):
     return affinity.operator.row_lse(np.zeros(affinity.n))
 
 
-def degrees(affinity):
-    """Row sums D_ii of the kernel matrix, computed by log-sum-exp."""
-    if affinity.n < 2:
-        raise ParameterError("need at least two points")
-    return np.exp(log_degrees(affinity))
-
-
 def standard_kde(affinity):
     """The classical kernel density estimate: degree over (n - 1).
 
     Callers divide by (pi * eps)^(d/2) to compare against a true density.
     """
-    return degrees(affinity) / (affinity.n - 1)
+    if affinity.n < 2:
+        raise ParameterError("need at least two points")
+    return np.exp(log_degrees(affinity)) / (affinity.n - 1)

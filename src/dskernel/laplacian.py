@@ -18,30 +18,22 @@ from .scaling import ScaledMatrix
 class MarkovFamily:
     """A row-stochastic matrix M from either the robust or traditional family.
 
-    The pipeline builds M in operator form: W itself (``scaled``), or
-    A diag(e^u) normalized by its row sums for the kernel operator A of
-    ``operator`` and the column weights ``log_u``. ``apply`` multiplies by M
-    through that operator. ``markov`` is the dense M, computed on first use
-    and kept; a family built from a dense ``markov`` applies that matrix.
+    M is held in operator form: W itself (``scaled``), or A diag(e^u)
+    normalized by its row sums for the kernel operator A of ``operator`` and
+    the column weights ``log_u``. ``apply`` multiplies by M through that
+    operator; ``markov`` is the dense M, computed on first use and kept.
     """
 
-    def __init__(self, alpha, markov, source_tag, *, scaled=None, operator=None,
-                 log_u=None):
+    def __init__(self, alpha, source_tag, *, scaled=None, operator=None, log_u=None):
         self.alpha = alpha
         self.source_tag = source_tag  # "robust" or "traditional"
         self._scaled = scaled
         self._operator = operator
         self._log_u = log_u
-        if markov is not None:
-            self.__dict__["markov"] = markov
 
     @property
     def n(self):
-        if self._scaled is not None:
-            return self._scaled.n
-        if self._operator is not None:
-            return self._operator.n
-        return self.markov.shape[0]
+        return self._scaled.n if self._scaled is not None else self._operator.n
 
     @cached_property
     def markov(self):
@@ -53,9 +45,7 @@ class MarkovFamily:
         """M x for a vector or an n x k block x."""
         if self._scaled is not None:
             return self._scaled.matvec(x)
-        if self._operator is not None:
-            return self._operator.row_mean(self._log_u, x)
-        return self.markov @ x
+        return self._operator.row_mean(self._log_u, x)
 
 
 def robust_markov(scaled, qhat, alpha):
@@ -70,9 +60,9 @@ def robust_markov(scaled, qhat, alpha):
         raise ParameterError("alpha must lie in [0, 1]")
     scaled = ScaledMatrix.from_linear(scaled)
     if alpha == 0.5:
-        return MarkovFamily(alpha, None, "robust", scaled=scaled)
+        return MarkovFamily(alpha, "robust", scaled=scaled)
     log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))
-    return MarkovFamily(alpha, None, "robust", operator=scaled.operator, log_u=log_u)
+    return MarkovFamily(alpha, "robust", operator=scaled.operator, log_u=log_u)
 
 
 def traditional_markov(affinity, alpha):
@@ -82,7 +72,7 @@ def traditional_markov(affinity, alpha):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    return MarkovFamily(alpha, None, "traditional", operator=affinity.operator,
+    return MarkovFamily(alpha, "traditional", operator=affinity.operator,
                         log_u=-alpha * log_degrees(affinity))
 
 

@@ -58,10 +58,11 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
     the solve does not depend on what the operator reduced before. Returns a
     ScalingSolution.
     """
+    if not max_iter >= 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     n = operator.n
-    # max propagates NaN, so one reduction rejects both NaN and +inf
-    if not operator.log_a.max() < np.inf:
-        raise ParameterError("affinity matrix contains NaN or +inf in log domain")
     log_t = np.zeros(n) if log_targets is None else np.asarray(log_targets, float)
     row_lse = operator.row_lse
     absorbed_before = operator.absorptions
@@ -97,7 +98,8 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
     ``log_d0`` overrides the default starting vector; the fixed point is
     unique, so every start converges to the same scaling factors. The solve
     runs on ``affinity.operator`` and leaves it absorbed near the solution
-    for the steps after it.
+    for the steps after it. ``max_iter`` below 1, a ``tol`` that is not
+    positive, or NaN or +inf in log K raises ParameterError.
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")
@@ -144,11 +146,7 @@ class ScaledMatrix:
 
     @cached_property
     def log_w(self):
-        # log d_i + log d_j is exactly symmetric, and so is log K
-        log_d = self.log_d
-        log_w = log_d[:, None] + log_d[None, :]
-        log_w += self.operator.log_a
-        return log_w
+        return self.operator.weighted_log(self.log_d)
 
     @cached_property
     def w(self):

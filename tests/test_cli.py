@@ -196,6 +196,29 @@ def test_scrna_warns_about_rejected_rows(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("count, extra", [(50, []), (70, []), (50, ["--subsample", "0"])])
+def test_scrna_labels_must_match_the_cells(tmp_path, capsys, count, extra):
+    cm = counts.synth_poisson_counts(60, 200, seed=0)
+    mtx = tmp_path / "counts.mtx"
+    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(cm.entries))
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_text("\n".join(str(c) for c in np.resize(cm.labels, count)) + "\n")
+    code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                "--epsilon", "0.0002", "--out", str(tmp_path / "scrna.csv"), *extra])
+    assert code == 1
+    assert one_line_error(capsys) == f"error: {count} labels for 60 rows\n"
+
+
+def test_scrna_non_utf8_labels_are_a_one_line_error(labelled_counts, tmp_path, capsys):
+    mtx, _ = labelled_counts
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_bytes(b"0\n1\n\xff\n")
+    code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                "--epsilon", "0.0002", "--out", str(tmp_path / "scrna.csv")])
+    assert code == 1
+    assert one_line_error(capsys).startswith("error: line 3: not utf-8 text")
+
+
 def test_bench_subcommand(tmp_path):
     out = tmp_path / "fig3.csv"
     code = run(["bench", "fig3", "--sweep", "60", "90", "--repeats", "1",
@@ -234,6 +257,54 @@ def test_bad_epsilon_is_reported(simulated, tmp_path, capsys):
                 "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("flags, name", [(["--max-iter", "0"], "max_iter"),
+                                         (["--max-iter", "-5"], "max_iter"),
+                                         (["--tol", "-1"], "tol")])
+def test_bad_solver_parameters_are_one_line_errors(simulated, tmp_path, capsys, flags, name):
+    points, _ = simulated
+    code = run(["scale", "--input", str(points), "--epsilon", "0.05",
+                "--out", str(tmp_path / "o.csv"), *flags])
+    assert code == 1
+    assert name in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, column", [("density", "true_density"),
+                                             ("denoise", "true_noise_sq")])
+@pytest.mark.parametrize("fault, where", [("column", "error: line 1: no column"),
+                                          ("value", "error: line 4: "),
+                                          ("rows", "error: sidecar has 39 rows for 250 points")],
+                         ids=["column", "value", "rows"])
+def test_bad_sidecar_is_a_one_line_error(simulated, tmp_path, capsys, command, column,
+                                         fault, where):
+    points, sidecar = simulated
+    lines = sidecar.read_text().splitlines()
+    header = lines[0].split(",")
+    if fault == "column":
+        lines[0] = ",".join(h + "_x" if h == column else h for h in header)
+    elif fault == "value":
+        fields = lines[3].split(",")
+        fields[header.index(column)] = "abc"
+        lines[3] = ",".join(fields)
+    else:
+        lines = lines[:40]
+    bad = tmp_path / "sidecar.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run([command, "--input", str(points), "--epsilon", "0.1", "--dim", "1",
+                "--sidecar", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = one_line_error(capsys)
+    assert err.startswith(where)
+    if fault == "value":
+        assert "'abc'" in err
 
 
 def test_usage_error_exits_with_two():

@@ -119,6 +119,16 @@ def test_zero_total_rows_are_rejected_with_labels(tmp_path):
     np.testing.assert_array_equal(cm.totals, [4.0, 6.0])
 
 
+@pytest.mark.parametrize("labels", [["a", "c"], ["a", "b", "c", "d"]])
+def test_label_count_must_match_the_rows_before_any_are_rejected(tmp_path, labels):
+    # two labels would match the rows left after the zero-total row is dropped
+    path = tmp_path / "z.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                    "3 2 2\n1 1 4\n3 2 6\n")
+    with pytest.raises(ParameterError, match=f"{len(labels)} labels for 3 rows"):
+        counts.ingest_counts(path, labels=labels)
+
+
 def test_csv_ingestion(tmp_path):
     path = tmp_path / "c.csv"
     np.savetxt(path, np.array([[1, 0, 2], [0, 3, 0]]), delimiter=",", fmt="%d")

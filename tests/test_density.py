@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dskernel import density, geometry, kernel, scaling
+from dskernel import density, geometry, kernel, laplacian, scaling
 from dskernel.errors import ParameterError
 from oracles import brute_force_ds_kde
 
@@ -65,6 +65,18 @@ def test_ds_kde_parameter_validation():
     zero_off_diagonal[0, 1] = zero_off_diagonal[1, 0] = 0.0
     with pytest.raises(ParameterError):
         density.ds_kde(zero_off_diagonal, density.S_LIMIT)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_raw_w_with_nan_or_inf_is_rejected(bad):
+    _, scaled = scaled_circle(n=60)
+    raw_w = scaled.w.copy()
+    raw_w[3, 7] = raw_w[7, 3] = bad
+    for s in (2.0, density.S_LIMIT):
+        with pytest.raises(ParameterError, match=r"NaN or \+inf"):
+            density.ds_kde(raw_w, s)
+    with pytest.raises(ParameterError, match=r"NaN or \+inf"):
+        laplacian.robust_markov(raw_w, None, 0.5)
 
 
 def test_normalized_estimate_tracks_true_density():

@@ -89,7 +89,7 @@ def test_transition_error_block_oracle():
         [0.05, 0.05, 0.0, 0.9],
         [0.3, 0.3, 0.4, 0.0],
     ])
-    fam = laplacian.MarkovFamily(alpha=0.0, markov=markov, source_tag="robust")
+    fam = laplacian.robust_markov(markov, None, 0.5)
     labels = np.array(["a", "a", "b", "b"])
     mean_err, worst = laplacian.transition_error(fam, labels)
     leave = np.array([0.2, 0.2, 0.1, 0.6])

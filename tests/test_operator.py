@@ -6,6 +6,9 @@ formula: log W as an n x n array, n x n log-sum-exps, and the Markov matrices
 built entry by entry.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -176,3 +179,15 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
         # degrees at u = 0 and weights near log d lie more than the
         # threshold apart, so each round trip re-absorbs
         assert operator.absorptions > before
+
+
+def test_only_the_kernel_module_reads_the_dense_log_matrix():
+    # a sparse or truncated kernel can replace the dense log K only while
+    # every other module reaches it through the operator's methods
+    package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py") if path.name != "kernel.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "log_a")
+    assert readers == []

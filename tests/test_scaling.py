@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from dskernel import geometry, harness, inference, kernel, scaling
+from dskernel import density, geometry, harness, inference, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 from oracles import newton_symmetric_scaling
 
@@ -137,21 +137,60 @@ def test_log_d_and_w_are_permutation_equivariant(n, seed, epsilon):
     np.testing.assert_allclose(w_p, w[np.ix_(perm, perm)], rtol=0, atol=1e-10)
 
 
+def estimates_after_the_solve(points, epsilon):
+    """log d and every estimate built on it, for properties of the whole pipeline."""
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
+    assert sol.converged
+    scaled = scaling.assemble_W(aff, sol)
+    qhat = density.ds_kde(scaled, 2.0)
+    nhat = inference.noise_magnitude(sol, qhat, epsilon)
+    table = inference.signal_magnitude_and_distances(points, nhat, epsilon, 2.0)
+    return {"log_d": sol.log_d, "w": scaled.w, "dskde_s2": qhat.raw,
+            "dskde_limit": density.ds_kde(scaled, density.S_LIMIT).raw,
+            "noise": nhat, "signal": table.signal_sq_hat,
+            "corrected": table.corrected_dists}
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(n=st.integers(3, 30), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        epsilon=st.floats(2.0, 5.0), offset=st.floats(-100.0, 100.0))
 def test_log_d_is_invariant_to_rigid_motions(n, dim, seed, epsilon, offset):
-    # K depends on the points only through their distances
+    # K depends on the points only through their distances, and so does every
+    # estimate after the solve except the signal magnitudes ||y_i||^2 - N_i,
+    # which a rotation about the origin keeps but a translation does not
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, dim))
     rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    moved = points @ rotation + offset * rng.normal(size=dim)
-    sol = scaling.sinkhorn_symmetric(
-        kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon), tol=1e-12)
-    sol_moved = scaling.sinkhorn_symmetric(
-        kernel.gaussian_kernel(kernel.pairwise_sq_dists(moved), epsilon), tol=1e-12)
-    assert sol.converged and sol_moved.converged
-    np.testing.assert_allclose(sol_moved.log_d, sol.log_d, rtol=0, atol=1e-10)
+    rotated = points @ rotation
+    est = estimates_after_the_solve(points, epsilon)
+    est_moved = estimates_after_the_solve(rotated + offset * rng.normal(size=dim), epsilon)
+    est_rotated = estimates_after_the_solve(rotated, epsilon)
+    np.testing.assert_allclose(est_moved["log_d"], est["log_d"], rtol=0, atol=1e-10)
+    for name in ("dskde_s2", "dskde_limit"):
+        np.testing.assert_allclose(est_moved[name], est[name], rtol=1e-9)
+    for name in ("noise", "corrected"):
+        np.testing.assert_allclose(est_moved[name], est[name], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(est_rotated["signal"], est["signal"], rtol=0, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.floats(2.0, 5.0), data=st.data())
+def test_duplicate_points_get_equal_scaling_factors(n, dim, seed, epsilon, data):
+    # a copy of point i is indistinguishable from it: swapping the two
+    # relabels the same point set, so their factors agree and row j of W is
+    # row i with its columns i and j swapped
+    points = np.random.default_rng(seed).normal(size=(n, dim))
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
+    points[j] = points[i]
+    est = estimates_after_the_solve(points, epsilon)
+    log_d, w = est["log_d"], est["w"]
+    assert abs(log_d[i] - log_d[j]) <= 1e-10
+    swapped = np.arange(n)
+    swapped[[i, j]] = swapped[[j, i]]
+    np.testing.assert_allclose(w[j, swapped], w[i], rtol=0, atol=1e-12)
 
 
 def test_underflowing_kernel_is_handled_in_log_domain():
@@ -243,6 +282,14 @@ def test_rejects_tiny_matrices_and_bad_entries():
     two = kernel.AffinityMatrix(log_entries=aff.log_entries[:2, :2], epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(two)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_iter": 0}, "max_iter"), ({"max_iter": -5}, "max_iter"),
+    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol")])
+def test_rejects_bad_solver_parameters(kwargs, name):
+    with pytest.raises(ParameterError, match=name):
+        scaling.sinkhorn_symmetric(circle_affinity(10, 0.1), **kwargs)
 
 
 def test_assemble_refuses_unconverged_solution():
