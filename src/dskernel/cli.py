@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import counts as counts_mod
 from . import density as density_mod
 from . import geometry, harness, inference
 from .errors import ConvergenceError, ParameterError, ParseError
-from .geometry import _fmt, _write_csv
+from .geometry import _write_csv
 from .scaling import assemble_W
 
 
@@ -154,30 +155,28 @@ def _cmd_scale(args):
     points = geometry.load_points_csv(args.input)
     _, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
     _write_csv(args.out, ["index", "log_d", "residual", "iterations"],
-               ([i, _fmt(v), _fmt(solution.residual), solution.iterations]
+               ([i, v, solution.residual, solution.iterations]
                 for i, v in enumerate(solution.log_d)))
     if args.residuals_out:
         _write_csv(args.residuals_out, ["iteration", "residual"],
-                   ([i, _fmt(r)] for i, r in enumerate(solution.residual_history, start=1)))
+                   enumerate(solution.residual_history, start=1))
 
 
 def _cmd_density(args):
     points = geometry.load_points_csv(args.input)
-    truth = None
+    truth = repeat("")
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_density", len(points))
     affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
     est = density_mod.ds_kde(assemble_W(affinity, solution), args.s, dim=args.dim)
     _write_csv(args.out, ["index", "raw", "normalized", "true_density_if_known", "abs_error"],
-               ([i, _fmt(est.raw[i]), _fmt(est.normalized[i]),
-                 "" if truth is None else _fmt(truth[i]),
-                 "" if truth is None else _fmt(abs(est.normalized[i] - truth[i]))]
-                for i in range(len(est.raw))))
+               zip(range(len(est.raw)), est.raw, est.normalized, truth,
+                   abs(est.normalized - truth) if args.sidecar else repeat("")))
 
 
 def _cmd_denoise(args):
     points = geometry.load_points_csv(args.input)
-    truth = None
+    truth = repeat("")
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
     affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
@@ -187,8 +186,7 @@ def _cmd_denoise(args):
     table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
                                                      args.dim)
     _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
-               ([i, _fmt(nhat[i]), _fmt(table.signal_sq_hat[i]),
-                 "" if truth is None else _fmt(truth[i])] for i in range(len(nhat))))
+               zip(range(len(nhat)), nhat, table.signal_sq_hat, truth))
     if args.dists_out:
         np.savetxt(args.dists_out, table.corrected_dists, delimiter=",")
         negatives = int((table.corrected_dists < 0).sum())
@@ -204,7 +202,7 @@ def _cmd_laplacian(args):
                                         s=args.s, alpha=args.alpha)
         for fam in ("robust", "traditional"):
             if args.family in (fam, "both"):
-                rows.append([eps, fam, args.alpha, _fmt(errs[fam])])
+                rows.append([eps, fam, args.alpha, errs[fam]])
     _write_csv(args.out, ["epsilon", "family", "alpha", "max_error"], rows)
 
 
@@ -220,13 +218,7 @@ def _subsample_per_class(labels, per_class, seed):
 
 
 def _cmd_scrna(args):
-    labels = None
-    if args.labels:
-        try:
-            labels = np.loadtxt(args.labels, delimiter=",", dtype=str, ndmin=1)
-        except UnicodeDecodeError:
-            geometry.read_text_lines(args.labels)  # raises ParseError at the line
-            raise
+    labels = counts_mod.read_labels(args.labels) if args.labels else None
     cm = counts_mod.ingest_counts(args.input, fmt=args.format, labels=labels)
     if cm.rejected_rows:
         warnings.warn(f"rejected zero-total rows: {list(cm.rejected_rows)}")
@@ -241,16 +233,14 @@ def _cmd_scrna(args):
     qhat = density_mod.ds_kde(scaled, args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon)
     _write_csv(args.out, ["index", "label", "total_count", "inv_count", "noise_sq_hat"],
-               ([i, "" if cm.labels is None else cm.labels[i], int(cm.totals[i]),
-                 _fmt(1.0 / cm.totals[i]), _fmt(nhat[i])] for i in range(len(nhat))))
+               zip(range(len(nhat)), repeat("") if cm.labels is None else cm.labels,
+                   map(int, cm.totals), 1.0 / cm.totals, nhat))
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
         rows = harness.transition_errors(affinity, scaled, qhat, cm.labels, args.epsilon)
-        _write_csv(args.transitions_out,
-                   ["epsilon", "alpha", "family", "mean_error", "worst_class_error"],
-                   ([row["epsilon"], row["alpha"], row["family"], _fmt(row["mean_error"]),
-                     _fmt(row["worst_class_error"])] for row in rows))
+        header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
+        _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))
 
 
 def _cmd_bench(args):

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ParameterError, ParseError
-from .geometry import csv_row_lines, load_points_csv, read_text_lines
+from .geometry import data_rows, first_rejected_row, load_points_csv, rejected_value
 
 
 @dataclass(frozen=True)
@@ -57,40 +57,6 @@ def _read_entries(source, skiprows=0):
         # an empty entry block is judged against the declared count instead
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
         return np.loadtxt(source, dtype=_ENTRY, comments=None, skiprows=skiprows, ndmin=1)
-
-
-def _entry_lines(path, size_line):
-    """(file line number, text) of each non-blank line after the size line.
-
-    Only error paths call this. Blank means whitespace only, which is also
-    what ``np.loadtxt`` skips, so item k is the line of entry record k.
-    """
-    lines = read_text_lines(path)[size_line:]
-    return [(n, text) for n, text in enumerate(lines, start=size_line + 1) if text.strip()]
-
-
-def _first_rejected_entry(path, size_line):
-    """ParseError at the first entry line that ``_read_entries`` rejects.
-
-    The whole block has failed to read. Lines are judged independently, so
-    halving keeps the first rejected line inside [lo, hi) with the reader
-    itself deciding; numpy's error text is never parsed.
-    """
-    lines = _entry_lines(path, size_line)
-    texts = [text for _, text in lines]
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _read_entries(texts[lo:mid])
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    lineno, text = lines[lo]
-    if len(text.split()) != 3:
-        return ParseError("entry must have three fields", line=lineno)
-    return ParseError(f"malformed entry {text.strip()!r}", line=lineno)
 
 
 def _read_header(fh):
@@ -150,14 +116,18 @@ def _parse_matrix_market(path):
     try:
         entries = _read_entries(path, skiprows=size_line)
     except ValueError:  # UnicodeDecodeError included
-        raise _first_rejected_entry(path, size_line) from None
+        lineno, text = first_rejected_row(
+            _read_entries, data_rows(path, comments=None, skiprows=size_line))
+        message = ("entry must have three fields" if len(text.split()) != 3
+                   else f"malformed entry {text.strip()!r}")
+        raise ParseError(message, line=lineno) from None
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
     faults = np.flatnonzero((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])
                             | ~np.isfinite(v) | (v < 0))
     # the first bad entry, or the first one beyond the declared count
     k = min(faults[0], nnz) if faults.size else nnz
     if k < len(entries):
-        lineno, text = _entry_lines(path, size_line)[k]
+        lineno, text = data_rows(path, comments=None, skiprows=size_line)[k]
         if k == nnz:
             message = f"more entries than the declared {nnz}"
         elif not np.isfinite(v[k]):
@@ -168,9 +138,9 @@ def _parse_matrix_market(path):
             message = "entry index out of bounds"
         raise ParseError(message, line=lineno)
     if len(entries) < nnz:
-        lines = _entry_lines(path, size_line)
+        rows = data_rows(path, comments=None, skiprows=size_line)
         raise ParseError(f"expected {nnz} entries, found {len(entries)}",
-                         line=lines[-1][0] if lines else size_line)
+                         line=rows[-1][0] if rows else size_line)
     if symmetric:
         off = i != j
         i, j, v = (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
@@ -185,14 +155,36 @@ def ingest_counts(path, fmt="matrix-market", labels=None):
         matrix = _parse_matrix_market(path)
     elif fmt == "csv":
         matrix = load_points_csv(path)
-        negative = np.argwhere(matrix < 0)
-        if negative.size:
-            row, col = negative[0]
-            raise ParseError(f"column {col + 1}: negative count {matrix[row, col]:g}",
-                             line=csv_row_lines(path)[row])
+        negative = matrix < 0
+        if negative.any():
+            raise rejected_value(path, matrix, negative, "negative count")
     else:
         raise ParameterError(f"unknown format {fmt!r}")
     return _finalize(matrix, labels)
+
+
+def _read_labels(source):
+    with warnings.catch_warnings():
+        # blank and comment lines, or an empty file, are judged by the label count
+        warnings.filterwarnings("ignore", message=".*contained no data")
+        labels = np.loadtxt(source, delimiter=",", dtype=str, ndmin=2)
+    if labels.shape[1] != 1:
+        raise ValueError("expected one label per row")
+    return labels[:, 0]
+
+
+def read_labels(path):
+    """The string labels of a file with one field per row.
+
+    Raises ParseError at the first line with another field count (the first
+    line if every row has two), or at a byte that does not decode.
+    """
+    try:
+        return _read_labels(path)
+    except ValueError:  # UnicodeDecodeError included
+        lineno, text = first_rejected_row(_read_labels, data_rows(path))
+        fields = len(text.split("#", 1)[0].split(","))
+        raise ParseError(f"expected one label, found {fields} fields", line=lineno) from None
 
 
 def normalize_counts(counts):

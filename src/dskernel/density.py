@@ -62,6 +62,8 @@ def ds_kde(w, s, epsilon=None, dim=None):
         raise ParameterError("s must be positive and different from 1")
     scaled = ScaledMatrix.from_linear(w)
     epsilon = scaled.epsilon if epsilon is None else epsilon
+    if dim is not None and epsilon is None:
+        raise ParameterError("normalizing a raw W needs epsilon: it has no bandwidth")
     log_d = scaled.log_d
     if s == S_LIMIT:
         # from_linear rejected negative entries; the diagonal is excluded

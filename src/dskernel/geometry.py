@@ -1,4 +1,5 @@
-"""Synthetic circle datasets: sampling, embedding, noise models, ground truth.
+"""Synthetic circle datasets: sampling, embedding, noise models, ground truth;
+and the file layer every input reader and table writer goes through.
 
 All generators are pure functions of (parameters, seed) and return immutable
 snapshots of the data together with the analytic quantities (density, noise
@@ -16,22 +17,6 @@ from .errors import ParameterError, ParseError
 TWO_PI = 2.0 * np.pi
 
 NOISE_MODELS = ("none", "varying_ball", "outlier_gaussian", "outlier_scaled_gaussian")
-
-
-def _fmt(value):
-    """Full-precision decimal text for CSV fields (plain float repr)."""
-    return repr(float(value))
-
-
-def _write_csv(path, header, rows, meta=None):
-    """Write a header row and ``rows`` as CSV; ``meta``, a dict, goes first as
-    one "# key=value, ..." comment line."""
-    with open(path, "w", newline="") as fh:
-        if meta is not None:
-            fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -200,6 +185,20 @@ def test_function_and_laplacian(angles):
     return f, lap_f
 
 
+def _write_csv(path, header, rows, meta=None):
+    """Write a header row and ``rows`` as CSV; ``meta``, a dict, goes first as
+    one "# key=value, ..." comment line. A float cell is written as
+    repr(float(v)), the shortest text that reads back to the same double;
+    any other cell as it is."""
+    with open(path, "w", newline="") as fh:
+        if meta is not None:
+            fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
 def save_dataset_csv(points_path, sidecar_path, sample, noise=None):
     """Write noisy points and a ground-truth sidecar as two CSV files.
 
@@ -211,23 +210,14 @@ def save_dataset_csv(points_path, sidecar_path, sample, noise=None):
     noise_sq = np.zeros(len(sample.angles)) if noise is None else noise.true_noise_sq
     np.savetxt(points_path, points, delimiter=",")
     _write_csv(sidecar_path, ["index", "angle", "radius", "true_density", "true_noise_sq"],
-               ([i, _fmt(sample.angles[i]), _fmt(sample.radius_labels[i]),
-                 _fmt(sample.density_values[i]), _fmt(noise_sq[i])]
-                for i in range(len(sample.angles))))
-
-
-def _read_csv(source):
-    with warnings.catch_warnings():
-        # an empty file, blank line or comment holds no data; callers check
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(source, delimiter=",", ndmin=2)
+               zip(range(len(sample.angles)), sample.angles, sample.radius_labels,
+                   sample.density_values, noise_sq))
 
 
 def read_text_lines(path):
     """The lines of a text file; a byte that does not decode raises ParseError
-    at its line. The pipeline reads through this only to locate a fault,
-    since the traced benchmark counts geometry time as input preparation;
-    ground-truth sidecars are read through it."""
+    at its line. Only error paths and sidecars read through this: decoding a
+    large file into lines before parsing it doubles the read."""
     with open(path) as fh:
         try:
             return fh.read().split("\n")
@@ -237,44 +227,66 @@ def read_text_lines(path):
             raise ParseError(f"not {exc.encoding} text", line=line) from None
 
 
-def csv_row_lines(path):
-    """The file line of each row that ``load_points_csv`` read from ``path``."""
-    return [lineno for lineno, line in enumerate(read_text_lines(path), start=1)
-            if _read_csv([line]).size]
+def data_rows(path, comments="#", skiprows=0):
+    """(file line, text) of each row ``np.loadtxt`` takes from ``path`` after
+    ``skiprows`` lines: with ``comments="#"`` a line with any text left once
+    the comment is cut off, whitespace included; with ``comments=None``
+    (Matrix Market entries) a line that is not whitespace only."""
+    lines = read_text_lines(path)[skiprows:]
+    return [(n, text) for n, text in enumerate(lines, start=skiprows + 1)
+            if (text.split(comments, 1)[0] if comments else text.strip())]
 
 
-def _first_csv_fault(path):
-    """ParseError at the first byte, value, row width or NaN/infinity the CSV
-    read rejects.
+def first_rejected_row(read, rows):
+    """The first of ``rows`` (``data_rows`` pairs of a file that ``read``
+    rejected) that ``read`` rejects with a ValueError.
 
-    Only error paths call this. Each line is read on its own by the same
-    reader, and each column of a rejected line, so numpy's error text is
-    never parsed.
+    Each chunk is read after the first row, so a row is judged against it (a
+    CSV row's width) and otherwise on its own; halving keeps the first
+    rejected row in [lo, hi), the reader itself deciding, so numpy's error
+    text is never parsed.
     """
-    width = None
-    for lineno, line in enumerate(read_text_lines(path), start=1):
+    texts = [text for _, text in rows]
+    lo, hi = 0, len(texts)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            row = _read_csv([line])
+            read(texts[:1] + texts[lo:mid])
         except ValueError:
-            fields = line.split("#", 1)[0].split(",")
-            for col, field in enumerate(fields):
-                try:
-                    np.loadtxt([line], delimiter=",", usecols=[col])
-                except ValueError:
-                    return ParseError(f"column {col + 1}: cannot parse {field.strip()!r}",
-                                      line=lineno)
-            return ParseError(f"cannot parse {line.strip()!r}", line=lineno)
-        if row.size == 0:
-            continue
-        if width is None:
-            width = row.shape[1]
-        if row.shape[1] != width:
-            return ParseError(f"expected {width} fields, found {row.shape[1]}", line=lineno)
-        bad = np.flatnonzero(~np.isfinite(row[0]))
-        if bad.size:
-            return ParseError(f"column {bad[0] + 1}: non-finite value {row[0, bad[0]]!r}",
-                              line=lineno)
-    return ParseError(f"unreadable CSV {path}")
+            hi = mid
+        else:
+            lo = mid
+    return rows[lo]
+
+
+def rejected_value(path, values, bad, what):
+    """ParseError at the line and column of the first True entry of ``bad``,
+    a mask over ``values``, the array the CSV reader took from ``path``."""
+    row, col = np.argwhere(bad)[0]
+    return ParseError(f"column {col + 1}: {what} {values[row, col]:g}",
+                      line=data_rows(path)[row][0])
+
+
+def _read_csv(source):
+    with warnings.catch_warnings():
+        # an empty file, blank line or comment holds no data; callers check
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", ndmin=2)
+
+
+def _csv_fault(path):
+    """ParseError at the first byte, value or row width the CSV read rejects:
+    the row's first column that does not parse on its own, else its width."""
+    rows = data_rows(path)
+    lineno, text = first_rejected_row(_read_csv, rows)
+    fields = text.split("#", 1)[0].split(",")
+    for col, field in enumerate(fields):
+        try:
+            np.loadtxt([text], delimiter=",", usecols=[col])
+        except ValueError:
+            return ParseError(f"column {col + 1}: cannot parse {field.strip()!r}", line=lineno)
+    width = len(rows[0][1].split("#", 1)[0].split(","))
+    return ParseError(f"expected {width} fields, found {len(fields)}", line=lineno)
 
 
 def load_points_csv(path):
@@ -287,9 +299,10 @@ def load_points_csv(path):
     try:
         points = _read_csv(path)
     except ValueError:  # UnicodeDecodeError included
-        raise _first_csv_fault(path) from None
-    if not np.isfinite(points).all():
-        raise _first_csv_fault(path)
+        raise _csv_fault(path) from None
+    finite = np.isfinite(points)
+    if not finite.all():
+        raise rejected_value(path, points, ~finite, "non-finite value")
     if points.size == 0:
         raise ParseError("no data", line=1)
     return points

@@ -12,7 +12,6 @@ import numpy as np
 from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
 from .errors import ConvergenceError, ParameterError
-from .geometry import _fmt
 from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
@@ -169,11 +168,8 @@ def _fig1(config):
         pipe = circle_pipeline(n, m, config.epsilon, noise_model, seed)
         residuals.append(pipe.solution.residual)
         est = _density_estimates(pipe, [config.s], pipe.sample.intrinsic_dim)
-        kde, dskde = est["kde"], est[header[-1]]
-        for i in range(n):
-            rows.append([noise_model, i, _fmt(pipe.sample.angles[i]),
-                         _fmt(pipe.sample.density_values[i]),
-                         _fmt(kde[i]), _fmt(dskde[i])])
+        rows += zip([noise_model] * n, range(n), pipe.sample.angles,
+                    pipe.sample.density_values, est["kde"], est[header[-1]])
     return header, rows, residuals
 
 
@@ -206,10 +202,8 @@ def _sweep(config, sweep_kind, default_sweep, noises, column, names, measure):
                 for name in names:
                     per_name[name].append(errs[name])
             for name, vals in per_name.items():
-                rows.append([value, noise_model, name,
-                             _fmt(float(np.mean(vals))) if vals else "",
-                             _fmt(float(np.std(vals))) if vals else "",
-                             status])
+                rows.append([value, noise_model, name, np.mean(vals) if vals else "",
+                             np.std(vals) if vals else "", status])
     return header, rows, residuals
 
 
@@ -253,13 +247,10 @@ def _fig4(config):
     table = _estimate_table(pipe, config.s)
     header = ["index", "radius", "noisy_sq_norm", "noise_sq_hat", "true_noise_sq",
               "signal_sq_hat", "true_signal_sq"]
-    rows = []
     y_sq = np.einsum("ij,ij->i", pipe.noise.noisy_points, pipe.noise.noisy_points)
     x_sq = np.einsum("ij,ij->i", pipe.sample.clean_points, pipe.sample.clean_points)
-    for i in range(len(y_sq)):
-        rows.append([i, _fmt(pipe.sample.radius_labels[i]), _fmt(y_sq[i]),
-                     _fmt(table.noise_sq_hat[i]), _fmt(pipe.noise.true_noise_sq[i]),
-                     _fmt(table.signal_sq_hat[i]), _fmt(x_sq[i])])
+    rows = list(zip(range(len(y_sq)), pipe.sample.radius_labels, y_sq, table.noise_sq_hat,
+                    pipe.noise.true_noise_sq, table.signal_sq_hat, x_sq))
     return header, rows, [pipe.solution.residual]
 
 
@@ -273,7 +264,7 @@ def _fig6(config):
     acc_corr = inference.knn_recovery_accuracy(table.corrected_dists, clean, k_max)
     acc_noisy = inference.knn_recovery_accuracy(noisy, clean, k_max)
     header = ["k", "corrected_accuracy", "noisy_accuracy"]
-    rows = [[k + 1, _fmt(acc_corr[k]), _fmt(acc_noisy[k])] for k in range(k_max)]
+    rows = list(zip(range(1, k_max + 1), acc_corr, acc_noisy))
     return header, rows, [pipe.solution.residual]
 
 
@@ -326,11 +317,9 @@ def _fig8(config):
         seed=config.seed, s=config.s,
         cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
     header = ["index", "label", "total_count", "inv_count", "noise_sq_hat"]
-    rows = []
     cm = result["counts"]
-    for i in range(len(cm.totals)):
-        rows.append([i, cm.labels[i], int(cm.totals[i]),
-                     _fmt(1.0 / cm.totals[i]), _fmt(result["noise_sq_hat"][i])])
+    rows = list(zip(range(len(cm.totals)), cm.labels, map(int, cm.totals),
+                    1.0 / cm.totals, result["noise_sq_hat"]))
     return header, rows, [result["solution"].residual]
 
 

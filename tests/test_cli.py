@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,70 @@ def test_scrna_non_utf8_labels_are_a_one_line_error(labelled_counts, tmp_path, c
                 "--epsilon", "0.0002", "--out", str(tmp_path / "scrna.csv")])
     assert code == 1
     assert one_line_error(capsys).startswith("error: line 3: not utf-8 text")
+
+
+@pytest.mark.parametrize("rows, line", [
+    (lambda labels: [f"{c},x" for c in labels[:-1]] + [str(labels[-1])], 1),  # ragged
+    (lambda labels: [f"{c},x" for c in labels], 1),  # two columns
+    (lambda labels: ["# labels", ""] + [str(c) for c in labels[:4]] + ["0,x"]
+     + [str(c) for c in labels[5:]], 7),
+], ids=["ragged", "two-columns", "one-row"])
+def test_scrna_labels_need_one_field_per_row(labelled_counts, tmp_path, capsys, rows, line):
+    mtx, labels_path = labelled_counts
+    labels = labels_path.read_text().split()
+    labels_path.write_text("\n".join(rows(labels)) + "\n")
+    code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                "--epsilon", "0.0002", "--out", str(tmp_path / "scrna.csv"),
+                "--transitions-out", str(tmp_path / "transitions.csv")])
+    assert code == 1
+    assert one_line_error(capsys) == f"error: line {line}: expected one label, found 2 fields\n"
+
+
+def read_bench_table(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# experiment=")
+    return list(csv.DictReader(lines[1:]))
+
+
+@pytest.mark.parametrize("figure, flags, header, n_rows", [
+    ("fig1", ["--noise", "none"],
+     ["noise", "index", "angle", "true_density", "kde", "dskde_s2"], 2000),
+    ("fig4", [], ["index", "radius", "noisy_sq_norm", "noise_sq_hat", "true_noise_sq",
+                  "signal_sq_hat", "true_signal_sq"], 1000),
+    ("fig7", ["--sweep-param", "n", "--sweep", "150", "200", "--repeats", "1",
+              "--noise", "none"],
+     ["n", "noise", "family", "mean_max_error", "std_max_error", "status"], 4),
+])
+def test_bench_figure_tables(tmp_path, figure, flags, header, n_rows):
+    out = tmp_path / f"{figure}.csv"
+    assert run(["bench", figure, *flags, "--out", str(out)]) == 0
+    rows = read_bench_table(out)
+    assert list(rows[0]) == header
+    assert len(rows) == n_rows
+    values = [float(v) for row in rows for k, v in row.items()
+              if k not in ("noise", "family", "status")]
+    assert np.all(np.isfinite(values))
+    assert all(row.get("status", "ok") == "ok" for row in rows)
+
+
+def test_bench_records_a_failed_sweep_point(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert run(["bench", "fig3", "--sweep", "4", "--repeats", "1", "--noise", "none",
+                "--out", str(out)]) == 0
+    rows = read_bench_table(out)
+    assert len(rows) == 4  # the KDE and three DS-KDE exponents
+    for row in rows:
+        assert row["status"] == "failed: scaling did not converge; refusing to assemble W"
+        assert row["mean_max_error"] == row["std_max_error"] == ""
+
+
+def test_unconverged_scale_is_a_one_line_error(simulated, tmp_path, capsys):
+    points, _ = simulated
+    code = run(["scale", "--input", str(points), "--epsilon", "0.1", "--max-iter", "1",
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert re.fullmatch(r"error: scaling stopped at residual \S+ after 1 iterations\n",
+                        one_line_error(capsys))
 
 
 def test_bench_subcommand(tmp_path):

@@ -120,3 +120,12 @@ def test_population_scaling_rejects_unresolvable_grid():
         density.solve_population_scaling_1d(fn, -0.1)
     with pytest.raises(ParameterError):
         density.solve_population_scaling_1d(lambda t: np.zeros_like(t), 0.05)
+
+
+def test_normalizing_a_raw_w_needs_epsilon():
+    _, scaled = scaled_circle(n=60)
+    with pytest.raises(ParameterError, match="needs epsilon"):
+        density.ds_kde(scaled.w, 2.0, dim=1)
+    raw = density.ds_kde(scaled.w, 2.0, epsilon=0.1, dim=1)
+    np.testing.assert_allclose(raw.normalized, density.ds_kde(scaled, 2.0, dim=1).normalized,
+                               rtol=1e-12)
