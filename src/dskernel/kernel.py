@@ -33,6 +33,12 @@ _LOG_EPS = np.log(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
 
 
+def _row_blocks(n):
+    """Row slices of an n x n matrix, each about _BLOCK_ENTRIES entries."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return (slice(r, r + rows) for r in range(0, n, rows))
+
+
 class KernelOperator:
     """Row reductions of a matrix A, given as log A, against weights e^u.
 
@@ -85,10 +91,6 @@ class KernelOperator:
             self.absorb(u)
         return np.exp(u - self._b)
 
-    def _row_blocks(self):
-        rows = max(1, _BLOCK_ENTRIES // self.n)
-        return (slice(r, r + rows) for r in range(0, self.n, rows))
-
     def row_lse(self, u):
         """log sum_j A_ij e^(u_j), one matrix-vector product."""
         g = self._weights(u)
@@ -131,11 +133,11 @@ class KernelOperator:
                 and log_n + s * ABSORB_THRESHOLD < _LOG_EPS - _LOG_TINY):
             g_s = self._weights(u) ** s
             sums = np.empty(self.n)
-            for rows in self._row_blocks():
+            for rows in _row_blocks(self.n):
                 sums[rows] = self._mat[rows] ** s @ g_s
             return np.log(sums) + s * self._m
         lse = np.empty(self.n)
-        for rows in self._row_blocks():
+        for rows in _row_blocks(self.n):
             lse[rows] = logsumexp(s * (self.log_a[rows] + u), axis=1)
         return lse
 
@@ -146,7 +148,7 @@ class KernelOperator:
         """
         g = self._weights(u)
         acc = np.empty(self.n)
-        for rows in self._row_blocks():
+        for rows in _row_blocks(self.n):
             mat = self._mat[rows]
             t = self.log_a[rows] + u
             t += u[rows, None]  # log p_ij
@@ -202,18 +204,23 @@ def pairwise_sq_dists(points):
 
     The points are centered first, since distances do not depend on the
     origin and a common offset would cancel catastrophically in the expanded
-    form. Negative values from floating-point cancellation are clamped at
-    zero and the upper triangle is mirrored so symmetry is exact.
+    form. The result is built in the one n x n buffer of the Gram matrix,
+    which numpy computes with syrk and so exactly symmetric; adding
+    sq_i + sq_j as one term keeps it so. Negative values from floating-point
+    cancellation are clamped at zero.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ParameterError("need at least two points")
     points = points - points.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", points, points)
-    d = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d, 0.0, out=d)
-    d = np.triu(d, 1)
-    d = d + d.T
+    d = points @ points.T
+    d *= -2.0
+    for rows in _row_blocks(len(d)):
+        block = d[rows]
+        block += sq_norms[rows, None] + sq_norms[None, :]
+        np.maximum(block, 0.0, out=block)
+    np.fill_diagonal(d, 0.0)
     return d
 
 

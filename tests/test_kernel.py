@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from dskernel import kernel, laplacian
+from dskernel import counts, geometry, kernel, laplacian
 from dskernel.errors import ParameterError
 
 
@@ -79,3 +79,27 @@ def test_pairwise_sq_dists_accurate_on_offset_data():
     expected = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
     off = ~np.eye(50, dtype=bool)
     assert (np.abs(got[off] - expected[off]) / expected[off]).max() <= 1e-6
+
+
+def _expanded_form_with_mirror(points):
+    """The earlier pairwise_sq_dists: the broadcast sum over the whole matrix,
+    then the upper triangle mirrored."""
+    points = points - points.mean(axis=0)
+    sq = np.einsum("ij,ij->i", points, points)
+    d = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d, 0.0, out=d)
+    d = np.triu(d, 1)
+    return d + d.T
+
+
+def test_pairwise_sq_dists_in_one_buffer_is_bit_identical():
+    # n = 600 spans two row blocks
+    sample = geometry.sample_circle(600, 0.16 * np.pi**2, seed=1)
+    sample = geometry.embed_orthogonal(sample, 600, seed=2)
+    noisy = geometry.apply_noise(sample, "varying_ball", seed=3).noisy_points
+    cm = counts.synth_poisson_counts(600, 2000, seed=4)
+    y, _ = counts.normalize_counts(cm)
+    for points in (noisy, y):
+        d = kernel.pairwise_sq_dists(points)
+        assert np.array_equal(d, _expanded_form_with_mirror(points))
+        assert np.array_equal(d, d.T)
