@@ -11,8 +11,7 @@ from .geometry import (ManifoldSample, NoiseRealization, apply_noise,
                        embed_orthogonal, sample_circle, sample_two_circles,
                        test_function_and_laplacian, wrapped_normal_density)
 from .harness import ExperimentConfig, circle_pipeline, run_experiment
-from .inference import (EstimateTable, corrected_dists_from_affinity,
-                        knn_recovery_accuracy, noise_magnitude,
+from .inference import (EstimateTable, knn_recovery_accuracy, noise_magnitude,
                         signal_magnitude_and_distances)
 from .kernel import (AffinityMatrix, KernelOperator, gaussian_kernel,
                      pairwise_sq_dists, standard_kde)
@@ -28,8 +27,7 @@ __all__ = [
     "MarkovFamily",
     "NoiseRealization", "ParameterError", "ParseError", "PopulationScaling",
     "S_LIMIT", "ScaledMatrix", "ScalingSolution", "apply_laplacian",
-    "apply_noise", "assemble_W", "circle_pipeline",
-    "corrected_dists_from_affinity", "ds_kde",
+    "apply_noise", "assemble_W", "circle_pipeline", "ds_kde",
     "embed_orthogonal", "gaussian_kernel", "ingest_counts",
     "knn_recovery_accuracy", "noise_magnitude", "normalization_constant",
     "normalize_counts", "operator_error", "pairwise_sq_dists", "robust_markov",

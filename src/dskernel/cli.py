@@ -180,11 +180,12 @@ def _cmd_denoise(args):
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
     affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
-    qhat = density_mod.ds_kde(assemble_W(affinity, solution), args.s)
+    scaled = assemble_W(affinity, solution)
+    qhat = density_mod.ds_kde(scaled, args.s)
     nhat = inference.noise_magnitude(solution, qhat, args.epsilon,
                                      debias=args.debias, dim=args.dim)
     table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
-                                                     args.dim)
+                                                     args.dim, scaled=scaled)
     _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
                zip(range(len(nhat)), nhat, table.signal_sq_hat, truth))
     if args.dists_out:

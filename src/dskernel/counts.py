@@ -174,17 +174,22 @@ def _read_labels(source):
 
 
 def read_labels(path):
-    """The string labels of a file with one field per row.
+    """The string labels, stripped, of a file with one field per row.
 
     Raises ParseError at the first line with another field count (the first
-    line if every row has two), or at a byte that does not decode.
+    line if every row has two), at a byte that does not decode, or at the
+    first label that is empty once stripped.
     """
     try:
-        return _read_labels(path)
+        labels = np.char.strip(_read_labels(path))
     except ValueError:  # UnicodeDecodeError included
         lineno, text = first_rejected_row(_read_labels, data_rows(path))
         fields = len(text.split("#", 1)[0].split(","))
         raise ParseError(f"expected one label, found {fields} fields", line=lineno) from None
+    empty = np.flatnonzero(labels == "")
+    if len(empty):
+        raise ParseError("empty label", line=data_rows(path)[empty[0]][0])
+    return labels
 
 
 def normalize_counts(counts):

@@ -238,7 +238,7 @@ def _estimate_table(pipe, s):
     qhat = density.ds_kde(pipe.scaled, s)
     nhat = inference.noise_magnitude(pipe.solution, qhat, eps)
     return inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, eps, s, pipe.sample.intrinsic_dim)
+        pipe.noise.noisy_points, nhat, eps, s, pipe.sample.intrinsic_dim, scaled=pipe.scaled)
 
 
 def _fig4(config):

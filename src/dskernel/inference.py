@@ -1,5 +1,8 @@
 """Noise magnitudes, signal magnitudes, corrected distances, and
 nearest-neighbor recovery scoring.
+
+Corrected distances of a scaled kernel are read off its log K, which already
+holds -D/eps; the pairwise-distance route serves callers without one.
 """
 
 from dataclasses import dataclass
@@ -57,46 +60,45 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     return nhat
 
 
-def corrected_dists_from_affinity(scaled, qhat, epsilon=None):
-    """Corrected distances straight from W: -eps*log((n-1) sqrt(q_i) W_ij sqrt(q_j)).
-
-    Algebraically identical to the subtraction form given the matching noise
-    estimates; kept as an independent route for cross-checking. Built as
-    -eps * (h_i + h_j + log K_ij) with h = (log(n-1) + log q) / 2 + log d, in
-    one n x n array that is exactly symmetric.
-    """
-    epsilon = scaled.epsilon if epsilon is None else epsilon
-    raw = raw_density(qhat)
-    half = 0.5 * (np.log(scaled.n - 1) + np.log(raw)) + scaled.log_d
-    d = scaled.operator.weighted_log(half)
-    d *= -epsilon
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
                                    scaled=None, qhat=None):
     """Fill an EstimateTable from noisy points and noise magnitude estimates.
 
-    When ``scaled`` and ``qhat`` are supplied, the affinity-based form of the
-    corrected distances is computed as well and verified to agree with the
-    subtraction form to 1e-8. The check holds for undebiased estimates only.
+    Signal magnitudes are ||y_i||^2 - N_i. With ``scaled``, the W of the
+    kernel at ``epsilon``, the corrected distances D_ij - N_i - N_j are read
+    off the kernel, whose log K is -D/eps off the diagonal: they are
+    -eps * (N_i/eps + N_j/eps + log K_ij), one n x n array, exactly symmetric.
+    Without ``scaled`` they are computed from ``pairwise_sq_dists``.
+
+    With ``scaled`` and ``qhat``, the noise estimates are also checked against
+    the affinity form -eps*log((n-1) sqrt(q_i) W_ij sqrt(q_j)): off the
+    diagonal the two differ by delta_i + delta_j with
+    delta = N - eps*(log d + log((n-1) q)/2), so the check takes the largest
+    |delta_i + delta_j| over i != j in O(n) and raises past 1e-8. It holds
+    for undebiased estimates only.
     """
     noisy_points = np.asarray(noisy_points, dtype=float)
     nhat = np.asarray(nhat, dtype=float)
-    if noisy_points.shape[0] != nhat.shape[0]:
+    n = len(nhat)
+    if noisy_points.shape[0] != n or (scaled is not None and scaled.n != n):
         raise ParameterError("noisy_points and noise estimates disagree in length")
     sq_norms = np.einsum("ij,ij->i", noisy_points, noisy_points)
     signal = sq_norms - nhat
-    corrected = pairwise_sq_dists(noisy_points)
-    # grouping the noise terms keeps the matrix exactly symmetric
-    corrected -= nhat[:, None] + nhat[None, :]
+    if scaled is None:
+        corrected = pairwise_sq_dists(noisy_points)
+        # grouping the noise terms keeps the matrix exactly symmetric
+        corrected -= nhat[:, None] + nhat[None, :]
+    else:
+        if scaled.epsilon != epsilon:
+            raise ParameterError(f"W is of the kernel at epsilon {scaled.epsilon}, "
+                                 f"not {epsilon}")
+        corrected = scaled.operator.weighted_log(nhat / epsilon)
+        corrected *= -epsilon
     np.fill_diagonal(corrected, 0.0)
     if scaled is not None and qhat is not None:
-        alt = corrected_dists_from_affinity(scaled, qhat, epsilon)
-        alt -= corrected  # both diagonals are zero
-        np.abs(alt, out=alt)
-        gap = alt.max()
+        half = 0.5 * np.log((n - 1) * raw_density(qhat))
+        delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, n - 2))
+        gap = max(abs(delta[0] + delta[1]), abs(delta[-2] + delta[-1]))
         if gap > 1e-8:
             raise ParameterError(
                 f"affinity-form distances disagree with subtraction form by {gap:.2e}")

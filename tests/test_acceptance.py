@@ -242,10 +242,10 @@ def test_criterion_10_exact_invariants():
     sq = (pipe.noise.noisy_points**2).sum(axis=1)
     checks["signal-noise-identity"] = np.abs(
         table.signal_sq_hat + table.noise_sq_hat - sq).max() < 1e-12
-    alt = inference.corrected_dists_from_affinity(pipe.scaled, qhat)
-    off = ~np.eye(300, dtype=bool)
+    alt = inference.signal_magnitude_and_distances(
+        pipe.noise.noisy_points, nhat, EPSILON, S, DIM, scaled=pipe.scaled, qhat=qhat)
     checks["distance-forms-agree"] = np.abs(
-        alt[off] - table.corrected_dists[off]).max() < 1e-8
+        alt.corrected_dists - table.corrected_dists).max() < 1e-8
 
     # alpha = 0.5 returns W itself
     checks["alpha-half-identity"] = (

@@ -116,6 +116,15 @@ def test_labels_reader_takes_one_field_per_row(tmp_path):
         counts.read_labels(path)
 
 
+def test_labels_reader_strips_labels_and_rejects_empty_ones(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("b\n\na # first\n")
+    np.testing.assert_array_equal(counts.read_labels(path), ["b", "a"])
+    path.write_text(" b \n\n  # none\na\n")
+    with pytest.raises(ParseError, match="^line 3: empty label$"):
+        counts.read_labels(path)
+
+
 def test_writer_formats_float_cells_and_leaves_the_rest(tmp_path):
     path = tmp_path / "table.csv"
     geometry._write_csv(path, ["a", "b", "c", "d", "e", "f", "g"],

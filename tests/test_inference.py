@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dskernel import density, geometry, inference, kernel, scaling
+from dskernel import cli, density, geometry, harness, inference, kernel, laplacian, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 
 SIGMA_SQ = 0.16 * np.pi**2
@@ -58,12 +62,10 @@ def test_affinity_and_subtraction_distance_forms_agree():
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
     sub = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0)
-    alt = inference.corrected_dists_from_affinity(scaled, qhat, 0.1)
-    off = ~np.eye(400, dtype=bool)
-    assert np.abs(alt[off] - sub.corrected_dists[off]).max() < 1e-8
-    # the cross-checking constructor path must accept its own output
-    inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
-                                             scaled=scaled, qhat=qhat)
+    # the kernel route, with the affinity-form check of the noise estimates
+    alt = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+                                                   scaled=scaled, qhat=qhat)
+    assert np.abs(alt.corrected_dists - sub.corrected_dists).max() < 1e-8
 
 
 def test_corrected_distance_diagonal_is_zeroed():
@@ -85,8 +87,10 @@ def test_noise_magnitude_input_validation():
     with pytest.raises(ParameterError):
         # a bare array does not say which exponent's bias to subtract
         inference.noise_magnitude(sol, qhat.raw, 0.1, debias=True, dim=1)
+    nhat = inference.noise_magnitude(sol, qhat, 0.1)
     with pytest.raises(ParameterError):
-        inference.corrected_dists_from_affinity(scaled, np.zeros(100), 0.1)
+        inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+                                                 scaled=scaled, qhat=np.zeros(100))
     bad = scaling.ScalingSolution(log_d=sol.log_d, residual=1.0, iterations=1,
                                   converged=False)
     with pytest.raises(ConvergenceError):
@@ -141,3 +145,97 @@ def test_corrected_distances_improve_knn_under_noise():
     acc_corrected = inference.knn_recovery_accuracy(table.corrected_dists, clean, k)[-1]
     acc_noisy = inference.knn_recovery_accuracy(noisy, clean, k)[-1]
     assert acc_corrected > acc_noisy
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.floats(1.0, 5.0), debias=st.booleans())
+def test_kernel_route_matches_pairwise_route(n, dim, seed, epsilon, debias):
+    points = np.random.default_rng(seed).normal(size=(n, dim))
+    sq = kernel.pairwise_sq_dists(points)
+    aff = kernel.gaussian_kernel(sq, epsilon)
+    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
+    assert sol.converged
+    scaled = scaling.assemble_W(aff, sol)
+    qhat = density.ds_kde(scaled, 2.0)
+    nhat = inference.noise_magnitude(sol, qhat, epsilon, debias=debias, dim=dim)
+    pairwise = inference.signal_magnitude_and_distances(points, nhat, epsilon, 2.0, dim)
+    # the affinity-form check holds for undebiased estimates only
+    got = inference.signal_magnitude_and_distances(
+        points, nhat, epsilon, 2.0, dim, scaled=scaled, qhat=None if debias else qhat)
+    d = got.corrected_dists
+    # both routes round relative to the distances and the noise estimates
+    scale = max(sq.max(), np.abs(nhat).max())
+    assert np.abs(d - pairwise.corrected_dists).max() <= 1e-14 * scale
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.array_equal(got.signal_sq_hat, pairwise.signal_sq_hat)
+
+
+def test_affinity_check_gap_is_the_dense_gap():
+    """The O(n) check reports the largest off-diagonal gap between the
+    corrected distances and the dense affinity form
+    -eps * (h_i + h_j + log K_ij), h = log((n-1) q)/2 + log d."""
+    n, epsilon = 200, 0.1
+    sample, aff, sol, scaled = clean_circle_pipeline(n=n, m=100, epsilon=epsilon, seed=10)
+    qhat = density.ds_kde(scaled, 2.0)
+    nhat = inference.noise_magnitude(sol, qhat, epsilon)
+    h = 0.5 * np.log((n - 1) * qhat.raw) + sol.log_d
+    affinity_form = -epsilon * (h[:, None] + h[None, :] + aff.log_entries)
+    off = ~np.eye(n, dtype=bool)
+    debiased = inference.noise_magnitude(sol, qhat, epsilon, debias=True, dim=1)
+    jittered = nhat + np.random.default_rng(0).normal(scale=1e-4, size=n)
+    for est in (debiased, jittered):
+        pairwise = inference.signal_magnitude_and_distances(sample.clean_points, est,
+                                                            epsilon, 2.0)
+        dense_gap = np.abs(affinity_form - pairwise.corrected_dists)[off].max()
+        with pytest.raises(ParameterError, match="disagree with subtraction form") as exc:
+            inference.signal_magnitude_and_distances(sample.clean_points, est, epsilon,
+                                                     2.0, scaled=scaled, qhat=qhat)
+        # the message carries the gap to three digits
+        assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(dense_gap, rel=5e-3)
+    assert abs(dense_gap) > 1e-6  # the jitter is far above the 1e-8 threshold
+
+
+def count_pairwise_calls(monkeypatch):
+    """Count the calls of pairwise_sq_dists made through any dskernel namespace."""
+    original = kernel.pairwise_sq_dists
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "dskernel"
+                and getattr(module, "pairwise_sq_dists", None) is original):
+            monkeypatch.setattr(module, "pairwise_sq_dists", counted)
+    return calls
+
+
+def test_denoise_computes_pairwise_distances_once(monkeypatch, tmp_path):
+    n, epsilon, s = 200, 0.1, 2.0
+    pipe = harness.circle_pipeline(n, n, epsilon, "varying_ball", seed=11)
+    points = pipe.noise.noisy_points
+    f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
+    calls = count_pairwise_calls(monkeypatch)
+    # the dskernel denoise API sequence followed by both Laplacians
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
+    sol = scaling.sinkhorn_symmetric(aff)
+    scaled = scaling.assemble_W(aff, sol)
+    qhat = density.ds_kde(scaled, s, dim=1)
+    nhat = inference.noise_magnitude(sol, qhat, epsilon)
+    inference.signal_magnitude_and_distances(points, nhat, epsilon, s, 1,
+                                             scaled=scaled, qhat=qhat)
+    for fam in (laplacian.robust_markov(scaled, qhat, 1.0),
+                laplacian.traditional_markov(aff, 1.0)):
+        laplacian.operator_error(fam, f, lap_f, epsilon)
+    assert calls == [n]
+    # the harness table behind fig4 and fig6 reuses the pipeline's kernel
+    harness._estimate_table(pipe, s)
+    assert calls == [n]
+    path = tmp_path / "points.csv"
+    np.savetxt(path, points, delimiter=",")
+    assert cli.main(["denoise", "--input", str(path), "--epsilon", str(epsilon),
+                     "--out", str(tmp_path / "est.csv")]) == 0
+    assert calls == [n, n]
