@@ -174,11 +174,10 @@ def _read_labels(source):
 
 
 def read_labels(path):
-    """The string labels, stripped, of a file with one field per row.
+    """The stripped string labels of a file with one field per row.
 
     Raises ParseError at the first line with another field count (the first
-    line if every row has two), at a byte that does not decode, or at the
-    first label that is empty once stripped.
+    line if every row has two), a byte that does not decode, or an empty label.
     """
     try:
         labels = np.char.strip(_read_labels(path))
@@ -186,9 +185,8 @@ def read_labels(path):
         lineno, text = first_rejected_row(_read_labels, data_rows(path))
         fields = len(text.split("#", 1)[0].split(","))
         raise ParseError(f"expected one label, found {fields} fields", line=lineno) from None
-    empty = np.flatnonzero(labels == "")
-    if len(empty):
-        raise ParseError("empty label", line=data_rows(path)[empty[0]][0])
+    if "" in labels:
+        raise ParseError("empty label", line=data_rows(path)[np.argmax(labels == "")][0])
     return labels
 
 

@@ -1,8 +1,5 @@
 """Noise magnitudes, signal magnitudes, corrected distances, and
-nearest-neighbor recovery scoring.
-
-Corrected distances of a scaled kernel are read off its log K, which already
-holds -D/eps; the pairwise-distance route serves callers without one.
+nearest-neighbor recovery scoring. Corrected distances are read off log K.
 """
 
 from dataclasses import dataclass
@@ -64,23 +61,15 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
                                    scaled=None, qhat=None):
     """Fill an EstimateTable from noisy points and noise magnitude estimates.
 
-    Signal magnitudes are ||y_i||^2 - N_i. With ``scaled``, the W of the
-    kernel at ``epsilon``, the corrected distances D_ij - N_i - N_j are read
-    off the kernel, whose log K is -D/eps off the diagonal: they are
-    -eps * (N_i/eps + N_j/eps + log K_ij), one n x n array, exactly symmetric.
-    Without ``scaled`` they are computed from ``pairwise_sq_dists``.
-
-    With ``scaled`` and ``qhat``, the noise estimates are also checked against
-    the affinity form -eps*log((n-1) sqrt(q_i) W_ij sqrt(q_j)): off the
-    diagonal the two differ by delta_i + delta_j with
-    delta = N - eps*(log d + log((n-1) q)/2), so the check takes the largest
-    |delta_i + delta_j| over i != j in O(n) and raises past 1e-8. It holds
-    for undebiased estimates only.
+    With ``scaled``, W of the kernel at ``epsilon``, the corrected distances
+    D_ij - N_i - N_j are read off log K = -D/eps; without it they come from
+    ``pairwise_sq_dists``. With ``qhat`` too, the estimates must agree with the
+    affinity form to 1e-8 (undebiased ones only), checked in O(n): the forms
+    differ by delta_i + delta_j, delta = N - eps*(log d + log((n-1) q)/2).
     """
     noisy_points = np.asarray(noisy_points, dtype=float)
     nhat = np.asarray(nhat, dtype=float)
-    n = len(nhat)
-    if noisy_points.shape[0] != n or (scaled is not None and scaled.n != n):
+    if noisy_points.shape[0] != nhat.shape[0]:
         raise ParameterError("noisy_points and noise estimates disagree in length")
     sq_norms = np.einsum("ij,ij->i", noisy_points, noisy_points)
     signal = sq_norms - nhat
@@ -90,18 +79,17 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
         corrected -= nhat[:, None] + nhat[None, :]
     else:
         if scaled.epsilon != epsilon:
-            raise ParameterError(f"W is of the kernel at epsilon {scaled.epsilon}, "
-                                 f"not {epsilon}")
+            raise ParameterError(f"W's kernel is at epsilon {scaled.epsilon}, not {epsilon}")
         corrected = scaled.operator.weighted_log(nhat / epsilon)
         corrected *= -epsilon
+        if qhat is not None:
+            half = 0.5 * np.log((scaled.n - 1) * raw_density(qhat))
+            delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, -2))
+            gap = max(abs(delta[0] + delta[1]), abs(delta[-2] + delta[-1]))
+            if gap > 1e-8:
+                raise ParameterError(
+                    f"affinity-form distances disagree with subtraction form by {gap:.2e}")
     np.fill_diagonal(corrected, 0.0)
-    if scaled is not None and qhat is not None:
-        half = 0.5 * np.log((n - 1) * raw_density(qhat))
-        delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, n - 2))
-        gap = max(abs(delta[0] + delta[1]), abs(delta[-2] + delta[-1]))
-        if gap > 1e-8:
-            raise ParameterError(
-                f"affinity-form distances disagree with subtraction form by {gap:.2e}")
     return EstimateTable(noise_sq_hat=nhat, signal_sq_hat=signal,
                          corrected_dists=corrected, epsilon=epsilon, s=s, dim=dim)
 

@@ -34,8 +34,7 @@ _BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
 
 
 def _row_blocks(n):
-    """Row slices of an n x n matrix, each about _BLOCK_ENTRIES entries."""
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = max(1, _BLOCK_ENTRIES // n)  # row slices of about _BLOCK_ENTRIES entries
     return (slice(r, r + rows) for r in range(0, n, rows))
 
 
@@ -204,10 +203,9 @@ def pairwise_sq_dists(points):
 
     The points are centered first, since distances do not depend on the
     origin and a common offset would cancel catastrophically in the expanded
-    form. The result is built in the one n x n buffer of the Gram matrix,
-    which numpy computes with syrk and so exactly symmetric; adding
-    sq_i + sq_j as one term keeps it so. Negative values from floating-point
-    cancellation are clamped at zero.
+    form. It is built in the Gram matrix's buffer: numpy computes X X^T with
+    syrk, exactly symmetric, and adding sq_i + sq_j as one term keeps it so.
+    Negative values from floating-point cancellation are clamped at zero.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:

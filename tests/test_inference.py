@@ -91,6 +91,11 @@ def test_noise_magnitude_input_validation():
     with pytest.raises(ParameterError):
         inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
                                                  scaled=scaled, qhat=np.zeros(100))
+    # the kernel route needs the kernel at the estimates' bandwidth
+    for other, epsilon in ((scaled, 0.2), (scaling.ScaledMatrix.from_linear(scaled.w), 0.1)):
+        with pytest.raises(ParameterError, match="kernel is at epsilon"):
+            inference.signal_magnitude_and_distances(sample.clean_points, nhat, epsilon, 2.0,
+                                                     scaled=other)
     bad = scaling.ScalingSolution(log_d=sol.log_d, residual=1.0, iterations=1,
                                   converged=False)
     with pytest.raises(ConvergenceError):
@@ -184,17 +189,18 @@ def test_affinity_check_gap_is_the_dense_gap():
     affinity_form = -epsilon * (h[:, None] + h[None, :] + aff.log_entries)
     off = ~np.eye(n, dtype=bool)
     debiased = inference.noise_magnitude(sol, qhat, epsilon, debias=True, dim=1)
-    jittered = nhat + np.random.default_rng(0).normal(scale=1e-4, size=n)
-    for est in (debiased, jittered):
+    jitter = np.random.default_rng(0).normal(scale=1e-4, size=n)
+    # mirrored jitter puts the worst pair at the smallest delta, then the largest
+    for est in (debiased, nhat + jitter, nhat - jitter):
         pairwise = inference.signal_magnitude_and_distances(sample.clean_points, est,
                                                             epsilon, 2.0)
         dense_gap = np.abs(affinity_form - pairwise.corrected_dists)[off].max()
+        assert dense_gap > 1e-6  # far above the 1e-8 threshold
         with pytest.raises(ParameterError, match="disagree with subtraction form") as exc:
             inference.signal_magnitude_and_distances(sample.clean_points, est, epsilon,
                                                      2.0, scaled=scaled, qhat=qhat)
         # the message carries the gap to three digits
         assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(dense_gap, rel=5e-3)
-    assert abs(dense_gap) > 1e-6  # the jitter is far above the 1e-8 threshold
 
 
 def count_pairwise_calls(monkeypatch):

@@ -82,8 +82,8 @@ def test_pairwise_sq_dists_accurate_on_offset_data():
 
 
 def _expanded_form_with_mirror(points):
-    """The earlier pairwise_sq_dists: the broadcast sum over the whole matrix,
-    then the upper triangle mirrored."""
+    """Reference: the broadcast expanded form over the whole matrix, clamped,
+    with its upper triangle mirrored."""
     points = points - points.mean(axis=0)
     sq = np.einsum("ij,ij->i", points, points)
     d = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
