@@ -28,13 +28,24 @@ def _parse_s(text):
     return float(text)
 
 
+def _nonnegative_int(text):
+    """A seed or a per-class cell count: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _add_simulate(sub):
     p = sub.add_parser("simulate", help="generate a synthetic circle dataset")
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--m", type=int, default=2000)
     p.add_argument("--noise", default="none", choices=geometry.NOISE_MODELS)
     p.add_argument("--two-circles", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="points CSV path")
     p.add_argument("--sidecar", required=True, help="ground-truth sidecar CSV path")
 
@@ -85,7 +96,7 @@ def _add_laplacian(sub):
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--noise", default="none", choices=geometry.NOISE_MODELS)
     p.add_argument("--s", type=_parse_s, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
 
 
@@ -96,8 +107,8 @@ def _add_scrna(sub):
     p.add_argument("--labels", help="CSV with one label per row")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--s", type=_parse_s, default=2.0)
-    p.add_argument("--subsample", type=int, default=500, help="cells per class")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subsample", type=_nonnegative_int, default=500, help="cells per class")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--out", required=True)
@@ -108,7 +119,7 @@ def _add_bench(sub):
     p = sub.add_parser("bench", help="reproduce a benchmark figure's data as CSV")
     p.add_argument("figure", choices=harness.EXPERIMENTS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--s", type=_parse_s, default=2.0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .kernel import KernelOperator
-from .scaling import ScaledMatrix, _scale_log_matrix
+from .scaling import _scale_log_matrix
 
 S_LIMIT = "limit"
 
@@ -47,40 +47,29 @@ def normalization_constant(epsilon, dim, s):
     return (np.pi * epsilon) ** (dim / 2.0) * s ** (dim / (2.0 * (s - 1.0)))
 
 
-def ds_kde(w, s, epsilon=None, dim=None):
+def ds_kde(scaled, s, dim=None):
     """Doubly stochastic kernel density estimator with exponent ``s``.
 
-    q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1), with
-    log sum_j W_ij^s = s log d_i + log sum_j (K_ij d_j)^s from the operator.
-    ``s=S_LIMIT`` gives the s -> 1 limit, the row perplexity
+    q_hat_i = (sum_j W_ij^s)^(1/(1-s)) / (n-1) for the W of ``assemble_W``,
+    with log sum_j W_ij^s = s log d_i + log sum_j (K_ij d_j)^s from the
+    operator. ``s=S_LIMIT`` gives the s -> 1 limit, the row perplexity
     exp(-sum_j W_ij log W_ij) / (n-1): one pass over the operator's absorbed
-    matrix and log K, the excluded diagonal adding nothing. ``w`` is a
-    ScaledMatrix or a raw array (see ScaledMatrix.from_linear); at the limit
-    a raw array must be strictly positive off the diagonal.
+    matrix and log K, the excluded diagonal adding nothing. With ``dim`` the
+    estimate is also normalized at the kernel's bandwidth ``scaled.epsilon``.
     """
     if s != S_LIMIT and (s <= 0 or s == 1):
         raise ParameterError("s must be positive and different from 1")
-    scaled = ScaledMatrix.from_linear(w)
-    epsilon = scaled.epsilon if epsilon is None else epsilon
-    if dim is not None and epsilon is None:
-        raise ParameterError("normalizing a raw W needs epsilon: it has no bandwidth")
     log_d = scaled.log_d
     if s == S_LIMIT:
-        # from_linear rejected negative entries; the diagonal is excluded
-        if not isinstance(w, ScaledMatrix):
-            zero = np.asarray(w) == 0
-            np.fill_diagonal(zero, False)
-            if zero.any():
-                raise ParameterError("entropy limit requires strictly positive off-diagonal W")
         raw = np.exp(scaled.operator.row_entropy(log_d)) / (scaled.n - 1)
     else:
         log_power_sum = s * log_d + scaled.operator.power_lse(log_d, s)
         raw = np.exp(-np.log(scaled.n - 1) + log_power_sum / (1.0 - s))
     normalized = None
     if dim is not None:
-        normalized = raw / normalization_constant(epsilon, dim, s)
+        normalized = raw / normalization_constant(scaled.epsilon, dim, s)
     return DensityEstimate(raw=raw, normalized=normalized, s=s,
-                           epsilon=epsilon, intrinsic_dim=dim)
+                           epsilon=scaled.epsilon, intrinsic_dim=dim)
 
 
 def raw_density(qhat):

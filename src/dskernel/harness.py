@@ -16,6 +16,8 @@ from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
+# the quantity each sweeping figure varies; fig7 takes another as sweep_param
+_SWEEPS = {"fig3": "n", "fig5": "epsilon", "fig7": "epsilon"}
 # figures that always compare s = 0.5, 2 and the limit, whatever --s says
 _ALL_EXPONENTS = ("fig3", "fig5")
 
@@ -24,7 +26,7 @@ _ALL_EXPONENTS = ("fig3", "fig5")
 class ExperimentConfig:
     experiment: str
     sweep: list = None
-    sweep_param: str = None  # "n" or "epsilon"; defaulted per experiment
+    sweep_param: str = None  # "n" or "epsilon"; fig7 only
     repeats: int = 10
     seed: int = 0
     epsilon: float = 0.1
@@ -37,9 +39,22 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment {self.experiment!r}")
         if self.repeats < 1:
             raise ParameterError("repeats must be at least 1")
+        if self.sweep_param is not None and self.experiment != "fig7":
+            raise ParameterError(f"{self.experiment} takes no sweep parameter; only fig7 does")
         if self.sweep is not None:
-            if any(v <= 0 for v in self.sweep) or sorted(self.sweep) != list(self.sweep):
-                raise ParameterError("sweep values must be positive and sorted")
+            if self.experiment not in _SWEEPS:
+                raise ParameterError(
+                    f"{self.experiment} takes no sweep; only fig3, fig5 and fig7 do")
+            if (not all(0 < v < np.inf for v in self.sweep)
+                    or sorted(self.sweep) != list(self.sweep)):
+                raise ParameterError("sweep values must be positive, finite and sorted")
+            if self.sweep_kind == "n" and not all(float(v).is_integer() for v in self.sweep):
+                raise ParameterError(f"n sweep values must be whole numbers, got {self.sweep}")
+
+    @property
+    def sweep_kind(self):
+        """What the sweep varies, "n" or "epsilon"; None for a figure without one."""
+        return self.sweep_param or _SWEEPS.get(self.experiment)
 
 
 @dataclass
@@ -77,6 +92,8 @@ def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
 
     The seed is split into one stream each for sampling, embedding and noise.
     """
+    if two_circles and n % 2:
+        raise ParameterError(f"two circles need an even n, got {n}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     s_sample, s_embed, s_noise = seq.spawn(3)
     if two_circles:
@@ -173,13 +190,14 @@ def _fig1(config):
     return header, rows, residuals
 
 
-def _sweep(config, sweep_kind, default_sweep, noises, column, names, measure):
+def _sweep(config, default_sweep, noises, column, names, measure):
     """Mean and std over ``config.repeats`` circles of each ``measure(pipe)``
-    entry in ``names``, per sweep value and noise model.
+    entry in ``names``, per value of ``config.sweep_kind`` and noise model.
 
     A sweep point stops at its first failing repeat and records the failure
     in its rows' status.
     """
+    sweep_kind = config.sweep_kind
     header = [sweep_kind, "noise", column, "mean_max_error", "std_max_error", "status"]
     rows, residuals = [], []
     for value in config.sweep or default_sweep:
@@ -207,27 +225,26 @@ def _sweep(config, sweep_kind, default_sweep, noises, column, names, measure):
     return header, rows, residuals
 
 
-def _density_sweep(config, sweep_kind, default_sweep):
+def _density_sweep(config, default_sweep):
     s_values = [0.5, 2.0, density.S_LIMIT]
     names = ["kde"] + [_dskde_name(s) for s in s_values]
-    return _sweep(config, sweep_kind, default_sweep, _noise_settings(config), "method",
+    return _sweep(config, default_sweep, _noise_settings(config), "method",
                   names, lambda pipe: _density_errors(pipe, s_values,
                                                       pipe.sample.intrinsic_dim))
 
 
 def _fig3(config):
-    return _density_sweep(config, "n", [500, 1000, 2000, 3000])
+    return _density_sweep(config, [500, 1000, 2000, 3000])
 
 
 def _fig5(config):
-    return _density_sweep(config, "epsilon", [0.025, 0.05, 0.1, 0.2, 0.4])
+    return _density_sweep(config, [0.025, 0.05, 0.1, 0.2, 0.4])
 
 
 def _fig7(config):
-    sweep_kind = config.sweep_param or "epsilon"
-    default_sweep = [1000, 2000, 5000] if sweep_kind == "n" else [0.05, 0.1, 0.2, 0.4]
+    default_sweep = [1000, 2000, 5000] if config.sweep_kind == "n" else [0.05, 0.1, 0.2, 0.4]
     noises = [config.noise] if config.noise else ["none", "varying_ball"]
-    return _sweep(config, sweep_kind, default_sweep, noises, "family",
+    return _sweep(config, default_sweep, noises, "family",
                   ["robust", "traditional"],
                   lambda pipe: _laplacian_errors(pipe, config.s))
 

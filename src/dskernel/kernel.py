@@ -224,8 +224,8 @@ def pairwise_sq_dists(points):
 
 def gaussian_kernel(sq_dists, epsilon):
     """Build the log-domain Gaussian affinity exp(-dist^2/eps) with zero diagonal."""
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     sq_dists = np.asarray(sq_dists, dtype=float)
     log_entries = -sq_dists / epsilon
     np.fill_diagonal(log_entries, -np.inf)

@@ -12,7 +12,6 @@ import numpy as np
 from .density import raw_density
 from .errors import ParameterError
 from .kernel import log_degrees
-from .scaling import ScaledMatrix
 
 
 class MarkovFamily:
@@ -49,7 +48,7 @@ class MarkovFamily:
 
 
 def robust_markov(scaled, qhat, alpha):
-    """Density-compensated row-stochastic matrix built from W.
+    """Density-compensated row-stochastic matrix built from W (``assemble_W``).
 
     W is divided entrywise by (qhat_i qhat_j)^(alpha - 1/2) and row-normalized;
     the row factor cancels, so M = K diag(d q^-c) over its row sums. At
@@ -58,7 +57,6 @@ def robust_markov(scaled, qhat, alpha):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    scaled = ScaledMatrix.from_linear(scaled)
     if alpha == 0.5:
         return MarkovFamily(alpha, "robust", scaled=scaled)
     log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))

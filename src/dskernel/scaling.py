@@ -60,8 +60,8 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
     """
     if not max_iter >= 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     n = operator.n
     log_t = np.zeros(n) if log_targets is None else np.asarray(log_targets, float)
     row_lse = operator.row_lse
@@ -99,7 +99,7 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
     unique, so every start converges to the same scaling factors. The solve
     runs on ``affinity.operator`` and leaves it absorbed near the solution
     for the steps after it. ``max_iter`` below 1, a ``tol`` that is not
-    positive, or NaN or +inf in log K raises ParameterError.
+    positive and finite, or NaN or +inf in log K raises ParameterError.
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")
@@ -109,7 +109,7 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
 @dataclass(frozen=True)
 class ScaledMatrix:
     """Doubly stochastic W = diag(d) K diag(d), held as the kernel operator
-    of K and log d.
+    of K, log d and the kernel's bandwidth; ``assemble_W`` is its one builder.
 
     Every row reduction of W is a product with ``operator`` at the weights
     ``log_d``, for example W x = operator.matvec(log_d, x). The dense
@@ -120,25 +120,6 @@ class ScaledMatrix:
     operator: KernelOperator
     log_d: np.ndarray
     epsilon: float
-
-    @classmethod
-    def from_linear(cls, w):
-        """W given as a nonnegative array, its diagonal excluded and its
-        bandwidth unknown: the operator over log W with log d = 0. A
-        ScaledMatrix is returned as it is; the view ``w`` of a zero-diagonal
-        array is that array."""
-        if isinstance(w, cls):
-            return w
-        w = np.asarray(w, dtype=float)
-        if np.any(w < 0):
-            raise ParameterError("W entries must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)
-        np.fill_diagonal(log_w, -np.inf)
-        scaled = cls(operator=KernelOperator(log_w), log_d=np.zeros(len(w)), epsilon=None)
-        if not np.diagonal(w).any():
-            scaled.__dict__["w"] = w  # the cached view, already at hand
-        return scaled
 
     @property
     def n(self):

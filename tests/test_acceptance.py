@@ -251,9 +251,9 @@ def test_criterion_10_exact_invariants():
     checks["alpha-half-identity"] = (
         laplacian.robust_markov(pipe.scaled, qhat, 0.5).markov is pipe.scaled.w)
 
-    # uniform W estimates a unit density
-    uniform = np.full((40, 40), 1.0 / 39.0)
-    np.fill_diagonal(uniform, 0.0)
+    # uniform W, the scaling of a constant kernel, estimates a unit density
+    flat = kernel.AffinityMatrix(log_entries=np.zeros((40, 40)), epsilon=EPSILON)
+    uniform = scaling.assemble_W(flat, scaling.sinkhorn_symmetric(flat, tol=1e-12))
     checks["uniform-w-unit-density"] = np.abs(
         density.ds_kde(uniform, S).raw - 1.0).max() < 1e-12
 

@@ -173,9 +173,9 @@ def test_scrna_computes_the_ds_kde_once(labelled_counts, tmp_path, monkeypatch):
     exponents = []
     ds_kde = density.ds_kde
 
-    def counted(w, s, *args, **kwargs):
+    def counted(scaled, s, *args, **kwargs):
         exponents.append(s)
-        return ds_kde(w, s, *args, **kwargs)
+        return ds_kde(scaled, s, *args, **kwargs)
 
     monkeypatch.setattr(density, "ds_kde", counted)
     mtx, labels_path = labelled_counts
@@ -318,10 +318,11 @@ def test_missing_input_is_a_one_line_error(tmp_path, capsys):
 
 def test_bad_epsilon_is_reported(simulated, tmp_path, capsys):
     points, _ = simulated
-    code = run(["scale", "--input", str(points), "--epsilon", "-1",
-                "--out", str(tmp_path / "o.csv")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for bad in ("-1", "inf", "nan"):
+        code = run(["scale", "--input", str(points), "--epsilon", bad,
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "epsilon must be positive and finite" in one_line_error(capsys)
 
 
 def one_line_error(capsys):
@@ -333,7 +334,8 @@ def one_line_error(capsys):
 
 @pytest.mark.parametrize("flags, name", [(["--max-iter", "0"], "max_iter"),
                                          (["--max-iter", "-5"], "max_iter"),
-                                         (["--tol", "-1"], "tol")])
+                                         (["--tol", "-1"], "tol"),
+                                         (["--tol", "inf"], "tol")])
 def test_bad_solver_parameters_are_one_line_errors(simulated, tmp_path, capsys, flags, name):
     points, _ = simulated
     code = run(["scale", "--input", str(points), "--epsilon", "0.05",
@@ -376,6 +378,23 @@ def test_usage_error_exits_with_two():
     with pytest.raises(SystemExit) as exc:
         run(["scale"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--seed", "-1", "--out", "p.csv", "--sidecar", "s.csv"], "--seed"),
+    (["bench", "fig3", "--seed", "-1", "--out", "f.csv"], "--seed"),
+    (["laplacian", "--epsilon", "0.1", "--seed", "-3", "--out", "l.csv"], "--seed"),
+    (["scrna", "--input", "c.mtx", "--epsilon", "0.1", "--subsample", "-1",
+      "--out", "n.csv"], "--subsample"),
+    (["scrna", "--input", "c.mtx", "--epsilon", "0.1", "--seed", "-1", "--subsample", "5",
+      "--out", "n.csv"], "--seed")])
+def test_negative_seed_or_subsample_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be 0 or more, got -" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text, where", [("1,2\n3,x\n", "line 2: column 2"),

@@ -34,6 +34,27 @@ def test_experiment_config_validation():
         harness.ExperimentConfig(experiment="fig3", repeats=0)
     with pytest.raises(ParameterError):
         harness.ExperimentConfig(experiment="fig3", sweep=[100, 50])
+    # a sweep or sweep parameter that the figure would not read
+    for kwargs, message in [
+            ({"experiment": "fig1", "sweep": [0.1]}, "fig1 takes no sweep"),
+            ({"experiment": "fig4", "sweep": [0.1]}, "fig4 takes no sweep"),
+            ({"experiment": "fig6", "sweep": [0.1]}, "fig6 takes no sweep"),
+            ({"experiment": "fig8-synthetic", "sweep": [0.1]}, "fig8-synthetic takes no"),
+            ({"experiment": "fig3", "sweep_param": "epsilon"}, "fig3 takes no sweep param"),
+            ({"experiment": "fig5", "sweep_param": "n"}, "fig5 takes no sweep param"),
+            ({"experiment": "fig3", "sweep": [0.05, 0.1]}, "whole numbers"),
+            ({"experiment": "fig7", "sweep": [60.5], "sweep_param": "n"}, "whole numbers"),
+            ({"experiment": "fig5", "sweep": [0.1, np.inf]}, "finite")]:
+        with pytest.raises(ParameterError, match=message):
+            harness.ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_two_circles_need_an_even_n(n):
+    with pytest.raises(ParameterError, match=f"even n, got {n}"):
+        harness.circle_dataset(n, 10, two_circles=True)
+    sample, _ = harness.circle_dataset(n + 1, 10, two_circles=True)
+    assert sample.clean_points.shape == (n + 1, 10)
 
 
 def test_error_sweep_writes_deterministic_csv(tmp_path):

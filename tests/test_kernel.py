@@ -39,8 +39,9 @@ def test_gaussian_kernel_entries_and_diagonal():
 
 def test_gaussian_kernel_rejects_bad_epsilon():
     sq = kernel.pairwise_sq_dists(random_points(5, 2))
-    with pytest.raises(ParameterError):
-        kernel.gaussian_kernel(sq, 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            kernel.gaussian_kernel(sq, bad)
 
 
 def test_degrees_match_direct_sum():

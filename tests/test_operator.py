@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from dskernel import density, geometry, harness, kernel, laplacian, scaling
+from dskernel import density, geometry, harness, kernel, laplacian
 
 ALPHAS = (0.0, 0.25, 0.5, 1.0)
 RTOL = 1e-12
@@ -119,41 +119,6 @@ def test_markov_families_match_dense_log_domain(noisy_circle, alpha):
                                    dense_leave(markov, labels), rtol=RTOL)
         # the lazy dense view is the same matrix
         assert_rel(fam.markov, markov)
-
-
-def test_raw_array_runs_through_the_same_operator(noisy_circle):
-    pipe, f, labels = noisy_circle
-    raw_w = pipe.scaled.w.copy()
-    wrapped = scaling.ScaledMatrix.from_linear(raw_w)
-    assert isinstance(wrapped.operator, kernel.KernelOperator)
-    assert np.array_equal(wrapped.log_d, np.zeros(len(raw_w)))
-    assert wrapped.w is raw_w
-    with np.errstate(divide="ignore"):
-        log_w = np.log(raw_w)
-    np.fill_diagonal(log_w, -np.inf)
-    assert np.array_equal(wrapped.log_w, log_w)
-    for s in (0.5, 2.0, density.S_LIMIT):
-        np.testing.assert_allclose(density.ds_kde(raw_w, s).raw,
-                                   dense_ds_kde(log_w, s), rtol=RTOL)
-    qhat = density.ds_kde(raw_w, 2.0)
-    for alpha in ALPHAS:
-        fam = laplacian.robust_markov(raw_w, qhat, alpha)
-        markov = dense_robust(log_w, qhat.raw, alpha)
-        assert_rel(laplacian.apply_laplacian(fam, f, 0.05), 4.0 / 0.05 * (f - markov @ f))
-
-
-def test_raw_array_diagonal_is_excluded_at_alpha_half(noisy_circle):
-    # W's diagonal is excluded on every path, a given raw array included: at
-    # alpha = 1/2 M is the zero-diagonal W, not the caller's array
-    pipe, f, _ = noisy_circle
-    zero_diag = pipe.scaled.w
-    raw_w = zero_diag.copy()
-    np.fill_diagonal(raw_w, 0.3)
-    fam = laplacian.robust_markov(raw_w, density.ds_kde(raw_w, 2.0), 0.5)
-    assert_rel(fam.apply(f), zero_diag @ f)
-    assert_rel(laplacian.apply_laplacian(fam, f, 0.05), 4.0 / 0.05 * (f - zero_diag @ f))
-    assert fam.markov is not raw_w
-    assert not np.diagonal(fam.markov).any()
 
 
 def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_counts):

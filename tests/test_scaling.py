@@ -279,6 +279,10 @@ def test_rejects_tiny_matrices_and_bad_entries():
     bad = kernel.AffinityMatrix(log_entries=np.full((3, 3), np.nan), epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(bad)
+    log_k = aff.log_entries.copy()
+    log_k[3, 7] = log_k[7, 3] = np.inf
+    with pytest.raises(ParameterError, match=r"NaN or \+inf"):
+        scaling.sinkhorn_symmetric(kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1))
     two = kernel.AffinityMatrix(log_entries=aff.log_entries[:2, :2], epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(two)
@@ -286,7 +290,8 @@ def test_rejects_tiny_matrices_and_bad_entries():
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"max_iter": 0}, "max_iter"), ({"max_iter": -5}, "max_iter"),
-    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol")])
+    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
+    ({"tol": np.inf}, "tol")])
 def test_rejects_bad_solver_parameters(kwargs, name):
     with pytest.raises(ParameterError, match=name):
         scaling.sinkhorn_symmetric(circle_affinity(10, 0.1), **kwargs)
