@@ -12,8 +12,7 @@ the DS-KDE and both Markov families) is a product with one
 :class:`KernelOperator`. It holds K absorbed at a weight vector, so that each
 reduction is one BLAS product or one elementwise pass over a matrix whose
 rows peak at exactly 1 (absorption stabilization: Schmitzer, SIAM J. Sci.
-Comput. 41, 2019). Nothing here materializes K = exp(-dist^2/eps) itself
-until a caller asks for linear-domain output.
+Comput. 41, 2019). Nothing here materializes K = exp(-dist^2/eps) itself.
 """
 
 from dataclasses import dataclass
@@ -162,12 +161,6 @@ class KernelOperator:
         log_w = u[:, None] + u[None, :]
         log_w += self.log_a
         return log_w
-
-    def dense(self, u):
-        """The dense row-normalized A diag(e^u), for callers that ask for it."""
-        log_p = self.log_a + u[None, :]
-        log_p -= self.row_lse(u)[:, None]
-        return np.exp(log_p, out=log_p)  # -inf slots give exact zeros
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ the robust M f = W(q^-c f) / W(q^-c) with c = alpha - 1/2, which is W itself
 at alpha = 1/2, and the traditional M f = K(D^-alpha f) / K(D^-alpha).
 """
 
-from functools import cached_property
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -14,37 +16,16 @@ from .errors import ParameterError
 from .kernel import log_degrees
 
 
+@dataclass(frozen=True)
 class MarkovFamily:
-    """A row-stochastic matrix M from either the robust or traditional family.
-
-    M is held in operator form: W itself (``scaled``), or A diag(e^u)
-    normalized by its row sums for the kernel operator A of ``operator`` and
-    the column weights ``log_u``. ``apply`` multiplies by M through that
-    operator; ``markov`` is the dense M, computed on first use and kept.
+    """A row-stochastic n x n matrix M from either the robust or the traditional
+    family (``source_tag``), held as its product: ``apply(x)`` is M x for a
+    vector or an n x k block x, one product with a kernel operator.
     """
 
-    def __init__(self, alpha, source_tag, *, scaled=None, operator=None, log_u=None):
-        self.alpha = alpha
-        self.source_tag = source_tag  # "robust" or "traditional"
-        self._scaled = scaled
-        self._operator = operator
-        self._log_u = log_u
-
-    @property
-    def n(self):
-        return self._scaled.n if self._scaled is not None else self._operator.n
-
-    @cached_property
-    def markov(self):
-        if self._scaled is not None:
-            return self._scaled.w
-        return self._operator.dense(self._log_u)
-
-    def apply(self, x):
-        """M x for a vector or an n x k block x."""
-        if self._scaled is not None:
-            return self._scaled.matvec(x)
-        return self._operator.row_mean(self._log_u, x)
+    source_tag: str  # "robust" or "traditional"
+    n: int
+    apply: Callable
 
 
 def robust_markov(scaled, qhat, alpha):
@@ -52,15 +33,15 @@ def robust_markov(scaled, qhat, alpha):
 
     W is divided entrywise by (qhat_i qhat_j)^(alpha - 1/2) and row-normalized;
     the row factor cancels, so M = K diag(d q^-c) over its row sums. At
-    alpha = 0.5 the compensation vanishes and M is W itself, unnormalized;
-    its dense ``markov`` is ``scaled.w``.
+    alpha = 0.5 the compensation vanishes and M is W itself, unnormalized:
+    its product is ``scaled.matvec``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
     if alpha == 0.5:
-        return MarkovFamily(alpha, "robust", scaled=scaled)
+        return MarkovFamily("robust", scaled.n, scaled.matvec)
     log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))
-    return MarkovFamily(alpha, "robust", operator=scaled.operator, log_u=log_u)
+    return MarkovFamily("robust", scaled.n, partial(scaled.operator.row_mean, log_u))
 
 
 def traditional_markov(affinity, alpha):
@@ -70,8 +51,8 @@ def traditional_markov(affinity, alpha):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError("alpha must lie in [0, 1]")
-    return MarkovFamily(alpha, "traditional", operator=affinity.operator,
-                        log_u=-alpha * log_degrees(affinity))
+    return MarkovFamily("traditional", affinity.n, partial(
+        affinity.operator.row_mean, -alpha * log_degrees(affinity)))
 
 
 def apply_laplacian(family, f_values, epsilon):

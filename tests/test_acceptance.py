@@ -247,9 +247,11 @@ def test_criterion_10_exact_invariants():
     checks["distance-forms-agree"] = np.abs(
         alt.corrected_dists - table.corrected_dists).max() < 1e-8
 
-    # alpha = 0.5 returns W itself
-    checks["alpha-half-identity"] = (
-        laplacian.robust_markov(pipe.scaled, qhat, 0.5).markov is pipe.scaled.w)
+    # alpha = 0.5 returns W itself: its product is W's, bit for bit
+    identity = np.eye(300)
+    checks["alpha-half-identity"] = np.array_equal(
+        laplacian.robust_markov(pipe.scaled, qhat, 0.5).apply(identity),
+        pipe.scaled.matvec(identity))
 
     # uniform W, the scaling of a constant kernel, estimates a unit density
     flat = kernel.AffinityMatrix(log_entries=np.zeros((40, 40)), epsilon=EPSILON)

@@ -144,7 +144,5 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch):
     rows = harness.transition_errors(res["affinity"], res["scaled"], res["qhat"],
                                      res["counts"].labels, res["epsilon"])
     assert len(rows) == 6 and len(families) == 8
-    for family in families:
-        assert "markov" not in vars(family)
     for source in scaled_seen:
         assert "w" not in vars(source) and "log_w" not in vars(source)

@@ -55,7 +55,8 @@ def test_degrees_match_direct_sum():
 def test_traditional_normalization_row_stochastic(alpha):
     pts = random_points(35, 6, seed=5)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.4)
-    markov = laplacian.traditional_markov(aff, alpha).markov
+    fam = laplacian.traditional_markov(aff, alpha)
+    markov = fam.apply(np.eye(fam.n))
     np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.diag(markov) == 0.0)
     assert markov.min() >= 0.0
@@ -69,7 +70,8 @@ def test_traditional_normalization_matches_dense_oracle():
     for alpha in (0.0, 0.5, 1.0):
         compensated = k_lin / np.outer(deg**alpha, deg**alpha)
         expected = compensated / compensated.sum(axis=1, keepdims=True)
-        got = laplacian.traditional_markov(aff, alpha).markov
+        fam = laplacian.traditional_markov(aff, alpha)
+        got = fam.apply(np.eye(fam.n))
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
 
 

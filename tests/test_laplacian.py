@@ -29,15 +29,17 @@ def test_constant_functions_are_annihilated(alpha):
 def test_alpha_half_returns_w_bit_identically():
     _, aff, scaled, qhat = circle_setup(n=150)
     fam = laplacian.robust_markov(scaled, qhat, 0.5)
-    assert fam.markov is scaled.w
+    for x in (np.eye(fam.n), np.cos(np.arange(fam.n))):
+        assert np.array_equal(fam.apply(x), scaled.matvec(x))
 
 
 def test_robust_markov_is_row_stochastic():
     _, aff, scaled, qhat = circle_setup(n=150)
     for alpha in (0.0, 0.3, 1.0):
         fam = laplacian.robust_markov(scaled, qhat, alpha)
-        np.testing.assert_allclose(fam.markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(np.diag(fam.markov) == 0.0)
+        markov = fam.apply(np.eye(fam.n))
+        np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.diag(markov) == 0.0)
         assert fam.source_tag == "robust"
 
 
@@ -46,7 +48,8 @@ def test_robust_markov_matches_dense_oracle():
     alpha = 0.8
     comp = scaled.w / np.outer(qhat.raw, qhat.raw) ** (alpha - 0.5)
     expected = comp / comp.sum(axis=1, keepdims=True)
-    got = laplacian.robust_markov(scaled, qhat, alpha).markov
+    fam = laplacian.robust_markov(scaled, qhat, alpha)
+    got = fam.apply(np.eye(fam.n))
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
 
 
