@@ -23,9 +23,13 @@ from .scaling import assemble_W
 
 
 def _parse_s(text):
+    """An exponent s: "limit", or a finite s > 0 other than 1."""
     if text == "limit":
         return density_mod.S_LIMIT
-    return float(text)
+    s = float(text)
+    if not 0 < s < np.inf or s == 1:
+        raise argparse.ArgumentTypeError(f"must be limit or finite, > 0 and not 1, got {s}")
+    return s
 
 
 def _nonnegative_int(text):
@@ -107,7 +111,8 @@ def _add_scrna(sub):
     p.add_argument("--labels", help="CSV with one label per row")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--s", type=_parse_s, default=2.0)
-    p.add_argument("--subsample", type=_nonnegative_int, default=500, help="cells per class")
+    p.add_argument("--subsample", type=_nonnegative_int, default=500,
+                   help="cells per class (0 keeps every cell)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=10_000)

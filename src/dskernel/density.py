@@ -57,8 +57,8 @@ def ds_kde(scaled, s, dim=None):
     matrix and log K, the excluded diagonal adding nothing. With ``dim`` the
     estimate is also normalized at the kernel's bandwidth ``scaled.epsilon``.
     """
-    if s != S_LIMIT and (s <= 0 or s == 1):
-        raise ParameterError("s must be positive and different from 1")
+    if s != S_LIMIT and (not 0 < s < np.inf or s == 1):
+        raise ParameterError(f"s must be positive, finite and different from 1, got {s}")
     log_d = scaled.log_d
     if s == S_LIMIT:
         raw = np.exp(scaled.operator.row_entropy(log_d)) / (scaled.n - 1)
@@ -73,12 +73,10 @@ def ds_kde(scaled, s, dim=None):
 
 
 def raw_density(qhat):
-    """The raw DS-KDE values of a DensityEstimate, or an array of them,
-    checked strictly positive."""
-    raw = qhat.raw if isinstance(qhat, DensityEstimate) else np.asarray(qhat, dtype=float)
-    if not np.all(raw > 0):
+    """The raw values of a DensityEstimate, checked strictly positive."""
+    if not np.all(qhat.raw > 0):
         raise ParameterError("density estimates must be strictly positive")
-    return raw
+    return qhat.raw
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,8 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     """
     if grid_size < 256:
         raise ParameterError("grid_size must be at least 256")
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     h = 2.0 * np.pi / grid_size
     if np.sqrt(epsilon) / h < 8.0:
         needed = int(np.ceil(8.0 * 2.0 * np.pi / np.sqrt(epsilon)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import S_LIMIT, DensityEstimate, raw_density
+from .density import S_LIMIT, raw_density
 from .errors import ConvergenceError, ParameterError
 from .kernel import pairwise_sq_dists
 
@@ -40,8 +40,8 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
 
     N_i = eps * (log d_i + 0.5 * log((n-1) * qhat_raw_i)). The exponent s
     surfaces as a small global upward bias eps*d*log(s)/(4(s-1)); pass
-    ``debias=True`` together with ``dim`` to subtract it. Debiasing reads s
-    from ``qhat``, so it needs a DensityEstimate, not a bare array.
+    ``debias=True`` together with ``dim`` >= 1 to subtract it; debiasing reads
+    s from ``qhat``, a DensityEstimate.
     """
     if not solution.converged:
         raise ConvergenceError("scaling did not converge; refusing noise estimate")
@@ -49,10 +49,8 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     n = len(raw)
     nhat = epsilon * (solution.log_d + 0.5 * np.log((n - 1) * raw))
     if debias:
-        if dim is None:
-            raise ParameterError("debiasing requires the intrinsic dimension")
-        if not isinstance(qhat, DensityEstimate):
-            raise ParameterError("debiasing requires a DensityEstimate, which carries s")
+        if dim is None or not dim >= 1:
+            raise ParameterError(f"debiasing requires an intrinsic dimension >= 1, got {dim}")
         nhat = nhat - distance_bias(epsilon, dim, qhat.s) / 2.0
     return nhat
 

@@ -397,6 +397,34 @@ def test_negative_seed_or_subsample_is_a_usage_error(tmp_path, monkeypatch, caps
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--input", "p.csv", "--epsilon", "0.1", "--dim", "1", "--out", "q.csv"],
+    ["denoise", "--input", "p.csv", "--epsilon", "0.1", "--out", "n.csv"],
+    ["laplacian", "--epsilon", "0.1", "--out", "l.csv"],
+    ["scrna", "--input", "c.mtx", "--epsilon", "0.1", "--out", "n.csv"],
+    ["bench", "fig7", "--sweep", "0.1", "--repeats", "1", "--noise", "none", "--out", "f.csv"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("s", ["nan", "inf", "1", "0", "-2"])
+def test_bad_exponent_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, s):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--s", s])
+    assert exc.value.code == 2
+    assert "argument --s: must be limit or finite, > 0 and not 1, got " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_debias_needs_a_positive_dim(simulated, tmp_path, capsys, dim):
+    points, _ = simulated
+    out = tmp_path / "o.csv"
+    code = run(["denoise", "--input", str(points), "--epsilon", "0.1", "--debias",
+                "--dim", dim, "--out", str(out)])
+    assert code == 1
+    assert f"intrinsic dimension >= 1, got {dim}" in one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, where", [("1,2\n3,x\n", "line 2: column 2"),
                                          ("1,2\n3,4\nnan,5\n", "line 3: column 1")])
 def test_malformed_points_csv_is_a_one_line_error(tmp_path, capsys, text, where):

@@ -53,10 +53,9 @@ def test_normalization_constant_values_and_limit():
 
 def test_ds_kde_parameter_validation():
     _, scaled = scaled_circle(n=60)
-    with pytest.raises(ParameterError):
-        density.ds_kde(scaled, 1.0)
-    with pytest.raises(ParameterError):
-        density.ds_kde(scaled, -2.0)
+    for bad in (1.0, -2.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="s must be positive, finite"):
+            density.ds_kde(scaled, bad)
     with pytest.raises(ParameterError):
         density.normalization_constant(0.0, 1, 2.0)
 
@@ -98,8 +97,9 @@ def test_population_scaling_rejects_unresolvable_grid():
     fn = lambda t: geometry.wrapped_normal_density(t, SIGMA_SQ)
     with pytest.raises(ParameterError, match="grid_size"):
         density.solve_population_scaling_1d(fn, 1e-5, grid_size=1024)
-    with pytest.raises(ParameterError):
-        density.solve_population_scaling_1d(fn, -0.1)
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            density.solve_population_scaling_1d(fn, bad, grid_size=256)
     with pytest.raises(ParameterError):
         density.solve_population_scaling_1d(lambda t: np.zeros_like(t), 0.05)
 

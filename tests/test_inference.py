@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,17 +81,16 @@ def test_corrected_distance_diagonal_is_zeroed():
 def test_noise_magnitude_input_validation():
     sample, aff, sol, scaled = clean_circle_pipeline(n=100, m=50, seed=7)
     qhat = density.ds_kde(scaled, 2.0)
+    zero = replace(qhat, raw=np.zeros(100))
     with pytest.raises(ParameterError):
-        inference.noise_magnitude(sol, np.zeros(100), 0.1)
-    with pytest.raises(ParameterError):
-        inference.noise_magnitude(sol, qhat, 0.1, debias=True)  # dim missing
-    with pytest.raises(ParameterError):
-        # a bare array does not say which exponent's bias to subtract
-        inference.noise_magnitude(sol, qhat.raw, 0.1, debias=True, dim=1)
+        inference.noise_magnitude(sol, zero, 0.1)
+    for dim in (None, 0, -1):
+        with pytest.raises(ParameterError, match="intrinsic dimension >= 1"):
+            inference.noise_magnitude(sol, qhat, 0.1, debias=True, dim=dim)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
     with pytest.raises(ParameterError):
         inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
-                                                 scaled=scaled, qhat=np.zeros(100))
+                                                 scaled=scaled, qhat=zero)
     # the kernel route needs the kernel at the estimates' bandwidth
     with pytest.raises(ParameterError, match="kernel is at epsilon"):
         inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.2, 2.0,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ def test_alpha_out_of_range_raises():
     with pytest.raises(ParameterError):
         laplacian.robust_markov(scaled, qhat, 1.5)
     with pytest.raises(ParameterError):
-        laplacian.robust_markov(scaled, np.zeros(60), 0.0)
+        laplacian.robust_markov(scaled, replace(qhat, raw=np.zeros(60)), 0.0)
 
 
 def test_operator_error_zero_against_own_output():

@@ -147,11 +147,16 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
 
 def test_only_the_kernel_module_reads_the_dense_log_matrix():
     # a sparse or truncated kernel can replace the dense log K only while
-    # every other module reaches it through the operator's methods
+    # every other module reaches it through the operator's methods; likewise
+    # no pipeline step reads the dense views of W that scaling.py builds
     package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
-    readers = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in package.glob("*.py") if path.name != "kernel.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "log_a")
-    assert readers == []
+
+    def readers(attrs, owner):
+        return sorted(
+            f"{path.name}:{node.lineno}"
+            for path in package.glob("*.py") if path.name != owner
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in attrs)
+
+    assert readers({"log_a"}, "kernel.py") == []
+    assert readers({"w", "log_w"}, "scaling.py") == []

@@ -311,8 +311,9 @@ def test_clean_data_diagnostics_are_small():
     sample = geometry.embed_orthogonal(sample, 1000, seed=11)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), 0.1)
     sol = scaling.sinkhorn_symmetric(aff)
-    implied = inference.noise_magnitude(sol, sample.density_values * np.sqrt(np.pi * 0.1),
-                                        0.1)
+    oracle = density.DensityEstimate(raw=sample.density_values * np.sqrt(np.pi * 0.1),
+                                     normalized=None, s=2.0, epsilon=0.1, intrinsic_dim=1)
+    implied = inference.noise_magnitude(sol, oracle, 0.1)
     assert np.abs(implied).max() < 0.05
 
 
@@ -320,4 +321,5 @@ def test_diagnostics_reject_nonpositive_density():
     aff = circle_affinity(20, 0.1)
     sol = scaling.sinkhorn_symmetric(aff)
     with pytest.raises(ParameterError):
-        inference.noise_magnitude(sol, np.zeros(20), 0.1)
+        inference.noise_magnitude(sol, density.DensityEstimate(
+            raw=np.zeros(20), normalized=None, s=2.0, epsilon=0.1, intrinsic_dim=None), 0.1)
