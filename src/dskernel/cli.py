@@ -26,9 +26,13 @@ def _parse_s(text):
     """An exponent s: "limit", or a finite s > 0 other than 1."""
     if text == "limit":
         return density_mod.S_LIMIT
-    s = float(text)
+    try:
+        s = float(text)
+    except ValueError:
+        s = np.nan  # not a number: rejected below with the other bad values
     if not 0 < s < np.inf or s == 1:
-        raise argparse.ArgumentTypeError(f"must be limit or finite, > 0 and not 1, got {s}")
+        raise argparse.ArgumentTypeError(
+            f"must be limit or a finite s > 0 other than 1, got {text!r}")
     return s
 
 

@@ -404,13 +404,14 @@ def test_negative_seed_or_subsample_is_a_usage_error(tmp_path, monkeypatch, caps
     ["scrna", "--input", "c.mtx", "--epsilon", "0.1", "--out", "n.csv"],
     ["bench", "fig7", "--sweep", "0.1", "--repeats", "1", "--noise", "none", "--out", "f.csv"]],
     ids=lambda argv: argv[0])
-@pytest.mark.parametrize("s", ["nan", "inf", "1", "0", "-2"])
+@pytest.mark.parametrize("s", ["nan", "inf", "1", "0", "-2", "two"])
 def test_bad_exponent_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, s):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--s", s])
     assert exc.value.code == 2
-    assert "argument --s: must be limit or finite, > 0 and not 1, got " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --s: must be limit or a finite s > 0 other than 1, got '{s}'" in err
     assert not any(tmp_path.iterdir())
 
 
