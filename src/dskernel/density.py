@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .kernel import KernelOperator
+from .kernel import KernelOperator, _check_epsilon
 from .scaling import _scale_log_matrix
 
 S_LIMIT = "limit"
@@ -34,14 +34,26 @@ class DensityEstimate:
     intrinsic_dim: int
 
 
+def _check_s(s):
+    if s != S_LIMIT and (not 0 < s < np.inf or s == 1):
+        raise ParameterError(f"s must be positive, finite and different from 1, got {s}")
+
+
+def _check_closed_form(epsilon, dim, s):
+    """The parameters of the global constants: 0 < eps < inf, dim >= 1 and s."""
+    _check_epsilon(epsilon)
+    if not dim >= 1:
+        raise ParameterError(f"need an intrinsic dimension >= 1, got {dim}")
+    _check_s(s)
+
+
 def normalization_constant(epsilon, dim, s):
     """The Theorem-3 global constant relating the raw estimator to q.
 
     (pi eps)^(d/2) * s^(d / (2(s-1))) for s != 1, and its s -> 1 limit
     (pi e eps)^(d/2) for the perplexity estimator.
     """
-    if epsilon <= 0 or dim < 1:
-        raise ParameterError("need epsilon > 0 and dim >= 1")
+    _check_closed_form(epsilon, dim, s)
     if s == S_LIMIT:
         return (np.pi * np.e * epsilon) ** (dim / 2.0)
     return (np.pi * epsilon) ** (dim / 2.0) * s ** (dim / (2.0 * (s - 1.0)))
@@ -57,8 +69,7 @@ def ds_kde(scaled, s, dim=None):
     matrix and log K, the excluded diagonal adding nothing. With ``dim`` the
     estimate is also normalized at the kernel's bandwidth ``scaled.epsilon``.
     """
-    if s != S_LIMIT and (not 0 < s < np.inf or s == 1):
-        raise ParameterError(f"s must be positive, finite and different from 1, got {s}")
+    _check_s(s)
     log_d = scaled.log_d
     if s == S_LIMIT:
         raw = np.exp(scaled.operator.row_entropy(log_d)) / (scaled.n - 1)
@@ -100,8 +111,7 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     """
     if grid_size < 256:
         raise ParameterError("grid_size must be at least 256")
-    if not 0 < epsilon < np.inf:
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_epsilon(epsilon)
     h = 2.0 * np.pi / grid_size
     if np.sqrt(epsilon) / h < 8.0:
         needed = int(np.ceil(8.0 * 2.0 * np.pi / np.sqrt(epsilon)))

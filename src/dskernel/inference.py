@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import S_LIMIT, raw_density
+from .density import S_LIMIT, _check_closed_form, raw_density
 from .errors import ConvergenceError, ParameterError
 from .kernel import pairwise_sq_dists
 
@@ -30,6 +30,7 @@ class EstimateTable:
 
 def distance_bias(epsilon, dim, s):
     """The global additive bias eps * d * log(s) / (2(s-1)) of corrected distances."""
+    _check_closed_form(epsilon, dim, s)
     if s == S_LIMIT:
         return epsilon * dim / 2.0
     return epsilon * dim * np.log(s) / (2.0 * (s - 1.0))

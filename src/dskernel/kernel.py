@@ -72,14 +72,23 @@ class KernelOperator:
         """Rebuild B at the absorption point ``u``."""
         if self._mat is None:
             self._mat = np.empty_like(self.log_a)
-        mat = self._mat
-        np.add(self.log_a, u[None, :], out=mat)
-        self._m = mat.max(axis=1)
-        mat -= self._m[:, None]
-        np.exp(mat, out=mat)  # -inf slots become exact zeros
-        # subnormal entries lie far below the resolution of their row sum and
-        # slow every matrix-vector product severalfold; flush them to zero
-        mat[mat < _TINY] = 0.0
+        self._m = np.empty(self.n)
+        for rows in _row_blocks(self.n):
+            block = self._mat[rows]
+            np.add(self.log_a[rows], u, out=block)
+            self._m[rows] = block.max(axis=1)
+            block -= self._m[rows, None]
+            # Every entry of B below the smallest normal double is an exact
+            # zero and is never exponentiated. It lies far below the resolution
+            # of its row sum, a subnormal slows every product severalfold, and
+            # numpy's exp takes a per-element slow path for each result that
+            # underflows. An exponent below log(tiny) is clipped there, and the
+            # mask zeroes it and the -inf slots.
+            keep = block >= _LOG_TINY
+            np.maximum(block, _LOG_TINY, out=block)
+            np.exp(block, out=block)
+            keep &= block >= _TINY
+            block *= keep
         self._b = u.copy()
         self.absorptions += 1
 
@@ -215,10 +224,14 @@ def pairwise_sq_dists(points):
     return d
 
 
-def gaussian_kernel(sq_dists, epsilon):
-    """Build the log-domain Gaussian affinity exp(-dist^2/eps) with zero diagonal."""
+def _check_epsilon(epsilon):
     if not 0 < epsilon < np.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+
+
+def gaussian_kernel(sq_dists, epsilon):
+    """Build the log-domain Gaussian affinity exp(-dist^2/eps) with zero diagonal."""
+    _check_epsilon(epsilon)
     sq_dists = np.asarray(sq_dists, dtype=float)
     log_entries = -sq_dists / epsilon
     np.fill_diagonal(log_entries, -np.inf)

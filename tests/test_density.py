@@ -56,8 +56,15 @@ def test_ds_kde_parameter_validation():
     for bad in (1.0, -2.0, 0.0, np.inf, np.nan):
         with pytest.raises(ParameterError, match="s must be positive, finite"):
             density.ds_kde(scaled, bad)
-    with pytest.raises(ParameterError):
-        density.normalization_constant(0.0, 1, 2.0)
+    for bad in (1.0, -2.0, np.nan):
+        with pytest.raises(ParameterError, match="s must be positive, finite"):
+            density.normalization_constant(0.1, 1, bad)
+    for bad in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            density.normalization_constant(bad, 1, 2.0)
+    for bad in (0, -1, np.nan):
+        with pytest.raises(ParameterError, match="intrinsic dimension >= 1"):
+            density.normalization_constant(0.1, bad, 2.0)
 
 
 def test_normalized_estimate_tracks_true_density():

@@ -28,6 +28,18 @@ def test_distance_bias_closed_forms():
     assert abs(inference.distance_bias(0.2, 3, 1.0 + 1e-9) - 0.3) < 1e-6
 
 
+def test_distance_bias_rejects_what_ds_kde_rejects():
+    for bad in (1.0, -2.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="s must be positive, finite"):
+            inference.distance_bias(0.1, 1, bad)
+    for bad in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            inference.distance_bias(bad, 1, 2.0)
+    for bad in (0, -1, np.nan):
+        with pytest.raises(ParameterError, match="intrinsic dimension >= 1"):
+            inference.distance_bias(0.1, bad, 2.0)
+
+
 def test_clean_noise_magnitude_has_known_small_bias():
     sample, aff, sol, scaled = clean_circle_pipeline(n=1000, m=1000, seed=2)
     qhat = density.ds_kde(scaled, 2.0)

@@ -8,9 +8,12 @@ built entry by entry.
 
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from dskernel import density, geometry, harness, kernel, laplacian
@@ -101,6 +104,37 @@ def test_power_lse_matches_logsumexp_where_b_drops_entries(s, shift):
     np.testing.assert_allclose(operator.power_lse(u, s),
                                logsumexp(s * (log_a + u), axis=1), rtol=RTOL)
     assert operator.absorptions == 1
+
+
+TINY = np.finfo(float).tiny
+LOG_TINY = np.log(TINY)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.0, 50.0), block_entries=st.integers(1, 2000))
+@example(n=40, seed=0, spread=0.0, block_entries=100)
+def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries):
+    # entries across [-1000, 0] and at the flush edge; each row peaks at 0,
+    # so at u = 0 the edge values are the exponents of B themselves
+    rng = np.random.default_rng(seed)
+    log_a = rng.uniform(-1000.0, 0.0, size=(n, n))
+    edge = rng.random((n, n)) < 0.3
+    log_a[edge] = rng.choice([LOG_TINY, np.nextafter(LOG_TINY, -np.inf),
+                              np.nextafter(LOG_TINY, np.inf)], size=edge.sum())
+    log_a[np.arange(n), (np.arange(n) + 1) % n] = 0.0
+    np.fill_diagonal(log_a, -np.inf)
+    u = rng.uniform(-spread, spread, size=n)
+    operator = kernel.KernelOperator(log_a)
+    # small blocks take the row-block loop through several passes
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", block_entries):
+        operator.absorb(u)
+    m = (log_a + u).max(axis=1)
+    expected = np.exp(log_a + u - m[:, None])
+    expected[expected < TINY] = 0.0
+    assert np.array_equal(operator._m.view(np.int64), m.view(np.int64))
+    assert np.array_equal(operator._mat.view(np.int64), expected.view(np.int64))
+    assert not np.any((operator._mat > 0.0) & (operator._mat < TINY))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

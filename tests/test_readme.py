@@ -1,11 +1,14 @@
 """Every ```python block of README.md runs, in order, in one namespace, and
-so do its command-line examples, except the count-matrix and bench ones."""
+so do its command-line examples, except the bench ones."""
 
 import re
 import shlex
 from pathlib import Path
 
-from dskernel import cli
+import scipy.io
+from scipy import sparse
+
+from dskernel import cli, counts
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_count_matrix_example_runs(tmp_path, monkeypatch):
+    (line,) = re.findall(r"`(dskernel scrna [^`]*)`", README.read_text())
+    monkeypatch.chdir(tmp_path)
+    cm = counts.synth_poisson_counts(120, 800, seed=0)
+    scipy.io.mmwrite("counts.mtx", sparse.coo_matrix(cm.entries))
+    Path("labels.csv").write_text("\n".join(str(c) for c in cm.labels) + "\n")
+    assert cli.main(shlex.split(line)[1:]) == 0, line
+    assert Path("noise.csv").is_file() and Path("trans.csv").is_file()
