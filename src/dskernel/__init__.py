@@ -3,6 +3,9 @@ inference tools built on it: density estimation, noise/signal magnitude
 recovery, distance correction, and robust graph Laplacian normalizations.
 """
 
+# set before the submodules load: harness writes it on its CSV meta lines
+__version__ = "0.1.0"
+
 from .counts import CountMatrix, ingest_counts, normalize_counts, synth_poisson_counts
 from .density import (DensityEstimate, PopulationScaling, S_LIMIT, ds_kde,
                       normalization_constant, solve_population_scaling_1d)
@@ -18,8 +21,6 @@ from .kernel import (AffinityMatrix, KernelOperator, gaussian_kernel,
 from .laplacian import (MarkovFamily, apply_laplacian, operator_error,
                         robust_markov, traditional_markov, transition_error)
 from .scaling import ScaledMatrix, ScalingSolution, assemble_W, sinkhorn_symmetric
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AffinityMatrix", "ConvergenceError", "CountMatrix", "DensityEstimate",

@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ParameterError, ParseError
 from .geometry import data_rows, first_rejected_row, load_points_csv, rejected_value
@@ -20,14 +19,17 @@ class CountMatrix:
     their original indices for the caller's report.
     """
 
-    entries: sparse.csr_matrix
+    entries: "scipy.sparse.csr_matrix"
     totals: np.ndarray
     labels: np.ndarray = None
     rejected_rows: tuple = ()
 
 
-def _finalize(matrix, labels=None):
-    matrix = sparse.csr_matrix(matrix)
+def _finalize(matrix, labels=None, shape=None):
+    # the package's one scipy import: only a count matrix needs it
+    import scipy.sparse as sparse
+
+    matrix = sparse.csr_matrix(matrix, shape=shape)
     if labels is not None and len(labels) != matrix.shape[0]:
         raise ParameterError(f"{len(labels)} labels for {matrix.shape[0]} rows")
     totals = np.asarray(matrix.sum(axis=1)).ravel()
@@ -106,8 +108,9 @@ def _parse_matrix_market(path):
     ``np.loadtxt`` call with a fixed (int, int, float) record per line. Every
     rejection names its file line: a byte that does not decode, a malformed
     entry, an index out of bounds, a NaN, infinite or negative value, or an
-    entry count other than the declared one. Duplicate (i, j) entries are
-    summed, per the format convention.
+    entry count other than the declared one. Returns the (v, (i, j))
+    triplets, 0-based, and the shape; duplicate (i, j) entries are summed
+    when they become a CSR matrix, per the format convention.
     """
     # a byte that does not decode fails a header check at its line here, or
     # the entry read below
@@ -145,14 +148,14 @@ def _parse_matrix_market(path):
         off = i != j
         i, j, v = (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]),
                    np.concatenate([v, v[off]]))
-    # coo -> csr sums duplicates
-    return sparse.coo_matrix((v, (i, j)), shape=shape)
+    return (v, (i, j)), shape
 
 
 def ingest_counts(path, fmt="matrix-market", labels=None):
     """Read a count matrix from a Matrix Market or dense CSV file."""
+    shape = None
     if fmt == "matrix-market":
-        matrix = _parse_matrix_market(path)
+        matrix, shape = _parse_matrix_market(path)
     elif fmt == "csv":
         matrix = load_points_csv(path)
         negative = matrix < 0
@@ -160,7 +163,7 @@ def ingest_counts(path, fmt="matrix-market", labels=None):
             raise rejected_value(path, matrix, negative, "negative count")
     else:
         raise ParameterError(f"unknown format {fmt!r}")
-    return _finalize(matrix, labels)
+    return _finalize(matrix, labels, shape)
 
 
 def _read_labels(source):

@@ -2,13 +2,13 @@
 kernel -> scaling -> estimation pipeline, and writes aggregate CSV tables.
 """
 
-import importlib.metadata
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import __version__
 from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
 from .errors import ConvergenceError, ParameterError
@@ -136,13 +136,6 @@ def _density_errors(pipe, s_values, dim=1):
             for name, est in _density_estimates(pipe, s_values, dim).items()}
 
 
-def _package_version():
-    try:
-        return importlib.metadata.version("dskernel")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def run_experiment(config):
     """Run one benchmark and return (header, rows); writes CSV if out is set.
 
@@ -158,7 +151,7 @@ def run_experiment(config):
             "repeats": config.repeats,
             "epsilon": config.epsilon,
             "s": config.s,
-            "version": _package_version(),
+            "version": __version__,
             "max_scaling_residual": max(residuals) if residuals else "n/a",
         }
         if config.experiment in _ALL_EXPONENTS:

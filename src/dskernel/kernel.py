@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError
 
@@ -35,6 +34,22 @@ _BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
 def _row_blocks(n):
     rows = max(1, _BLOCK_ENTRIES // n)  # row slices of about _BLOCK_ENTRIES entries
     return (slice(r, r + rows) for r in range(0, n, rows))
+
+
+def _row_logsumexp(t):
+    """Row-wise log-sum-exp of t, overwriting t, as scipy 1.17's logsumexp
+    computes it bit for bit: log1p(sum_j exp(t_ij - M) / k) + log k + M over
+    the entries below the row max M, which k entries reach. A row with a
+    non-finite max (all -inf, +inf or NaN) is that max."""
+    t_max = t.max(axis=1, keepdims=True)
+    at_max = t == t_max
+    k = np.count_nonzero(at_max, axis=1)[:, None]
+    t[at_max] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of -inf or NaN
+        t -= t_max
+        np.exp(t, out=t)
+        lse = np.log1p(t.sum(axis=1, keepdims=True) / k) + np.log(k) + t_max
+    return np.where(np.isfinite(lse), lse, t_max)[:, 0]
 
 
 class KernelOperator:
@@ -79,13 +94,18 @@ class KernelOperator:
             self._m[rows] = block.max(axis=1)
             block -= self._m[rows, None]
             # Every entry of B below the smallest normal double is an exact
-            # zero and is never exponentiated. It lies far below the resolution
-            # of its row sum, a subnormal slows every product severalfold, and
-            # numpy's exp takes a per-element slow path for each result that
-            # underflows. An exponent below log(tiny) is clipped there, and the
-            # mask zeroes it and the -inf slots.
+            # zero, and reaches exp only as an exact zero of the exponent. It
+            # lies far below the resolution of its row sum, a subnormal slows
+            # every product severalfold, and numpy's exp takes a per-element
+            # slow path for every exponent below about -707.70 (log 2^-1021),
+            # log(tiny) = -708.40 included. Exponents are clipped at log(tiny)
+            # (-inf times 0 is NaN); where more flush than the block's rows
+            # (its -inf diagonal), the mask turns them into -0.0, and after
+            # exp it zeroes them.
             keep = block >= _LOG_TINY
             np.maximum(block, _LOG_TINY, out=block)
+            if keep.size - np.count_nonzero(keep) > len(block):
+                block *= keep
             np.exp(block, out=block)
             keep &= block >= _TINY
             block *= keep
@@ -145,7 +165,7 @@ class KernelOperator:
             return np.log(sums) + s * self._m
         lse = np.empty(self.n)
         for rows in _row_blocks(self.n):
-            lse[rows] = logsumexp(s * (self.log_a[rows] + u), axis=1)
+            lse[rows] = _row_logsumexp(s * (self.log_a[rows] + u))
         return lse
 
     def row_entropy(self, u):

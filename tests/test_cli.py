@@ -6,6 +6,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sparse
 
+import dskernel
 from dskernel import cli, counts, density, harness, inference
 
 
@@ -290,6 +291,15 @@ def test_bench_subcommand(tmp_path):
                 "--noise", "none", "--seed", "1", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("# experiment=fig3")
+
+
+def test_bench_meta_line_records_the_package_version(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert run(["bench", "fig3", "--sweep", "60", "--repeats", "1",
+                "--noise", "none", "--out", str(out)]) == 0
+    meta = out.read_text().splitlines()[0]
+    items = dict(item.split("=", 1) for item in meta[2:].split(", "))
+    assert items["version"] == dskernel.__version__
 
 
 @pytest.mark.parametrize("figure,sweep", [("fig3", "60"), ("fig5", "0.4")])

@@ -106,22 +106,55 @@ def test_power_lse_matches_logsumexp_where_b_drops_entries(s, shift):
     assert operator.absorptions == 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(1.0, 1e3), s=st.sampled_from([0.01, 40.0]),
+       integral=st.booleans(), block_entries=st.integers(1, 2000))
+def test_power_lse_is_scipy_logsumexp_bit_for_bit(n, seed, spread, s, integral,
+                                                 block_entries):
+    # both exponents take the log-domain pass for every n; integer entries
+    # and weights tie at the row max, and a fifth of the slots beyond the
+    # diagonal hold -inf, so a row can be -inf throughout
+    rng = np.random.default_rng(seed)
+    log_a = rng.uniform(-spread, 0.0, size=(n, n))
+    u = rng.uniform(-spread, spread, size=n)
+    if integral:
+        log_a, u = np.round(log_a), np.round(u)
+    log_a[rng.random((n, n)) < 0.2] = -np.inf
+    np.fill_diagonal(log_a, -np.inf)
+    operator = kernel.KernelOperator(log_a)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", block_entries):
+        got = operator.power_lse(u, s)
+    expected = logsumexp(s * (log_a + u), axis=1)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert operator.absorptions == 0
+
+
 TINY = np.finfo(float).tiny
 LOG_TINY = np.log(TINY)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
-       spread=st.floats(0.0, 50.0), block_entries=st.integers(1, 2000))
-@example(n=40, seed=0, spread=0.0, block_entries=100)
-def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries):
-    # entries across [-1000, 0] and at the flush edge; each row peaks at 0,
-    # so at u = 0 the edge values are the exponents of B themselves
+       spread=st.floats(0.0, 50.0), block_entries=st.integers(1, 2000),
+       fill=st.sampled_from([None, -1000.0, -1.0]))
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=None)
+# every off-peak entry flushed, then only the diagonal: a block takes the
+# masked exponent in the first and the plain one in the second
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1000.0)
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1.0)
+def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries, fill):
+    # entries across [-1000, 0] and at the flush edge, or all at ``fill``;
+    # each row peaks at 0, so at u = 0 the edge values are the exponents of
+    # B themselves
     rng = np.random.default_rng(seed)
-    log_a = rng.uniform(-1000.0, 0.0, size=(n, n))
-    edge = rng.random((n, n)) < 0.3
-    log_a[edge] = rng.choice([LOG_TINY, np.nextafter(LOG_TINY, -np.inf),
-                              np.nextafter(LOG_TINY, np.inf)], size=edge.sum())
+    if fill is None:
+        log_a = rng.uniform(-1000.0, 0.0, size=(n, n))
+        edge = rng.random((n, n)) < 0.3
+        log_a[edge] = rng.choice([LOG_TINY, np.nextafter(LOG_TINY, -np.inf),
+                                  np.nextafter(LOG_TINY, np.inf)], size=edge.sum())
+    else:
+        log_a = np.full((n, n), fill)
     log_a[np.arange(n), (np.arange(n) + 1) % n] = 0.0
     np.fill_diagonal(log_a, -np.inf)
     u = rng.uniform(-spread, spread, size=n)
