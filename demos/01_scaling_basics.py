@@ -21,9 +21,9 @@ solution = sinkhorn_symmetric(affinity, tol=1e-9)
 print(f"converged in {solution.iterations} iterations, "
       f"residual {solution.residual:.2e}")
 
-scaled = assemble_W(affinity, solution)
-row_sums = scaled.w.sum(axis=1)
-col_sums = scaled.w.sum(axis=0)
+w = assemble_W(affinity, solution).w  # the dense W, built on each access
+row_sums = w.sum(axis=1)
+col_sums = w.sum(axis=0)
 print(f"max |row sum - 1| = {np.abs(row_sums - 1).max():.2e}")
 print(f"max |col sum - 1| = {np.abs(col_sums - 1).max():.2e}")
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 import warnings
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import density as density_mod
 from . import geometry, harness, inference
 from .errors import ConvergenceError, ParameterError, ParseError
 from .geometry import _write_csv
-from .scaling import assemble_W
 
 
 def _parse_s(text):
@@ -173,7 +173,7 @@ def _cmd_simulate(args):
 
 def _cmd_scale(args):
     points = geometry.load_points_csv(args.input)
-    _, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter).solution
     _write_csv(args.out, ["index", "log_d", "residual", "iterations"],
                ([i, v, solution.residual, solution.iterations]
                 for i, v in enumerate(solution.log_d)))
@@ -187,8 +187,8 @@ def _cmd_density(args):
     truth = repeat("")
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_density", len(points))
-    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
-    est = density_mod.ds_kde(assemble_W(affinity, solution), args.s, dim=args.dim)
+    pipe = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    est = density_mod.ds_kde(pipe.scaled, args.s, dim=args.dim)
     _write_csv(args.out, ["index", "raw", "normalized", "true_density_if_known", "abs_error"],
                zip(range(len(est.raw)), est.raw, est.normalized, truth,
                    abs(est.normalized - truth) if args.sidecar else repeat("")))
@@ -199,13 +199,12 @@ def _cmd_denoise(args):
     truth = repeat("")
     if args.sidecar:
         truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
-    affinity, solution = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
-    scaled = assemble_W(affinity, solution)
-    qhat = density_mod.ds_kde(scaled, args.s)
-    nhat = inference.noise_magnitude(solution, qhat, args.epsilon,
+    pipe = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
+    qhat = density_mod.ds_kde(pipe.scaled, args.s)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, args.epsilon,
                                      debias=args.debias, dim=args.dim)
     table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
-                                                     args.dim, scaled=scaled)
+                                                     args.dim, scaled=pipe.scaled)
     _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
                zip(range(len(nhat)), nhat, table.signal_sq_hat, truth))
     if args.dists_out:
@@ -245,21 +244,20 @@ def _cmd_scrna(args):
         warnings.warn(f"rejected zero-total rows: {list(cm.rejected_rows)}")
     if cm.labels is not None and args.subsample:
         keep = _subsample_per_class(cm.labels, args.subsample, args.seed)
-        cm = counts_mod.CountMatrix(entries=cm.entries[keep], totals=cm.totals[keep],
-                                    labels=cm.labels[keep],
-                                    rejected_rows=cm.rejected_rows)
+        cm = replace(cm, entries=cm.entries[keep], totals=cm.totals[keep],
+                     labels=cm.labels[keep])
     y, _ = counts_mod.normalize_counts(cm)
-    affinity, solution = harness.scale_points(y, args.epsilon, args.tol, args.max_iter)
-    scaled = assemble_W(affinity, solution)
-    qhat = density_mod.ds_kde(scaled, args.s)
-    nhat = inference.noise_magnitude(solution, qhat, args.epsilon)
+    pipe = harness.scale_points(y, args.epsilon, args.tol, args.max_iter)
+    qhat = density_mod.ds_kde(pipe.scaled, args.s)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, args.epsilon)
     _write_csv(args.out, ["index", "label", "total_count", "inv_count", "noise_sq_hat"],
                zip(range(len(nhat)), repeat("") if cm.labels is None else cm.labels,
                    map(int, cm.totals), 1.0 / cm.totals, nhat))
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
-        rows = harness.transition_errors(affinity, scaled, qhat, cm.labels, args.epsilon)
+        rows = harness.transition_errors(pipe.affinity, pipe.scaled, qhat, cm.labels,
+                                         args.epsilon)
         header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
         _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))
 

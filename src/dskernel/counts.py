@@ -2,13 +2,12 @@
 generator standing in for real sequencing data.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .geometry import data_rows, first_rejected_row, load_points_csv, rejected_value
+from .geometry import _loadtxt, data_rows, first_rejected_row, load_points_csv, rejected_value
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,10 @@ def _read_entries(source, skiprows=0):
     """Entry records from a path (after ``skiprows`` lines) or a list of lines.
 
     Raises ValueError on any line that is not exactly an integer, an integer
-    and a float. Blank lines are skipped; each line is judged on its own.
+    and a float. Blank lines are skipped; each line is judged on its own. An
+    empty entry block is judged against the declared count.
     """
-    with warnings.catch_warnings():
-        # an empty entry block is judged against the declared count instead
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(source, dtype=_ENTRY, comments=None, skiprows=skiprows, ndmin=1)
+    return _loadtxt(source, dtype=_ENTRY, comments=None, skiprows=skiprows, ndmin=1)
 
 
 def _read_header(fh):
@@ -167,10 +164,8 @@ def ingest_counts(path, fmt="matrix-market", labels=None):
 
 
 def _read_labels(source):
-    with warnings.catch_warnings():
-        # blank and comment lines, or an empty file, are judged by the label count
-        warnings.filterwarnings("ignore", message=".*contained no data")
-        labels = np.loadtxt(source, delimiter=",", dtype=str, ndmin=2)
+    # blank and comment lines, or an empty file, are judged by the label count
+    labels = _loadtxt(source, delimiter=",", dtype=str, ndmin=2)
     if labels.shape[1] != 1:
         raise ValueError("expected one label per row")
     return labels[:, 0]

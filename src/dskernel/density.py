@@ -30,8 +30,6 @@ class DensityEstimate:
     raw: np.ndarray
     normalized: np.ndarray
     s: object
-    epsilon: float
-    intrinsic_dim: int
 
 
 def _check_s(s):
@@ -79,8 +77,7 @@ def ds_kde(scaled, s, dim=None):
     normalized = None
     if dim is not None:
         normalized = raw / normalization_constant(scaled.epsilon, dim, s)
-    return DensityEstimate(raw=raw, normalized=normalized, s=s,
-                           epsilon=scaled.epsilon, intrinsic_dim=dim)
+    return DensityEstimate(raw=raw, normalized=normalized, s=s)
 
 
 def raw_density(qhat):

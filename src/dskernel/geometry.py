@@ -8,7 +8,7 @@ magnitudes) needed to score the estimators downstream.
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,14 +118,7 @@ def embed_orthogonal(sample, m, seed=0):
         raise ParameterError(f"ambient dimension {m} below embedding dimension {k}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(m, k)))
-    return ManifoldSample(
-        angles=sample.angles,
-        clean_points=sample.clean_points @ q.T,
-        ambient_dim=m,
-        intrinsic_dim=sample.intrinsic_dim,
-        density_values=sample.density_values,
-        radius_labels=sample.radius_labels,
-    )
+    return replace(sample, clean_points=sample.clean_points @ q.T, ambient_dim=m)
 
 
 def varying_ball_radius(angles):
@@ -267,11 +260,16 @@ def rejected_value(path, values, bad, what):
                       line=data_rows(path)[row][0])
 
 
-def _read_csv(source):
+def _loadtxt(source, **kwargs):
+    """``np.loadtxt`` without its warnings about input that holds no data: an
+    empty file, blank line or comment is judged by the caller's own checks."""
     with warnings.catch_warnings():
-        # an empty file, blank line or comment holds no data; callers check
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        return np.loadtxt(source, delimiter=",", ndmin=2)
+        warnings.filterwarnings("ignore", message=".*contained no data")
+        return np.loadtxt(source, **kwargs)
+
+
+def _read_csv(source):
+    return _loadtxt(source, delimiter=",", ndmin=2)
 
 
 def _csv_fault(path):

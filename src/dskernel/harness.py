@@ -59,12 +59,12 @@ class ExperimentConfig:
 
 @dataclass
 class PipelineResult:
-    """Everything one simulated dataset produces along the standard pipeline."""
+    """A dataset's kernel and scaling solve, and its sample and noise if simulated."""
 
-    sample: object
-    noise: object
     affinity: object
     solution: object
+    sample: object = None
+    noise: object = None
 
     @cached_property
     def scaled(self):
@@ -73,7 +73,7 @@ class PipelineResult:
 
 
 def scale_points(points, epsilon, tol, max_iter):
-    """The Gaussian kernel of ``points`` and its converged scaling solution.
+    """PipelineResult of the Gaussian kernel of ``points`` and its converged solve.
 
     Raises ConvergenceError with the residual and iteration count when the
     solve stops short of ``tol``.
@@ -84,7 +84,7 @@ def scale_points(points, epsilon, tol, max_iter):
         raise ConvergenceError(
             f"scaling stopped at residual {solution.residual:.3e} after "
             f"{solution.iterations} iterations")
-    return affinity, solution
+    return PipelineResult(affinity, solution)
 
 
 def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
@@ -113,7 +113,7 @@ def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
     sample, noise = circle_dataset(n, m, noise_model, seed, two_circles)
     affinity = gaussian_kernel(pairwise_sq_dists(noise.noisy_points), epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    return PipelineResult(sample, noise, affinity, solution)
+    return PipelineResult(affinity, solution, sample, noise)
 
 
 def _dskde_name(s):
@@ -290,6 +290,7 @@ def _laplacian_errors(pipe, s, alpha=1.0):
 
 def laplacian_errors(n, epsilon, noise_model, seed, s=2.0, alpha=1.0):
     """Max operator error of the robust vs traditional Laplacians at alpha."""
+    laplacian._check_alpha(alpha)
     pipe = circle_pipeline(n, n, epsilon, noise_model, seed)
     return {**_laplacian_errors(pipe, s, alpha), "residual": pipe.solution.residual}
 
@@ -311,14 +312,13 @@ def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
     y, predicted = counts_mod.normalize_counts(cm)
     if epsilon is None:
         epsilon = median_sq_dist_epsilon(y)
-    affinity, solution = scale_points(y, epsilon, tol, max_iter)
-    scaled = assemble_W(affinity, solution)
-    qhat = density.ds_kde(scaled, s)
-    nhat = inference.noise_magnitude(solution, qhat, epsilon)
+    pipe = scale_points(y, epsilon, tol, max_iter)
+    qhat = density.ds_kde(pipe.scaled, s)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, epsilon)
     return {
         "counts": cm, "normalized": y, "predicted_noise": predicted,
-        "epsilon": epsilon, "affinity": affinity, "solution": solution,
-        "scaled": scaled, "qhat": qhat, "noise_sq_hat": nhat,
+        "epsilon": epsilon, "affinity": pipe.affinity, "solution": pipe.solution,
+        "scaled": pipe.scaled, "qhat": qhat, "noise_sq_hat": nhat,
     }
 
 
@@ -355,10 +355,9 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
     """Mean and worst-class transition errors per (epsilon, alpha, family)."""
     rows = []
     for eps in epsilons:
-        affinity, solution = scale_points(normalized, eps, tol, max_iter)
-        scaled = assemble_W(affinity, solution)
-        rows += transition_errors(affinity, scaled, density.ds_kde(scaled, s), labels, eps,
-                                  alphas)
+        pipe = scale_points(normalized, eps, tol, max_iter)
+        rows += transition_errors(pipe.affinity, pipe.scaled, density.ds_kde(pipe.scaled, s),
+                                  labels, eps, alphas)
     return rows
 
 

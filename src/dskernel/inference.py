@@ -8,7 +8,6 @@ import numpy as np
 
 from .density import S_LIMIT, _check_closed_form, raw_density
 from .errors import ConvergenceError, ParameterError
-from .kernel import pairwise_sq_dists
 
 
 @dataclass(frozen=True)
@@ -56,38 +55,32 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     return nhat
 
 
-def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None,
-                                   scaled=None, qhat=None):
+def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None, *,
+                                   scaled, qhat=None):
     """Fill an EstimateTable from noisy points and noise magnitude estimates.
 
-    With ``scaled``, W of the kernel at ``epsilon``, the corrected distances
-    D_ij - N_i - N_j are read off log K = -D/eps; without it they come from
-    ``pairwise_sq_dists``. With ``qhat`` too, the estimates must agree with the
-    affinity form to 1e-8 (undebiased ones only), checked in O(n): the forms
-    differ by delta_i + delta_j, delta = N - eps*(log d + log((n-1) q)/2).
+    ``scaled`` is W of the kernel at ``epsilon``: the corrected distances
+    D_ij - N_i - N_j are read off log K = -D/eps. With ``qhat`` too, the
+    estimates must agree with the affinity form to 1e-8 (undebiased ones
+    only), checked in O(n): the forms differ by delta_i + delta_j,
+    delta = N - eps*(log d + log((n-1) q)/2).
     """
     noisy_points = np.asarray(noisy_points, dtype=float)
     nhat = np.asarray(nhat, dtype=float)
     if noisy_points.shape[0] != nhat.shape[0]:
         raise ParameterError("noisy_points and noise estimates disagree in length")
-    sq_norms = np.einsum("ij,ij->i", noisy_points, noisy_points)
-    signal = sq_norms - nhat
-    if scaled is None:
-        corrected = pairwise_sq_dists(noisy_points)
-        # grouping the noise terms keeps the matrix exactly symmetric
-        corrected -= nhat[:, None] + nhat[None, :]
-    else:
-        if scaled.epsilon != epsilon:
-            raise ParameterError(f"W's kernel is at epsilon {scaled.epsilon}, not {epsilon}")
-        corrected = scaled.operator.weighted_log(nhat / epsilon)
-        corrected *= -epsilon
-        if qhat is not None:
-            half = 0.5 * np.log((scaled.n - 1) * raw_density(qhat))
-            delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, -2))
-            gap = max(abs(delta[0] + delta[1]), abs(delta[-2] + delta[-1]))
-            if gap > 1e-8:
-                raise ParameterError(
-                    f"affinity-form distances disagree with subtraction form by {gap:.2e}")
+    if scaled.epsilon != epsilon:
+        raise ParameterError(f"W's kernel is at epsilon {scaled.epsilon}, not {epsilon}")
+    signal = np.einsum("ij,ij->i", noisy_points, noisy_points) - nhat
+    corrected = scaled.operator.weighted_log(nhat / epsilon)
+    corrected *= -epsilon
+    if qhat is not None:
+        half = 0.5 * np.log((scaled.n - 1) * raw_density(qhat))
+        delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, -2))
+        gap = max(abs(delta[0] + delta[1]), abs(delta[-2] + delta[-1]))
+        if gap > 1e-8:
+            raise ParameterError(
+                f"affinity-form distances disagree with subtraction form by {gap:.2e}")
     np.fill_diagonal(corrected, 0.0)
     return EstimateTable(noise_sq_hat=nhat, signal_sq_hat=signal,
                          corrected_dists=corrected, epsilon=epsilon, s=s, dim=dim)

@@ -187,9 +187,9 @@ class KernelOperator:
     def weighted_log(self, u):
         """The dense log(e^(u_i) A_ij e^(u_j)), summed as (u_i + u_j) + log A_ij
         so that it is exactly symmetric when log A is."""
-        log_w = u[:, None] + u[None, :]
-        log_w += self.log_a
-        return log_w
+        out = u[:, None] + u[None, :]
+        out += self.log_a
+        return out
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,11 @@ class MarkovFamily:
     apply: Callable
 
 
+def _check_alpha(alpha):
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError("alpha must lie in [0, 1]")
+
+
 def robust_markov(scaled, qhat, alpha):
     """Density-compensated row-stochastic matrix built from W (``assemble_W``).
 
@@ -36,8 +41,7 @@ def robust_markov(scaled, qhat, alpha):
     alpha = 0.5 the compensation vanishes and M is W itself, unnormalized:
     its product is ``scaled.matvec``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     if alpha == 0.5:
         return MarkovFamily("robust", scaled.n, scaled.matvec)
     log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))
@@ -49,8 +53,7 @@ def traditional_markov(affinity, alpha):
 
     The row factor cancels, so M = K diag(D^-alpha) over its row sums.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     return MarkovFamily("traditional", affinity.n, partial(
         affinity.operator.row_mean, -alpha * log_degrees(affinity)))
 

@@ -6,7 +6,8 @@ doubly stochastic case). The iteration is the damped symmetric fixed point
     log d  <-  (log d + log target - logsumexp_j(log K_ij + log d_j)) / 2
 
 applied to all rows simultaneously. A solve that has not met the tolerance
-after ``max_iter`` steps is returned with ``converged=False``.
+after ``max_iter`` steps, or whose residual is not finite, is returned with
+``converged=False``.
 
 Every row log-sum-exp is one matrix-vector product with the kernel's
 :class:`~dskernel.kernel.KernelOperator`, stabilized by absorption
@@ -18,12 +19,11 @@ the range of exp.
 The solve leaves that operator absorbed near the solution, and W is kept as
 it plus log d: every row reduction of W after the solve (the DS-KDE, the
 Markov normalizations, the Laplacians) is a product with the same absorbed
-matrix, and assembling W costs O(n). Dense log W and W are views computed
-only when a caller asks for them.
+matrix, and assembling W costs O(n). The dense W is built afresh only when
+a caller asks for it.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +85,9 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
         if residual <= tol:
             return ScalingSolution(log_d, residual, iteration, True, np.array(history),
                                    operator.absorptions - absorbed_before)
-    return ScalingSolution(log_d, history[-1], max_iter, False, np.array(history),
+        if not np.isfinite(residual):  # a kernel row with no finite entry stays NaN
+            break
+    return ScalingSolution(log_d, history[-1], len(history), False, np.array(history),
                            operator.absorptions - absorbed_before)
 
 
@@ -112,9 +114,9 @@ class ScaledMatrix:
     of K, log d and the kernel's bandwidth; ``assemble_W`` is its one builder.
 
     Every row reduction of W is a product with ``operator`` at the weights
-    ``log_d``, for example W x = operator.matvec(log_d, x). The dense
-    ``log_w`` (diagonal -inf) and linear ``w`` are views computed on first
-    use and kept; no step of the pipeline reads them.
+    ``log_d``, for example W x = operator.matvec(log_d, x). ``w``, the dense
+    W with a zero diagonal, is built anew on each access; no step of the
+    pipeline reads it.
     """
 
     operator: KernelOperator
@@ -125,13 +127,9 @@ class ScaledMatrix:
     def n(self):
         return len(self.log_d)
 
-    @cached_property
-    def log_w(self):
-        return self.operator.weighted_log(self.log_d)
-
-    @cached_property
+    @property
     def w(self):
-        return np.exp(self.log_w)
+        return np.exp(self.operator.weighted_log(self.log_d))
 
     def matvec(self, x):
         """W x for a vector or an n x k block x."""
@@ -141,7 +139,7 @@ class ScaledMatrix:
 def assemble_W(affinity, solution):
     """W of a converged scaling solution: the affinity's operator and log d, O(n).
 
-    The view log W = log d_i + log d_j + log K_ij is exactly symmetric, since
+    log W = log d_i + log d_j + log K_ij is exactly symmetric, since
     log d_i + log d_j is and so is log K; its diagonal is excluded, and every
     row of W sums to 1 within the solver tolerance.
     """

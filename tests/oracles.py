@@ -7,6 +7,8 @@ derived computation rather than against itself.
 
 import numpy as np
 
+from dskernel.kernel import pairwise_sq_dists
+
 
 def newton_symmetric_scaling(kernel, targets=None, tol=1e-13, max_iter=200):
     """Damped Newton solve of the symmetric scaling equations on log d.
@@ -41,6 +43,16 @@ def newton_symmetric_scaling(kernel, targets=None, tol=1e-13, max_iter=200):
         else:
             raise RuntimeError("newton oracle failed to make progress")
     raise RuntimeError("newton oracle did not converge")
+
+
+def pairwise_corrected_dists(points, nhat):
+    """Corrected distances ||y_i - y_j||^2 - N_i - N_j from the pairwise
+    squared distances, with a zero diagonal."""
+    corrected = pairwise_sq_dists(np.asarray(points, dtype=float))
+    # grouping the noise terms keeps the matrix exactly symmetric
+    corrected -= nhat[:, None] + nhat[None, :]
+    np.fill_diagonal(corrected, 0.0)
+    return corrected
 
 
 def brute_force_ds_kde(w, s):

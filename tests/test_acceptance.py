@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from dskernel import density, geometry, harness, inference, kernel, laplacian, scaling
-from oracles import newton_symmetric_scaling
+from oracles import newton_symmetric_scaling, pairwise_corrected_dists
 
 EPSILON = 0.1
 S = 2.0
@@ -235,17 +235,17 @@ def test_criterion_10_exact_invariants():
                 laplacian.apply_laplacian(fam, const, EPSILON)).max())
     checks["annihilation"] = worst < 1e-9
 
-    # signal + noise identity and agreement of the two distance formulas
+    # signal + noise identity, and the distances read off log K agree with
+    # the pairwise formula
     nhat = inference.noise_magnitude(pipe.solution, qhat, EPSILON)
     table = inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, EPSILON, S, DIM)
+        pipe.noise.noisy_points, nhat, EPSILON, S, DIM, scaled=pipe.scaled, qhat=qhat)
     sq = (pipe.noise.noisy_points**2).sum(axis=1)
     checks["signal-noise-identity"] = np.abs(
         table.signal_sq_hat + table.noise_sq_hat - sq).max() < 1e-12
-    alt = inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, EPSILON, S, DIM, scaled=pipe.scaled, qhat=qhat)
     checks["distance-forms-agree"] = np.abs(
-        alt.corrected_dists - table.corrected_dists).max() < 1e-8
+        table.corrected_dists - pairwise_corrected_dists(pipe.noise.noisy_points, nhat)
+    ).max() < 1e-8
 
     # alpha = 0.5 returns W itself: its product is W's, bit for bit
     identity = np.eye(300)

@@ -1,5 +1,6 @@
 import csv
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,28 @@ def test_unconverged_scale_is_a_one_line_error(simulated, tmp_path, capsys):
                         one_line_error(capsys))
 
 
+def test_kernel_without_finite_entries_fails_after_one_iteration(simulated, tmp_path, capsys):
+    # eps = 1e-310 overflows every -D/eps to -inf, and the residual to NaN
+    points, _ = simulated
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["scale", "--input", str(points), "--epsilon", "1e-310",
+                    "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert one_line_error(capsys) == (
+        "error: scaling stopped at residual nan after 1 iterations\n")
+
+
+def test_bad_alpha_is_reported_before_any_data_is_built(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the circle was generated")
+
+    monkeypatch.setattr(harness, "circle_dataset", unreachable)
+    code = run(["laplacian", "--alpha", "1.5", "--epsilon", "0.1",
+                "--out", str(tmp_path / "lap.csv")])
+    assert code == 1
+    assert one_line_error(capsys) == "error: alpha must lie in [0, 1]\n"
+
+
 def test_bench_subcommand(tmp_path):
     out = tmp_path / "fig3.csv"
     code = run(["bench", "fig3", "--sweep", "60", "90", "--repeats", "1",
@@ -300,6 +323,14 @@ def test_bench_meta_line_records_the_package_version(tmp_path):
     meta = out.read_text().splitlines()[0]
     items = dict(item.split("=", 1) for item in meta[2:].split(", "))
     assert items["version"] == dskernel.__version__
+
+
+def test_project_version_is_the_package_version():
+    # pyproject.toml is read with a regex: tomllib is new in Python 3.11, and
+    # requires-python allows 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [dskernel.__version__]
 
 
 @pytest.mark.parametrize("figure,sweep", [("fig3", "60"), ("fig5", "0.4")])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dskernel import cli, density, geometry, harness, inference, kernel, laplacian, scaling
 from dskernel.errors import ConvergenceError, ParameterError
+from oracles import pairwise_corrected_dists
 
 SIGMA_SQ = 0.16 * np.pi**2
 
@@ -64,7 +65,8 @@ def test_signal_plus_noise_identity_is_exact():
     sample, aff, sol, scaled = clean_circle_pipeline(n=300, m=100, seed=4)
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0)
+    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+                                                     scaled=scaled)
     sq_norms = (sample.clean_points**2).sum(axis=1)
     np.testing.assert_allclose(table.signal_sq_hat + table.noise_sq_hat, sq_norms,
                                rtol=0, atol=1e-12)
@@ -74,18 +76,19 @@ def test_affinity_and_subtraction_distance_forms_agree():
     sample, aff, sol, scaled = clean_circle_pipeline(n=400, m=200, seed=5)
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    sub = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0)
+    sub = pairwise_corrected_dists(sample.clean_points, nhat)
     # the kernel route, with the affinity-form check of the noise estimates
     alt = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
                                                    scaled=scaled, qhat=qhat)
-    assert np.abs(alt.corrected_dists - sub.corrected_dists).max() < 1e-8
+    assert np.abs(alt.corrected_dists - sub).max() < 1e-8
 
 
 def test_corrected_distance_diagonal_is_zeroed():
     sample, aff, sol, scaled = clean_circle_pipeline(n=100, m=50, seed=6)
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0)
+    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+                                                     scaled=scaled)
     assert np.all(np.diag(table.corrected_dists) == 0.0)
     assert np.array_equal(table.corrected_dists, table.corrected_dists.T)
 
@@ -113,7 +116,7 @@ def test_noise_magnitude_input_validation():
         inference.noise_magnitude(bad, qhat, 0.1)
     with pytest.raises(ParameterError):
         inference.signal_magnitude_and_distances(sample.clean_points,
-                                                 np.zeros(5), 0.1, 2.0)
+                                                 np.zeros(5), 0.1, 2.0, scaled=scaled)
 
 
 def test_knn_recovery_identity_and_hand_example():
@@ -154,7 +157,8 @@ def test_corrected_distances_improve_knn_under_noise():
     # the recovered magnitudes track the true ones tightly
     corr = np.corrcoef(nhat, noise.true_noise_sq)[0, 1]
     assert corr > 0.99
-    table = inference.signal_magnitude_and_distances(noise.noisy_points, nhat, 0.1, 2.0)
+    table = inference.signal_magnitude_and_distances(noise.noisy_points, nhat, 0.1, 2.0,
+                                                     scaled=scaled)
     clean = kernel.pairwise_sq_dists(sample.clean_points)
     noisy = kernel.pairwise_sq_dists(noise.noisy_points)
     k = 30
@@ -175,17 +179,17 @@ def test_kernel_route_matches_pairwise_route(n, dim, seed, epsilon, debias):
     scaled = scaling.assemble_W(aff, sol)
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, epsilon, debias=debias, dim=dim)
-    pairwise = inference.signal_magnitude_and_distances(points, nhat, epsilon, 2.0, dim)
+    pairwise = pairwise_corrected_dists(points, nhat)
     # the affinity-form check holds for undebiased estimates only
     got = inference.signal_magnitude_and_distances(
         points, nhat, epsilon, 2.0, dim, scaled=scaled, qhat=None if debias else qhat)
     d = got.corrected_dists
     # both routes round relative to the distances and the noise estimates
     scale = max(sq.max(), np.abs(nhat).max())
-    assert np.abs(d - pairwise.corrected_dists).max() <= 1e-14 * scale
+    assert np.abs(d - pairwise).max() <= 1e-14 * scale
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
-    assert np.array_equal(got.signal_sq_hat, pairwise.signal_sq_hat)
+    assert np.array_equal(got.signal_sq_hat, np.einsum("ij,ij->i", points, points) - nhat)
 
 
 def test_affinity_check_gap_is_the_dense_gap():
@@ -203,9 +207,8 @@ def test_affinity_check_gap_is_the_dense_gap():
     jitter = np.random.default_rng(0).normal(scale=1e-4, size=n)
     # mirrored jitter puts the worst pair at the smallest delta, then the largest
     for est in (debiased, nhat + jitter, nhat - jitter):
-        pairwise = inference.signal_magnitude_and_distances(sample.clean_points, est,
-                                                            epsilon, 2.0)
-        dense_gap = np.abs(affinity_form - pairwise.corrected_dists)[off].max()
+        pairwise = pairwise_corrected_dists(sample.clean_points, est)
+        dense_gap = np.abs(affinity_form - pairwise)[off].max()
         assert dense_gap > 1e-6  # far above the 1e-8 threshold
         with pytest.raises(ParameterError, match="disagree with subtraction form") as exc:
             inference.signal_magnitude_and_distances(sample.clean_points, est, epsilon,

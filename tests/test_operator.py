@@ -29,6 +29,11 @@ def assert_rel(got, expected, rtol=RTOL):
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
 
 
+def log_w_of(scaled):
+    """The dense log W of an assembled W, diagonal -inf."""
+    return scaled.operator.weighted_log(scaled.log_d)
+
+
 def dense_ds_kde(log_w, s):
     n = log_w.shape[0]
     if s == density.S_LIMIT:
@@ -83,7 +88,7 @@ def small_eps_counts():
 @pytest.mark.parametrize("s", [0.5, 2.0, density.S_LIMIT])
 def test_ds_kde_matches_dense_log_domain(noisy_circle, s):
     scaled = noisy_circle[0].scaled
-    expected = dense_ds_kde(scaled.log_w, s)
+    expected = dense_ds_kde(log_w_of(scaled), s)
     np.testing.assert_allclose(density.ds_kde(scaled, s).raw, expected, rtol=RTOL)
 
 
@@ -176,7 +181,7 @@ def test_markov_families_match_dense_log_domain(noisy_circle, alpha):
     eps = pipe.affinity.epsilon
     qhat = density.ds_kde(pipe.scaled, 2.0)
     cases = [(laplacian.robust_markov(pipe.scaled, qhat, alpha),
-              dense_robust(pipe.scaled.log_w, qhat.raw, alpha)),
+              dense_robust(log_w_of(pipe.scaled), qhat.raw, alpha)),
              (laplacian.traditional_markov(pipe.affinity, alpha),
               dense_traditional(pipe.affinity.log_entries, alpha))]
     for fam, markov in cases:
@@ -193,7 +198,7 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
     operator = scaled.operator
     assert operator is affinity.operator
     assert np.ptp(scaled.log_d) > kernel.ABSORB_THRESHOLD
-    np.testing.assert_allclose(res["qhat"].raw, dense_ds_kde(scaled.log_w, 2.0), rtol=RTOL)
+    np.testing.assert_allclose(res["qhat"].raw, dense_ds_kde(log_w_of(scaled), 2.0), rtol=RTOL)
     f = np.cos(np.arange(scaled.n))
     for alpha in ALPHAS:
         before = operator.absorptions
@@ -203,7 +208,7 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
         np.testing.assert_allclose(laplacian.transition_error(trad, labels),
                                    dense_leave(markov, labels), rtol=RTOL)
         robust = laplacian.robust_markov(scaled, res["qhat"], alpha)
-        markov = dense_robust(scaled.log_w, res["qhat"].raw, alpha)
+        markov = dense_robust(log_w_of(scaled), res["qhat"].raw, alpha)
         assert_rel(robust.apply(f), markov @ f)
         np.testing.assert_allclose(laplacian.transition_error(robust, labels),
                                    dense_leave(markov, labels), rtol=RTOL)
@@ -215,7 +220,7 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
 def test_only_the_kernel_module_reads_the_dense_log_matrix():
     # a sparse or truncated kernel can replace the dense log K only while
     # every other module reaches it through the operator's methods; likewise
-    # no pipeline step reads the dense views of W that scaling.py builds
+    # no pipeline step reads the dense W that scaling.py builds
     package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
 
     def readers(attrs, owner):
@@ -226,4 +231,4 @@ def test_only_the_kernel_module_reads_the_dense_log_matrix():
             if isinstance(node, ast.Attribute) and node.attr in attrs)
 
     assert readers({"log_a"}, "kernel.py") == []
-    assert readers({"w", "log_w"}, "scaling.py") == []
+    assert readers({"w"}, "scaling.py") == []

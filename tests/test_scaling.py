@@ -22,11 +22,11 @@ def test_scaled_matrix_is_doubly_stochastic():
     aff = circle_affinity(300, 0.1, seed=1)
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.converged
-    w = scaling.assemble_W(aff, sol)
-    np.testing.assert_allclose(w.w.sum(axis=1), 1.0, rtol=0, atol=5e-9)
-    np.testing.assert_allclose(w.w.sum(axis=0), 1.0, rtol=0, atol=5e-9)
-    assert np.array_equal(w.w, w.w.T)
-    assert np.all(np.diag(w.w) == 0.0)
+    w = scaling.assemble_W(aff, sol).w
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=5e-9)
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=5e-9)
+    assert np.array_equal(w, w.T)
+    assert np.all(np.diag(w) == 0.0)
 
 
 def test_matches_newton_oracle_on_small_matrices():
@@ -87,10 +87,10 @@ def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth,
     aff = kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
     log_d = rng.uniform(-spread, spread, size=n)  # log W stays within exp range
     scaled = scaling.assemble_W(aff, scaling.ScalingSolution(log_d, 0.0, 1, True))
-    assert np.array_equal(scaled.log_w, scaled.log_w.T)
-    assert np.all(np.isneginf(np.diag(scaled.log_w)))
-    assert scaled.w is scaled.w
-    assert np.array_equal(scaled.w, np.exp(scaled.log_w))
+    log_w = scaled.operator.weighted_log(scaled.log_d)
+    assert np.array_equal(log_w, log_w.T)
+    assert np.all(np.isneginf(np.diag(log_w)))
+    assert np.array_equal(scaled.w, np.exp(log_w))
 
 
 def test_permutation_equivariance():
@@ -145,7 +145,8 @@ def estimates_after_the_solve(points, epsilon):
     scaled = scaling.assemble_W(aff, sol)
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, epsilon)
-    table = inference.signal_magnitude_and_distances(points, nhat, epsilon, 2.0)
+    table = inference.signal_magnitude_and_distances(points, nhat, epsilon, 2.0,
+                                                     scaled=scaled)
     return {"log_d": sol.log_d, "w": scaled.w, "dskde_s2": qhat.raw,
             "dskde_limit": density.ds_kde(scaled, density.S_LIMIT).raw,
             "noise": nhat, "signal": table.signal_sq_hat,
@@ -233,6 +234,17 @@ def test_solution_reports_absorptions():
     assert sol.absorptions >= 1
 
 
+def test_non_finite_residual_stops_the_solve_at_once():
+    # at eps = 1e-310 every -D/eps overflows to -inf: no row of the kernel has
+    # a finite entry, and the residual is NaN from the first step on
+    with np.errstate(over="ignore", invalid="ignore"):
+        aff = circle_affinity(60, 1e-310)
+        sol = scaling.sinkhorn_symmetric(aff, max_iter=1000)
+    assert not sol.converged
+    assert sol.iterations == 1 and len(sol.residual_history) == 1
+    assert np.isnan(sol.residual)
+
+
 def test_unconverged_solution_reports_every_iteration():
     sol = harness.circle_pipeline(300, 300, 2e-4, max_iter=200).solution
     assert not sol.converged
@@ -312,7 +324,7 @@ def test_clean_data_diagnostics_are_small():
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), 0.1)
     sol = scaling.sinkhorn_symmetric(aff)
     oracle = density.DensityEstimate(raw=sample.density_values * np.sqrt(np.pi * 0.1),
-                                     normalized=None, s=2.0, epsilon=0.1, intrinsic_dim=1)
+                                     normalized=None, s=2.0)
     implied = inference.noise_magnitude(sol, oracle, 0.1)
     assert np.abs(implied).max() < 0.05
 
@@ -322,4 +334,4 @@ def test_diagnostics_reject_nonpositive_density():
     sol = scaling.sinkhorn_symmetric(aff)
     with pytest.raises(ParameterError):
         inference.noise_magnitude(sol, density.DensityEstimate(
-            raw=np.zeros(20), normalized=None, s=2.0, epsilon=0.1, intrinsic_dim=None), 0.1)
+            raw=np.zeros(20), normalized=None, s=2.0), 0.1)
