@@ -8,10 +8,14 @@ family degrades far more gracefully, especially at small bandwidths.
 from dskernel.harness import laplacian_errors
 
 n = 1000
+epsilons = (0.05, 0.1, 0.2)
+noises = ("none", "varying_ball")
+# one circle and one distance matrix per noise model, shared by every eps
+errors = {noise: laplacian_errors(n, epsilons, noise, seed=0, alpha=1.0) for noise in noises}
 
 print(f"{'eps':>6} {'noise':>14} {'robust':>8} {'traditional':>12}")
-for eps in (0.05, 0.1, 0.2):
-    for noise in ("none", "varying_ball"):
-        errs = laplacian_errors(n, eps, noise, seed=0, alpha=1.0)
+for i, eps in enumerate(epsilons):
+    for noise in noises:
+        errs = errors[noise][i]
         print(f"{eps:>6} {noise:>14} {errs['robust']:>8.3f} "
               f"{errs['traditional']:>12.3f}")

@@ -216,14 +216,12 @@ def _cmd_denoise(args):
 
 
 def _cmd_laplacian(args):
-    rows = []
-    for eps in args.epsilon:
-        errs = harness.laplacian_errors(args.n, eps, args.noise, args.seed,
-                                        s=args.s, alpha=args.alpha)
-        for fam in ("robust", "traditional"):
-            if args.family in (fam, "both"):
-                rows.append([eps, fam, args.alpha, errs[fam]])
-    _write_csv(args.out, ["epsilon", "family", "alpha", "max_error"], rows)
+    sweep = harness.laplacian_errors(args.n, args.epsilon, args.noise, args.seed,
+                                     s=args.s, alpha=args.alpha)
+    families = ("robust", "traditional") if args.family == "both" else (args.family,)
+    _write_csv(args.out, ["epsilon", "family", "alpha", "max_error"],
+               ([eps, fam, args.alpha, errs[fam]]
+                for eps, errs in zip(args.epsilon, sweep) for fam in families))
 
 
 def _subsample_per_class(labels, per_class, seed):

@@ -93,7 +93,6 @@ class PopulationScaling:
 
     grid: np.ndarray
     rho: np.ndarray
-    epsilon: float
     residual: float
 
 
@@ -137,4 +136,4 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     residual = np.abs(lhs - 1.0).max()
     if residual > 1e-8:
         raise ParameterError(f"population scaling residual {residual:.2e} exceeds 1e-8")
-    return PopulationScaling(grid=theta, rho=rho, epsilon=epsilon, residual=residual)
+    return PopulationScaling(grid=theta, rho=rho, residual=residual)

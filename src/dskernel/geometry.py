@@ -29,7 +29,6 @@ class ManifoldSample:
 
     angles: np.ndarray
     clean_points: np.ndarray
-    ambient_dim: int
     intrinsic_dim: int
     density_values: np.ndarray
     radius_labels: np.ndarray
@@ -40,7 +39,6 @@ class NoiseRealization:
     noise_vectors: np.ndarray
     noisy_points: np.ndarray
     true_noise_sq: np.ndarray
-    model_tag: str
 
 
 def wrapped_normal_density(theta, sigma_sq):
@@ -79,7 +77,6 @@ def sample_circle(n, sigma_sq, radius=1.0, seed=0):
     return ManifoldSample(
         angles=angles,
         clean_points=clean,
-        ambient_dim=2,
         intrinsic_dim=1,
         density_values=density,
         radius_labels=np.full(n, float(radius)),
@@ -100,7 +97,6 @@ def sample_two_circles(n_per_circle=500, sigma_sq=0.16 * np.pi**2,
     return ManifoldSample(
         angles=np.concatenate([p.angles for p in parts]),
         clean_points=np.concatenate([p.clean_points for p in parts]),
-        ambient_dim=2,
         intrinsic_dim=1,
         density_values=np.concatenate([p.density_values for p in parts]),
         radius_labels=np.concatenate([p.radius_labels for p in parts]),
@@ -118,7 +114,7 @@ def embed_orthogonal(sample, m, seed=0):
         raise ParameterError(f"ambient dimension {m} below embedding dimension {k}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(m, k)))
-    return replace(sample, clean_points=sample.clean_points @ q.T, ambient_dim=m)
+    return replace(sample, clean_points=sample.clean_points @ q.T)
 
 
 def varying_ball_radius(angles):
@@ -161,7 +157,6 @@ def apply_noise(sample, model, seed=0):
         noise_vectors=eta,
         noisy_points=sample.clean_points + eta,
         true_noise_sq=np.einsum("ij,ij->i", eta, eta),
-        model_tag=model,
     )
 
 

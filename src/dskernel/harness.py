@@ -12,7 +12,7 @@ from . import __version__
 from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
 from .errors import ConvergenceError, ParameterError
-from .kernel import gaussian_kernel, pairwise_sq_dists, standard_kde
+from .kernel import _check_epsilon, gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import assemble_W, sinkhorn_symmetric
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
@@ -72,19 +72,25 @@ class PipelineResult:
         return assemble_W(self.affinity, self.solution)
 
 
+def _solve(sq_dists, epsilon, tol, max_iter, sample=None, noise=None):
+    """PipelineResult of the kernel of ``sq_dists`` and its solve, converged or not."""
+    affinity = gaussian_kernel(sq_dists, epsilon)
+    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
+    return PipelineResult(affinity, solution, sample, noise)
+
+
 def scale_points(points, epsilon, tol, max_iter):
     """PipelineResult of the Gaussian kernel of ``points`` and its converged solve.
 
     Raises ConvergenceError with the residual and iteration count when the
     solve stops short of ``tol``.
     """
-    affinity = gaussian_kernel(pairwise_sq_dists(points), epsilon)
-    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    if not solution.converged:
+    pipe = _solve(pairwise_sq_dists(points), epsilon, tol, max_iter)
+    if not pipe.solution.converged:
         raise ConvergenceError(
-            f"scaling stopped at residual {solution.residual:.3e} after "
-            f"{solution.iterations} iterations")
-    return PipelineResult(affinity, solution)
+            f"scaling stopped at residual {pipe.solution.residual:.3e} after "
+            f"{pipe.solution.iterations} iterations")
+    return pipe
 
 
 def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
@@ -111,9 +117,7 @@ def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
     A solve that did not converge is kept as it is; ``scaled`` refuses it.
     """
     sample, noise = circle_dataset(n, m, noise_model, seed, two_circles)
-    affinity = gaussian_kernel(pairwise_sq_dists(noise.noisy_points), epsilon)
-    solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    return PipelineResult(affinity, solution, sample, noise)
+    return _solve(pairwise_sq_dists(noise.noisy_points), epsilon, tol, max_iter, sample, noise)
 
 
 def _dskde_name(s):
@@ -285,14 +289,20 @@ def _laplacian_errors(pipe, s, alpha=1.0):
     robust = laplacian.robust_markov(pipe.scaled, qhat, alpha)
     trad = laplacian.traditional_markov(pipe.affinity, alpha)
     return {"robust": laplacian.operator_error(robust, f, lap_f, eps),
-            "traditional": laplacian.operator_error(trad, f, lap_f, eps)}
+            "traditional": laplacian.operator_error(trad, f, lap_f, eps),
+            "residual": pipe.solution.residual}
 
 
-def laplacian_errors(n, epsilon, noise_model, seed, s=2.0, alpha=1.0):
-    """Max operator error of the robust vs traditional Laplacians at alpha."""
+def laplacian_errors(n, epsilons, noise_model, seed, s=2.0, alpha=1.0):
+    """Max operator errors of the robust vs traditional Laplacians at alpha, per epsilon."""
     laplacian._check_alpha(alpha)
-    pipe = circle_pipeline(n, n, epsilon, noise_model, seed)
-    return {**_laplacian_errors(pipe, s, alpha), "residual": pipe.solution.residual}
+    for eps in epsilons:
+        _check_epsilon(eps)
+    sample, noise = circle_dataset(n, n, noise_model, seed)
+    d = pairwise_sq_dists(noise.noisy_points)
+    # a pipeline passed only as an argument is freed before the next kernel is built
+    return [_laplacian_errors(_solve(d, eps, 1e-9, 100_000, sample, noise), s, alpha)
+            for eps in epsilons]
 
 
 def median_sq_dist_epsilon(points, divisor=16.0):
@@ -303,12 +313,10 @@ def median_sq_dist_epsilon(points, divisor=16.0):
 
 
 def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
-                             depth_range=(500.0, 2500.0), cluster_depth_ranges=None,
-                             tol=1e-6, max_iter=10_000):
+                             cluster_depth_ranges=None, tol=1e-6, max_iter=10_000):
     """Synthetic Poisson pipeline: counts -> normalize -> scale -> noise estimate."""
     cm = counts_mod.synth_poisson_counts(
-        n, m, seed=seed, depth_range=depth_range,
-        cluster_depth_ranges=cluster_depth_ranges)
+        n, m, seed=seed, cluster_depth_ranges=cluster_depth_ranges)
     y, predicted = counts_mod.normalize_counts(cm)
     if epsilon is None:
         epsilon = median_sq_dist_epsilon(y)
@@ -350,13 +358,13 @@ def transition_errors(affinity, scaled, qhat, labels, epsilon, alphas=(0.0, 0.5,
     return rows
 
 
-def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0),
-                           s=2.0, tol=1e-6, max_iter=10_000):
-    """Mean and worst-class transition errors per (epsilon, alpha, family)."""
+def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0)):
+    """Mean and worst-class transition errors per (epsilon, alpha, family) at s = 2."""
+    d = pairwise_sq_dists(normalized)
     rows = []
     for eps in epsilons:
-        pipe = scale_points(normalized, eps, tol, max_iter)
-        rows += transition_errors(pipe.affinity, pipe.scaled, density.ds_kde(pipe.scaled, s),
+        pipe = _solve(d, eps, 1e-6, 10_000)
+        rows += transition_errors(pipe.affinity, pipe.scaled, density.ds_kde(pipe.scaled, 2.0),
                                   labels, eps, alphas)
     return rows
 

@@ -66,7 +66,7 @@ class KernelOperator:
     are exact zeros of B and take part in no reduction.
 
     ``log_a`` is kept by reference, never written; one holding NaN or +inf
-    raises ParameterError.
+    raises ParameterError, and so does absorbing one with a row of only -inf.
     """
 
     def __init__(self, log_a):
@@ -91,8 +91,10 @@ class KernelOperator:
         for rows in _row_blocks(self.n):
             block = self._mat[rows]
             np.add(self.log_a[rows], u, out=block)
-            self._m[rows] = block.max(axis=1)
-            block -= self._m[rows, None]
+            m = self._m[rows] = block.max(axis=1)
+            if m.min() == -np.inf:  # the first such row is the first minimum
+                raise ParameterError(f"row {rows.start + m.argmin()} of the matrix is zero")
+            block -= m[:, None]
             # Every entry of B below the smallest normal double is an exact
             # zero, and reaches exp only as an exact zero of the exponent. It
             # lies far below the resolution of its row sum, a subnormal slows
@@ -252,8 +254,8 @@ def _check_epsilon(epsilon):
 def gaussian_kernel(sq_dists, epsilon):
     """Build the log-domain Gaussian affinity exp(-dist^2/eps) with zero diagonal."""
     _check_epsilon(epsilon)
-    sq_dists = np.asarray(sq_dists, dtype=float)
-    log_entries = -sq_dists / epsilon
+    with np.errstate(over="ignore"):  # past double range: -inf, an exact zero of K
+        log_entries = np.asarray(sq_dists, dtype=float) / -epsilon
     np.fill_diagonal(log_entries, -np.inf)
     return AffinityMatrix(log_entries=log_entries, epsilon=float(epsilon))
 

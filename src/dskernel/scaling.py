@@ -85,7 +85,7 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
         if residual <= tol:
             return ScalingSolution(log_d, residual, iteration, True, np.array(history),
                                    operator.absorptions - absorbed_before)
-        if not np.isfinite(residual):  # a kernel row with no finite entry stays NaN
+        if not np.isfinite(residual):  # a NaN in log d spreads to every later step
             break
     return ScalingSolution(log_d, history[-1], len(history), False, np.array(history),
                            operator.absorptions - absorbed_before)
@@ -101,7 +101,7 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
     unique, so every start converges to the same scaling factors. The solve
     runs on ``affinity.operator`` and leaves it absorbed near the solution
     for the steps after it. ``max_iter`` below 1, a ``tol`` that is not
-    positive and finite, or NaN or +inf in log K raises ParameterError.
+    positive and finite, NaN or +inf in log K, or a zero row of K raises ParameterError.
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")

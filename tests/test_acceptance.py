@@ -161,14 +161,13 @@ def test_criterion_07_laplacian_ordering():
     sweep = (0.025, 0.05, 0.1)
     trials = 10
     errors = {}
-    for eps in sweep:
-        for noise in ("none", "varying_ball"):
-            robust, trad = [], []
-            for seed in range(trials):
-                errs = harness.laplacian_errors(2000, eps, noise, seed, s=S, alpha=1.0)
-                robust.append(errs["robust"])
-                trad.append(errs["traditional"])
-            errors[(eps, noise)] = (np.mean(robust), np.mean(trad))
+    for noise in ("none", "varying_ball"):
+        # one circle per seed, shared by every eps of the sweep
+        per_seed = [harness.laplacian_errors(2000, sweep, noise, seed, s=S, alpha=1.0)
+                    for seed in range(trials)]
+        for i, eps in enumerate(sweep):
+            errors[(eps, noise)] = (np.mean([errs[i]["robust"] for errs in per_seed]),
+                                    np.mean([errs[i]["traditional"] for errs in per_seed]))
     clean_ok = all(
         abs(errors[(eps, "none")][0] - errors[(eps, "none")][1])
         / max(errors[(eps, "none")]) <= 0.10

@@ -286,15 +286,15 @@ def test_unconverged_scale_is_a_one_line_error(simulated, tmp_path, capsys):
                         one_line_error(capsys))
 
 
-def test_kernel_without_finite_entries_fails_after_one_iteration(simulated, tmp_path, capsys):
-    # eps = 1e-310 overflows every -D/eps to -inf, and the residual to NaN
+@pytest.mark.filterwarnings("error")
+def test_kernel_without_finite_entries_is_a_one_line_error(simulated, tmp_path, capsys):
+    # eps = 1e-310 overflows every -D/eps to -inf, an exact zero of K, with no
+    # numpy warning on the way
     points, _ = simulated
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["scale", "--input", str(points), "--epsilon", "1e-310",
-                    "--out", str(tmp_path / "o.csv")])
+    code = run(["scale", "--input", str(points), "--epsilon", "1e-310",
+                "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    assert one_line_error(capsys) == (
-        "error: scaling stopped at residual nan after 1 iterations\n")
+    assert one_line_error(capsys) == "error: row 0 of the matrix is zero\n"
 
 
 def test_bad_alpha_is_reported_before_any_data_is_built(tmp_path, capsys, monkeypatch):
@@ -306,6 +306,18 @@ def test_bad_alpha_is_reported_before_any_data_is_built(tmp_path, capsys, monkey
                 "--out", str(tmp_path / "lap.csv")])
     assert code == 1
     assert one_line_error(capsys) == "error: alpha must lie in [0, 1]\n"
+
+
+def test_bad_epsilon_in_a_sweep_is_reported_before_any_data_is_built(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the circle was generated")
+
+    monkeypatch.setattr(harness, "circle_dataset", unreachable)
+    code = run(["laplacian", "--epsilon", "0.1", "--epsilon", "0",
+                "--out", str(tmp_path / "lap.csv")])
+    assert code == 1
+    assert one_line_error(capsys) == "error: epsilon must be positive and finite, got 0.0\n"
 
 
 def test_bench_subcommand(tmp_path):

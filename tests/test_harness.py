@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sparse
 from scipy import stats
 
-from dskernel import cli, density, harness, scaling
+from dskernel import cli, density, harness, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 
 
@@ -95,11 +97,44 @@ def test_fig8_uses_the_limit_exponent():
 
 
 def test_laplacian_errors_keys_and_magnitudes():
-    errs = harness.laplacian_errors(500, 0.2, "none", seed=0)
+    [errs] = harness.laplacian_errors(500, [0.2], "none", seed=0)
     assert set(errs) == {"robust", "traditional", "residual"}
     assert errs["residual"] <= 1e-9
     assert 0.0 < errs["robust"] < 1.5
     assert 0.0 < errs["traditional"] < 1.5
+
+
+def count_calls(monkeypatch, *functions):
+    """Count the calls of each function made through any dskernel namespace."""
+    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "dskernel" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_laplacian_sweep_draws_one_circle_and_one_distance_matrix(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, harness.circle_dataset, kernel.pairwise_sq_dists)
+    out = tmp_path / "lap.csv"
+    assert cli.main(["laplacian", "--n", "60", "--epsilon", "0.1", "--epsilon", "0.2",
+                     "--epsilon", "0.4", "--out", str(out)]) == 0
+    assert calls == {"circle_dataset": 1, "pairwise_sq_dists": 1}
+    assert len(out.read_text().splitlines()) == 1 + 3 * 2
+
+
+def test_transition_error_table_computes_one_distance_matrix(monkeypatch):
+    res = harness.poisson_noise_experiment(
+        n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    calls = count_calls(monkeypatch, kernel.pairwise_sq_dists)
+    epsilons = [res["epsilon"] * f for f in (1.0, 1.5, 2.0)]
+    rows = harness.transition_error_table(res["normalized"], res["counts"].labels, epsilons)
+    assert calls == {"pairwise_sq_dists": 1}
+    assert [row["epsilon"] for row in rows] == [eps for eps in epsilons for _ in range(6)]
 
 
 def test_median_sq_dist_epsilon():
@@ -134,7 +169,7 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch, tmp_path):
         raise AssertionError("a pipeline step built the dense W")
 
     monkeypatch.setattr(scaling.ScaledMatrix, "w", property(refuse))
-    harness.laplacian_errors(300, 0.1, "varying_ball", seed=0)
+    harness.laplacian_errors(300, [0.1], "varying_ball", seed=0)
     res = harness.poisson_noise_experiment(
         n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
     rows = harness.transition_errors(res["affinity"], res["scaled"], res["qhat"],

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from dskernel import density, geometry, harness, kernel, laplacian
+from dskernel.errors import ParameterError
 
 ALPHAS = (0.0, 0.25, 0.5, 1.0)
 RTOL = 1e-12
@@ -133,6 +134,17 @@ def test_power_lse_is_scipy_logsumexp_bit_for_bit(n, seed, spread, s, integral,
     expected = logsumexp(s * (log_a + u), axis=1)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     assert operator.absorptions == 0
+
+
+def test_absorbing_a_zero_row_names_the_first_one():
+    # two rows per block, so the zero rows 5 and 7 lie past the first block
+    log_a = np.zeros((9, 9))
+    log_a[[5, 7]] = -np.inf
+    np.fill_diagonal(log_a, -np.inf)
+    operator = kernel.KernelOperator(log_a)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 18):
+        with pytest.raises(ParameterError, match="^row 5 of the matrix is zero$"):
+            operator.absorb(np.zeros(9))
 
 
 TINY = np.finfo(float).tiny

@@ -234,15 +234,15 @@ def test_solution_reports_absorptions():
     assert sol.absorptions >= 1
 
 
-def test_non_finite_residual_stops_the_solve_at_once():
-    # at eps = 1e-310 every -D/eps overflows to -inf: no row of the kernel has
-    # a finite entry, and the residual is NaN from the first step on
-    with np.errstate(over="ignore", invalid="ignore"):
-        aff = circle_affinity(60, 1e-310)
-        sol = scaling.sinkhorn_symmetric(aff, max_iter=1000)
-    assert not sol.converged
-    assert sol.iterations == 1 and len(sol.residual_history) == 1
-    assert np.isnan(sol.residual)
+@pytest.mark.filterwarnings("error")
+def test_kernel_without_finite_entries_is_rejected_before_the_first_iteration():
+    # at eps = 1e-310 most -D/eps overflow to -inf, an exact zero of K, and
+    # whole rows of the kernel are zero; the first absorption names the first
+    aff = circle_affinity(60, 1e-310)
+    empty = np.flatnonzero(np.isneginf(aff.log_entries).all(axis=1))
+    assert 0 < empty[0] < empty[-1]
+    with pytest.raises(ParameterError, match=f"^row {empty[0]} of the matrix is zero$"):
+        scaling.sinkhorn_symmetric(aff, max_iter=1000)
 
 
 def test_unconverged_solution_reports_every_iteration():
