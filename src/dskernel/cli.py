@@ -254,8 +254,7 @@ def _cmd_scrna(args):
     if args.transitions_out:
         if cm.labels is None:
             raise ParameterError("--transitions-out requires --labels")
-        rows = harness.transition_errors(pipe.affinity, pipe.scaled, qhat, cm.labels,
-                                         args.epsilon)
+        rows = harness.transition_errors(pipe.scaled, qhat, cm.labels)
         header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
         _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))
 

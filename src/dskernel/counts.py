@@ -198,33 +198,28 @@ def normalize_counts(counts):
     return y, 1.0 / counts.totals
 
 
-def synth_poisson_counts(n, m, n_clusters=2, depth_range=(500.0, 2500.0),
-                         seed=0, cluster_depth_ranges=None):
+def synth_poisson_counts(n, m, n_clusters=2, seed=0, cluster_depth_ranges=None):
     """Independent Poisson counts over latent cluster expression profiles.
 
     Each cluster gets a random positive profile over the m features; each row
-    draws a total-rate scalar uniformly from its depth range (a shared
-    ``depth_range`` or one range per cluster) and Poisson entries with mean
-    profile * rate. Returns a CountMatrix with cluster labels.
+    draws a total-rate scalar uniformly from its cluster's depth range (500 to
+    2500 for every cluster unless ``cluster_depth_ranges`` gives one range
+    per cluster) and Poisson entries with mean profile * rate. Returns a
+    CountMatrix with cluster labels.
     """
-    lo, hi = depth_range
-    if lo <= 0 or hi < lo:
-        raise ParameterError("depth_range must satisfy 0 < min <= max")
-    if cluster_depth_ranges is not None:
-        for clo, chi in cluster_depth_ranges:
-            if clo <= 0 or chi < clo:
-                raise ParameterError("cluster depth ranges must satisfy 0 < min <= max")
-        if len(cluster_depth_ranges) != n_clusters:
-            raise ParameterError("need one depth range per cluster")
+    if cluster_depth_ranges is None:
+        cluster_depth_ranges = ((500.0, 2500.0),) * n_clusters
+    for clo, chi in cluster_depth_ranges:
+        if clo <= 0 or chi < clo:
+            raise ParameterError("cluster depth ranges must satisfy 0 < min <= max")
+    if len(cluster_depth_ranges) != n_clusters:
+        raise ParameterError("need one depth range per cluster")
     rng = np.random.default_rng(seed)
     profiles = rng.gamma(shape=2.0, size=(n_clusters, m))
     profiles /= profiles.sum(axis=1, keepdims=True)
     labels = np.repeat(np.arange(n_clusters), -(-n // n_clusters))[:n]
-    if cluster_depth_ranges is None:
-        rates = rng.uniform(lo, hi, size=n)
-    else:
-        ranges = np.asarray(cluster_depth_ranges, dtype=float)
-        rates = rng.uniform(ranges[labels, 0], ranges[labels, 1])
+    ranges = np.asarray(cluster_depth_ranges, dtype=float)
+    rates = rng.uniform(ranges[labels, 0], ranges[labels, 1])
     means = profiles[labels] * rates[:, None]
     counts = rng.poisson(means)
     return _finalize(counts, labels)

@@ -341,19 +341,19 @@ def _fig8(config):
     return header, rows, [result["solution"].residual]
 
 
-def transition_errors(affinity, scaled, qhat, labels, epsilon, alphas=(0.0, 0.5, 1.0)):
+def transition_errors(scaled, qhat, labels, alphas=(0.0, 0.5, 1.0)):
     """Mean and worst-class transition errors per (alpha, family) for one solve.
 
-    ``affinity`` is the kernel at ``epsilon``, ``scaled`` its W and ``qhat``
-    the DS-KDE of W that the robust family compensates for.
+    ``scaled`` is W, whose kernel ``scaled.operator`` the traditional family
+    reads, and ``qhat`` the DS-KDE of W that the robust family compensates for.
     """
     rows = []
     for alpha in alphas:
         robust = laplacian.robust_markov(scaled, qhat, alpha)
-        trad = laplacian.traditional_markov(affinity, alpha)
+        trad = laplacian.traditional_markov(scaled.operator, alpha)
         for fam in (robust, trad):
             mean_err, worst_err = laplacian.transition_error(fam, labels)
-            rows.append({"epsilon": epsilon, "alpha": alpha, "family": fam.source_tag,
+            rows.append({"epsilon": scaled.epsilon, "alpha": alpha, "family": fam.source_tag,
                          "mean_error": mean_err, "worst_class_error": worst_err})
     return rows
 
@@ -364,8 +364,7 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0))
     rows = []
     for eps in epsilons:
         pipe = _solve(d, eps, 1e-6, 10_000)
-        rows += transition_errors(pipe.affinity, pipe.scaled, density.ds_kde(pipe.scaled, 2.0),
-                                  labels, eps, alphas)
+        rows += transition_errors(pipe.scaled, density.ds_kde(pipe.scaled, 2.0), labels, alphas)
     return rows
 
 

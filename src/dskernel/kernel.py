@@ -1,8 +1,9 @@
 """Pairwise distances, the zero-diagonal Gaussian kernel, its degrees and
 classical KDE, and the kernel operator behind every row reduction.
 
-:class:`KernelOperator` is the one owner of a dense log K: no other module
-reads it, so a sparse or truncated kernel can stand behind the same methods.
+:class:`AffinityMatrix`, the kernel, is a :class:`KernelOperator` and the
+one owner of a dense log K: no other module reads it, so a sparse or
+truncated kernel can stand behind the same methods.
 
 Every kernel quantity is kept in log domain end to end. This matters at the
 tiny bandwidths used for normalized count data, where the kernel entries
@@ -14,9 +15,6 @@ reduction is one BLAS product or one elementwise pass over a matrix whose
 rows peak at exactly 1 (absorption stabilization: Schmitzer, SIAM J. Sci.
 Comput. 41, 2019). Nothing here materializes K = exp(-dist^2/eps) itself.
 """
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +51,11 @@ def _row_logsumexp(t):
 
 
 class KernelOperator:
-    """Row reductions of a matrix A, given as log A, against weights e^u.
+    """Row reductions of a matrix A, given as ``log_entries`` = log A, against
+    weights e^u; :class:`AffinityMatrix` is the one over the Gaussian kernel.
 
     At its absorption point b the operator holds
-    B_ij = exp(log_a[i, j] + b_j - m_i) with m_i = max_j(log_a[i, j] + b_j),
+    B_ij = exp(log A_ij + b_j - m_i) with m_i = max_j(log A_ij + b_j),
     so every row of B peaks at exactly 1, and reduces rows of A diag(e^u)
     as rows of B against g = exp(u - b). A weight vector with
     max |u - b| > ABSORB_THRESHOLD re-absorbs (b <- u) first; ``absorptions``
@@ -65,15 +64,15 @@ class KernelOperator:
     any u and any offset on log A. Slots holding -inf (the diagonal of log K)
     are exact zeros of B and take part in no reduction.
 
-    ``log_a`` is kept by reference, never written; one holding NaN or +inf
-    raises ParameterError, and so does absorbing one with a row of only -inf.
+    ``log_entries`` is kept by reference, never written; NaN or +inf in it
+    raises ParameterError, and so does absorbing a row of only -inf.
     """
 
-    def __init__(self, log_a):
+    def __init__(self, log_entries):
         # max propagates NaN, so one reduction rejects both NaN and +inf
-        if not log_a.max() < np.inf:
+        if not log_entries.max() < np.inf:
             raise ParameterError("affinity matrix contains NaN or +inf in log domain")
-        self.log_a = log_a
+        self.log_entries = log_entries
         self.absorptions = 0
         self._b = None
         self._m = None
@@ -81,16 +80,16 @@ class KernelOperator:
 
     @property
     def n(self):
-        return self.log_a.shape[0]
+        return self.log_entries.shape[0]
 
     def absorb(self, u):
         """Rebuild B at the absorption point ``u``."""
         if self._mat is None:
-            self._mat = np.empty_like(self.log_a)
+            self._mat = np.empty_like(self.log_entries)
         self._m = np.empty(self.n)
         for rows in _row_blocks(self.n):
             block = self._mat[rows]
-            np.add(self.log_a[rows], u, out=block)
+            np.add(self.log_entries[rows], u, out=block)
             m = self._m[rows] = block.max(axis=1)
             if m.min() == -np.inf:  # the first such row is the first minimum
                 raise ParameterError(f"row {rows.start + m.argmin()} of the matrix is zero")
@@ -167,7 +166,7 @@ class KernelOperator:
             return np.log(sums) + s * self._m
         lse = np.empty(self.n)
         for rows in _row_blocks(self.n):
-            lse[rows] = _row_logsumexp(s * (self.log_a[rows] + u))
+            lse[rows] = _row_logsumexp(s * (self.log_entries[rows] + u))
         return lse
 
     def row_entropy(self, u):
@@ -179,7 +178,7 @@ class KernelOperator:
         acc = np.empty(self.n)
         for rows in _row_blocks(self.n):
             mat = self._mat[rows]
-            t = self.log_a[rows] + u
+            t = self.log_entries[rows] + u
             t += u[rows, None]  # log p_ij
             t[mat == 0.0] = 0.0  # p log p -> 0; the excluded slots hold -inf
             t *= mat
@@ -190,36 +189,26 @@ class KernelOperator:
         """The dense log(e^(u_i) A_ij e^(u_j)), summed as (u_i + u_j) + log A_ij
         so that it is exactly symmetric when log A is."""
         out = u[:, None] + u[None, :]
-        out += self.log_a
+        out += self.log_entries
         return out
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric Gaussian affinity stored as log K_ij; the diagonal is excluded.
+class AffinityMatrix(KernelOperator):
+    """Symmetric Gaussian affinity at bandwidth ``epsilon``: the kernel operator
+    over log K_ij with the diagonal excluded.
 
     The diagonal of ``log_entries`` holds -inf (K_ii = 0), so every row
     reduction reads the matrix as it is. A matrix built with any other
-    diagonal is copied once with -inf written there.
+    diagonal is copied once with -inf written there; one holding NaN or +inf
+    raises ParameterError.
     """
 
-    log_entries: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if not np.isneginf(np.diagonal(self.log_entries)).all():
-            log_entries = np.array(self.log_entries, dtype=float)
+    def __init__(self, log_entries, epsilon):
+        if not np.isneginf(np.diagonal(log_entries)).all():
+            log_entries = np.array(log_entries, dtype=float)
             np.fill_diagonal(log_entries, -np.inf)
-            object.__setattr__(self, "log_entries", log_entries)
-
-    @property
-    def n(self):
-        return self.log_entries.shape[0]
-
-    @cached_property
-    def operator(self):
-        """The kernel operator over log K that the solve and every later step share."""
-        return KernelOperator(self.log_entries)
+        super().__init__(log_entries)
+        self.epsilon = epsilon
 
 
 def pairwise_sq_dists(points):
@@ -262,7 +251,7 @@ def gaussian_kernel(sq_dists, epsilon):
 
 def log_degrees(affinity):
     """log of the row sums of K, diagonal excluded."""
-    return affinity.operator.row_lse(np.zeros(affinity.n))
+    return affinity.row_lse(np.zeros(affinity.n))
 
 
 def standard_kde(affinity):

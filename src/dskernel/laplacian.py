@@ -54,8 +54,8 @@ def traditional_markov(affinity, alpha):
     The row factor cancels, so M = K diag(D^-alpha) over its row sums.
     """
     _check_alpha(alpha)
-    return MarkovFamily("traditional", affinity.n, partial(
-        affinity.operator.row_mean, -alpha * log_degrees(affinity)))
+    return MarkovFamily("traditional", affinity.n,
+                        partial(affinity.row_mean, -alpha * log_degrees(affinity)))
 
 
 def apply_laplacian(family, f_values, epsilon):

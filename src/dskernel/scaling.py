@@ -9,8 +9,8 @@ applied to all rows simultaneously. A solve that has not met the tolerance
 after ``max_iter`` steps, or whose residual is not finite, is returned with
 ``converged=False``.
 
-Every row log-sum-exp is one matrix-vector product with the kernel's
-:class:`~dskernel.kernel.KernelOperator`, stabilized by absorption
+Every row log-sum-exp is one matrix-vector product with the kernel, a
+:class:`~dskernel.kernel.KernelOperator` stabilized by absorption
 (Schmitzer, SIAM J. Sci. Comput. 2019): log d is folded into a stored matrix
 whose rows peak at exactly 1, and only its drift since then is exponentiated.
 This one path is exact at every bandwidth, however far log K reaches below
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .kernel import KernelOperator
+from .kernel import AffinityMatrix
 
 
 @dataclass
@@ -99,19 +99,20 @@ def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
     solution with ``converged=False``; the caller decides how to proceed.
     ``log_d0`` overrides the default starting vector; the fixed point is
     unique, so every start converges to the same scaling factors. The solve
-    runs on ``affinity.operator`` and leaves it absorbed near the solution
-    for the steps after it. ``max_iter`` below 1, a ``tol`` that is not
-    positive and finite, NaN or +inf in log K, or a zero row of K raises ParameterError.
+    runs on the affinity, a kernel operator, and leaves it absorbed near the
+    solution for the steps after it. ``max_iter`` below 1, a ``tol`` that is
+    not positive and finite, or a zero row of K raises ParameterError.
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")
-    return _scale_log_matrix(affinity.operator, tol, max_iter, log_d0=log_d0)
+    return _scale_log_matrix(affinity, tol, max_iter, log_d0=log_d0)
 
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """Doubly stochastic W = diag(d) K diag(d), held as the kernel operator
-    of K, log d and the kernel's bandwidth; ``assemble_W`` is its one builder.
+    """Doubly stochastic W = diag(d) K diag(d), held as the kernel K (an
+    :class:`~dskernel.kernel.AffinityMatrix`) and log d; ``assemble_W`` is
+    its one builder, and ``epsilon`` is the kernel's bandwidth.
 
     Every row reduction of W is a product with ``operator`` at the weights
     ``log_d``, for example W x = operator.matvec(log_d, x). ``w``, the dense
@@ -119,13 +120,16 @@ class ScaledMatrix:
     pipeline reads it.
     """
 
-    operator: KernelOperator
+    operator: AffinityMatrix
     log_d: np.ndarray
-    epsilon: float
 
     @property
     def n(self):
         return len(self.log_d)
+
+    @property
+    def epsilon(self):
+        return self.operator.epsilon
 
     @property
     def w(self):
@@ -137,7 +141,7 @@ class ScaledMatrix:
 
 
 def assemble_W(affinity, solution):
-    """W of a converged scaling solution: the affinity's operator and log d, O(n).
+    """W of a converged scaling solution: the affinity and log d, O(n).
 
     log W = log d_i + log d_j + log K_ij is exactly symmetric, since
     log d_i + log d_j is and so is log K; its diagonal is excluded, and every
@@ -145,5 +149,4 @@ def assemble_W(affinity, solution):
     """
     if not solution.converged:
         raise ConvergenceError("scaling did not converge; refusing to assemble W")
-    return ScaledMatrix(operator=affinity.operator, log_d=solution.log_d,
-                        epsilon=affinity.epsilon)
+    return ScaledMatrix(operator=affinity, log_d=solution.log_d)

@@ -83,9 +83,10 @@ def test_denoise_outputs_and_distances(simulated, tmp_path):
     points, sidecar = simulated
     out = tmp_path / "denoise.csv"
     dists = tmp_path / "dists.csv"
-    code = run(["denoise", "--input", str(points), "--epsilon", "0.1",
-                "--dim", "1", "--sidecar", str(sidecar), "--out", str(out),
-                "--dists-out", str(dists)])
+    with pytest.warns(UserWarning, match="corrected distances are negative"):
+        code = run(["denoise", "--input", str(points), "--epsilon", "0.1",
+                    "--dim", "1", "--sidecar", str(sidecar), "--out", str(out),
+                    "--dists-out", str(dists)])
     assert code == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))

@@ -322,8 +322,6 @@ def test_synth_poisson_cluster_depth_ranges():
 
 def test_synth_poisson_validates_ranges():
     with pytest.raises(ParameterError):
-        counts.synth_poisson_counts(10, 20, depth_range=(0.0, 5.0))
-    with pytest.raises(ParameterError):
         counts.synth_poisson_counts(10, 20, cluster_depth_ranges=((5.0, 1.0), (1.0, 2.0)))
     with pytest.raises(ParameterError):
         counts.synth_poisson_counts(10, 20, n_clusters=3,

@@ -172,8 +172,7 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch, tmp_path):
     harness.laplacian_errors(300, [0.1], "varying_ball", seed=0)
     res = harness.poisson_noise_experiment(
         n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
-    rows = harness.transition_errors(res["affinity"], res["scaled"], res["qhat"],
-                                     res["counts"].labels, res["epsilon"])
+    rows = harness.transition_errors(res["scaled"], res["qhat"], res["counts"].labels)
     assert len(rows) == 6
     sample, noise = harness.circle_dataset(200, 100, "varying_ball", seed=1)
     np.savetxt(tmp_path / "points.csv", noise.noisy_points, delimiter=",")

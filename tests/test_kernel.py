@@ -35,6 +35,15 @@ def test_gaussian_kernel_entries_and_diagonal():
     assert np.all(np.isneginf(np.diag(masked)))
     assert aff.n == 25
     assert aff.epsilon == 0.7
+    assert isinstance(aff, kernel.KernelOperator)
+    assert not hasattr(aff, "operator")
+
+
+def test_gaussian_kernel_rejects_nan_distances_when_built():
+    sq = kernel.pairwise_sq_dists(random_points(5, 2))
+    sq[1, 3] = sq[3, 1] = np.nan
+    with pytest.raises(ParameterError, match=r"NaN or \+inf"):
+        kernel.gaussian_kernel(sq, 0.7)
 
 
 def test_gaussian_kernel_rejects_bad_epsilon():

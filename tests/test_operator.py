@@ -208,7 +208,7 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
     res = small_eps_counts
     affinity, scaled, labels = res["affinity"], res["scaled"], res["counts"].labels
     operator = scaled.operator
-    assert operator is affinity.operator
+    assert operator is affinity
     assert np.ptp(scaled.log_d) > kernel.ABSORB_THRESHOLD
     np.testing.assert_allclose(res["qhat"].raw, dense_ds_kde(log_w_of(scaled), 2.0), rtol=RTOL)
     f = np.cos(np.arange(scaled.n))
@@ -242,5 +242,5 @@ def test_only_the_kernel_module_reads_the_dense_log_matrix():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr in attrs)
 
-    assert readers({"log_a"}, "kernel.py") == []
+    assert readers({"log_entries"}, "kernel.py") == []
     assert readers({"w"}, "scaling.py") == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,14 @@ def test_scaled_matrix_is_doubly_stochastic():
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=5e-9)
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 0.0)
+
+
+def test_w_holds_its_kernel_and_reads_epsilon_from_it():
+    aff = circle_affinity(60, 0.1)
+    scaled = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff))
+    assert [f.name for f in dataclasses.fields(scaled)] == ["operator", "log_d"]
+    assert scaled.operator is aff
+    assert scaled.epsilon == aff.epsilon == 0.1
 
 
 def test_matches_newton_oracle_on_small_matrices():
@@ -288,13 +298,13 @@ def test_residual_history_reaches_tolerance():
 
 def test_rejects_tiny_matrices_and_bad_entries():
     aff = circle_affinity(10, 0.1)
-    bad = kernel.AffinityMatrix(log_entries=np.full((3, 3), np.nan), epsilon=0.1)
-    with pytest.raises(ParameterError):
-        scaling.sinkhorn_symmetric(bad)
+    # NaN or +inf in log K is rejected when the affinity is built
+    with pytest.raises(ParameterError, match=r"NaN or \+inf"):
+        kernel.AffinityMatrix(log_entries=np.full((3, 3), np.nan), epsilon=0.1)
     log_k = aff.log_entries.copy()
     log_k[3, 7] = log_k[7, 3] = np.inf
     with pytest.raises(ParameterError, match=r"NaN or \+inf"):
-        scaling.sinkhorn_symmetric(kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1))
+        kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
     two = kernel.AffinityMatrix(log_entries=aff.log_entries[:2, :2], epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(two)
