@@ -3,13 +3,13 @@
 Subcommands: simulate, scale, density, denoise, laplacian, scrna, bench.
 Parameter errors exit with status 1 and a one-line "error: ..." message on
 stderr; usage errors exit with argparse's status 2. Non-fatal notes (rejected
-zero-total rows, negative corrected distances) go through ``warnings``.
+zero-total rows, negative corrected distances) are one-line "note: ..."
+messages on stderr and leave the exit status alone.
 """
 
 import argparse
 import csv
 import sys
-import warnings
 from dataclasses import replace
 from itertools import repeat
 
@@ -20,19 +20,17 @@ from . import density as density_mod
 from . import geometry, harness, inference
 from .errors import ConvergenceError, ParameterError, ParseError
 from .geometry import _write_csv
+from .scaling import POINTS_SOLVE
 
 
 def _parse_s(text):
-    """An exponent s: "limit", or a finite s > 0 other than 1."""
-    if text == "limit":
-        return density_mod.S_LIMIT
+    """An exponent s: "limit" or a float, either as ``ds_kde`` accepts it."""
     try:
-        s = float(text)
-    except ValueError:
-        s = np.nan  # not a number: rejected below with the other bad values
-    if not 0 < s < np.inf or s == 1:
+        s = density_mod.S_LIMIT if text == "limit" else float(text)
+        density_mod._check_s(s)
+    except ValueError:  # ParameterError included
         raise argparse.ArgumentTypeError(
-            f"must be limit or a finite s > 0 other than 1, got {text!r}")
+            f"must be limit or a finite s > 0 other than 1, got {text!r}") from None
     return s
 
 
@@ -56,16 +54,18 @@ def _add_simulate(sub):
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="points CSV path")
     p.add_argument("--sidecar", required=True, help="ground-truth sidecar CSV path")
+    p.set_defaults(run=_cmd_simulate)
 
 
 def _add_scale(sub):
     p = sub.add_parser("scale", help="solve the doubly stochastic scaling")
     p.add_argument("--input", required=True, help="points CSV")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=POINTS_SOLVE.tol)
+    p.add_argument("--max-iter", type=int, default=POINTS_SOLVE.max_iter)
     p.add_argument("--out", required=True, help="log_d CSV path")
     p.add_argument("--residuals-out", help="residual history CSV path")
+    p.set_defaults(run=_cmd_scale)
 
 
 def _add_density(sub):
@@ -74,10 +74,11 @@ def _add_density(sub):
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--s", type=_parse_s, default=2.0, help='exponent or "limit"')
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=POINTS_SOLVE.tol)
+    p.add_argument("--max-iter", type=int, default=POINTS_SOLVE.max_iter)
     p.add_argument("--sidecar", help="sidecar CSV with true densities")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_density)
 
 
 def _add_denoise(sub):
@@ -87,11 +88,12 @@ def _add_denoise(sub):
     p.add_argument("--s", type=_parse_s, default=2.0)
     p.add_argument("--dim", type=int)
     p.add_argument("--debias", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=POINTS_SOLVE.tol)
+    p.add_argument("--max-iter", type=int, default=POINTS_SOLVE.max_iter)
     p.add_argument("--sidecar", help="sidecar CSV with true noise magnitudes")
     p.add_argument("--out", required=True)
     p.add_argument("--dists-out", help="optional full corrected-distance matrix CSV")
+    p.set_defaults(run=_cmd_denoise)
 
 
 def _add_laplacian(sub):
@@ -106,6 +108,7 @@ def _add_laplacian(sub):
     p.add_argument("--s", type=_parse_s, default=2.0)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_laplacian)
 
 
 def _add_scrna(sub):
@@ -118,10 +121,11 @@ def _add_scrna(sub):
     p.add_argument("--subsample", type=_nonnegative_int, default=500,
                    help="cells per class (0 keeps every cell)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=harness.COUNTS_SOLVE.tol)
+    p.add_argument("--max-iter", type=int, default=harness.COUNTS_SOLVE.max_iter)
     p.add_argument("--out", required=True)
     p.add_argument("--transitions-out", help="transition-error table CSV")
+    p.set_defaults(run=_cmd_scrna)
 
 
 def _add_bench(sub):
@@ -135,6 +139,7 @@ def _add_bench(sub):
     p.add_argument("--noise", choices=geometry.NOISE_MODELS)
     p.add_argument("--sweep", type=float, nargs="+")
     p.add_argument("--sweep-param", choices=["n", "epsilon"])
+    p.set_defaults(run=_cmd_bench)
 
 
 def build_parser():
@@ -211,8 +216,8 @@ def _cmd_denoise(args):
         np.savetxt(args.dists_out, table.corrected_dists, delimiter=",")
         negatives = int((table.corrected_dists < 0).sum())
         if negatives:
-            warnings.warn(f"note: {negatives} corrected distances are negative "
-                          "(expected after bias subtraction; ranking is unaffected)")
+            print(f"note: {negatives} corrected distances are negative "
+                  "(expected after bias subtraction; ranking is unaffected)", file=sys.stderr)
 
 
 def _cmd_laplacian(args):
@@ -239,7 +244,7 @@ def _cmd_scrna(args):
     labels = counts_mod.read_labels(args.labels) if args.labels else None
     cm = counts_mod.ingest_counts(args.input, fmt=args.format, labels=labels)
     if cm.rejected_rows:
-        warnings.warn(f"rejected zero-total rows: {list(cm.rejected_rows)}")
+        print(f"note: rejected zero-total rows: {list(cm.rejected_rows)}", file=sys.stderr)
     if cm.labels is not None and args.subsample:
         keep = _subsample_per_class(cm.labels, args.subsample, args.seed)
         cm = replace(cm, entries=cm.entries[keep], totals=cm.totals[keep],
@@ -267,22 +272,11 @@ def _cmd_bench(args):
     harness.run_experiment(config)
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "scale": _cmd_scale,
-    "density": _cmd_density,
-    "denoise": _cmd_denoise,
-    "laplacian": _cmd_laplacian,
-    "scrna": _cmd_scrna,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (ParameterError, ParseError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

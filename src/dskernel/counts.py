@@ -3,6 +3,7 @@ generator standing in for real sequencing data.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,22 +45,15 @@ def _finalize(matrix, labels=None, shape=None):
                        rejected_rows=rejected)
 
 
-# one Matrix Market entry line: integer row, integer column, float value
-_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-
-
-def _read_entries(source, skiprows=0):
-    """Entry records from a path (after ``skiprows`` lines) or a list of lines.
-
-    Raises ValueError on any line that is not exactly an integer, an integer
-    and a float. Blank lines are skipped; each line is judged on its own. An
-    empty entry block is judged against the declared count.
-    """
-    return _loadtxt(source, dtype=_ENTRY, comments=None, skiprows=skiprows, ndmin=1)
+# one Matrix Market entry line per field: integer row and column, then an
+# integer value ("2.5", "3.0" and "1e2" are not) or a real one
+_ENTRY = {"integer": np.dtype([("i", np.int64), ("j", np.int64), ("v", np.int64)]),
+          "real": np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])}
 
 
 def _read_header(fh):
-    """Parse the banner, comment and size lines; return (shape, nnz, symmetric, size line)."""
+    """Parse the banner, comment and size lines; return (shape, nnz, field,
+    symmetric, size line)."""
     first = fh.readline()
     if not first:
         raise ParseError("empty file", line=1)
@@ -95,14 +89,15 @@ def _read_header(fh):
     symmetric = symmetry == "symmetric"
     if symmetric and n_rows != n_cols:
         raise ParseError("symmetric matrix must be square", line=lineno)
-    return (n_rows, n_cols), nnz, symmetric, lineno
+    return (n_rows, n_cols), nnz, field, symmetric, lineno
 
 
 def _parse_matrix_market(path):
     """Coordinate-format Matrix Market reader with line diagnostics.
 
     The header is read line by line; the entry block is read in one
-    ``np.loadtxt`` call with a fixed (int, int, float) record per line. Every
+    ``np.loadtxt`` call with a fixed record per line, (int, int, int) in an
+    "integer" file and (int, int, float) in a "real" one. Every
     rejection names its file line: a byte that does not decode, a malformed
     entry, an index out of bounds, a NaN, infinite or negative value, or an
     entry count other than the declared one. Returns the (v, (i, j))
@@ -112,16 +107,21 @@ def _parse_matrix_market(path):
     # a byte that does not decode fails a header check at its line here, or
     # the entry read below
     with open(path, errors="replace") as fh:
-        shape, nnz, symmetric, size_line = _read_header(fh)
+        shape, nnz, field, symmetric, size_line = _read_header(fh)
+    # entry records from a path or a list of lines: each line is judged on its
+    # own, blank lines are skipped, and an empty block is judged by its count
+    read = partial(_loadtxt, dtype=_ENTRY[field], comments=None, ndmin=1)
     try:
-        entries = _read_entries(path, skiprows=size_line)
+        entries = read(path, skiprows=size_line)
     except ValueError:  # UnicodeDecodeError included
         lineno, text = first_rejected_row(
-            _read_entries, data_rows(path, comments=None, skiprows=size_line))
+            read, data_rows(path, comments=None, skiprows=size_line))
         message = ("entry must have three fields" if len(text.split()) != 3
                    else f"malformed entry {text.strip()!r}")
         raise ParseError(message, line=lineno) from None
-    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    i -= 1  # 0-based, in the records themselves
+    j -= 1
     faults = np.flatnonzero((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])
                             | ~np.isfinite(v) | (v < 0))
     # the first bad entry, or the first one beyond the declared count
@@ -194,7 +194,7 @@ def normalize_counts(counts):
     Returns (y, predicted_noise) where row i of y is counts row i divided by
     its total c_i (a probability vector) and predicted_noise_i = 1/c_i.
     """
-    y = counts.entries.toarray().astype(float) / counts.totals[:, None]
+    y = counts.entries.toarray() / counts.totals[:, None]
     return y, 1.0 / counts.totals
 
 
@@ -207,6 +207,8 @@ def synth_poisson_counts(n, m, n_clusters=2, seed=0, cluster_depth_ranges=None):
     per cluster) and Poisson entries with mean profile * rate. Returns a
     CountMatrix with cluster labels.
     """
+    if n_clusters < 1:
+        raise ParameterError(f"need at least one cluster, got {n_clusters}")
     if cluster_depth_ranges is None:
         cluster_depth_ranges = ((500.0, 2500.0),) * n_clusters
     for clo, chi in cluster_depth_ranges:

@@ -17,6 +17,8 @@ from .errors import ParameterError, ParseError
 TWO_PI = 2.0 * np.pi
 
 NOISE_MODELS = ("none", "varying_ball", "outlier_gaussian", "outlier_scaled_gaussian")
+# the variance of the wrapped normal each benchmark circle draws its angles from
+CIRCLE_SIGMA_SQ = 0.16 * np.pi**2
 
 
 @dataclass(frozen=True)
@@ -83,17 +85,16 @@ def sample_circle(n, sigma_sq, radius=1.0, seed=0):
     )
 
 
-def sample_two_circles(n_per_circle=500, sigma_sq=0.16 * np.pi**2,
-                       radii=(1.0, 0.5), seed=0):
-    """Two concentric circles with the same angular density on each.
+def sample_two_circles(n_per_circle=500, seed=0):
+    """Two concentric circles, radii 1 and 0.5, with angles of variance ``CIRCLE_SIGMA_SQ``.
 
     Points are concatenated before any embedding so a single joint orthogonal
     transformation can be applied afterwards. The arc-length densities are
     per-circle and each half integrates to 1 over its own circle.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = seq.spawn(len(radii))
-    parts = [sample_circle(n_per_circle, sigma_sq, r, s) for r, s in zip(radii, seeds)]
+    parts = [sample_circle(n_per_circle, CIRCLE_SIGMA_SQ, r, s)
+             for r, s in zip((1.0, 0.5), seq.spawn(2))]
     return ManifoldSample(
         angles=np.concatenate([p.angles for p in parts]),
         clean_points=np.concatenate([p.clean_points for p in parts]),
@@ -187,19 +188,16 @@ def _write_csv(path, header, rows, meta=None):
                           for v in row] for row in rows)
 
 
-def save_dataset_csv(points_path, sidecar_path, sample, noise=None):
+def save_dataset_csv(points_path, sidecar_path, sample, noise):
     """Write noisy points and a ground-truth sidecar as two CSV files.
 
     The sidecar has columns (index, angle, radius, true_density,
-    true_noise_sq). Without a noise realization the clean points are written
-    and true_noise_sq is zero.
+    true_noise_sq).
     """
-    points = sample.clean_points if noise is None else noise.noisy_points
-    noise_sq = np.zeros(len(sample.angles)) if noise is None else noise.true_noise_sq
-    np.savetxt(points_path, points, delimiter=",")
+    np.savetxt(points_path, noise.noisy_points, delimiter=",")
     _write_csv(sidecar_path, ["index", "angle", "radius", "true_density", "true_noise_sq"],
                zip(range(len(sample.angles)), sample.angles, sample.radius_labels,
-                   sample.density_values, noise_sq))
+                   sample.density_values, noise.true_noise_sq))
 
 
 def read_text_lines(path):

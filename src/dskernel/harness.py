@@ -3,6 +3,7 @@ kernel -> scaling -> estimation pipeline, and writes aggregate CSV tables.
 """
 
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,20 +14,23 @@ from . import counts as counts_mod
 from . import density, geometry, inference, laplacian
 from .errors import ConvergenceError, ParameterError
 from .kernel import _check_epsilon, gaussian_kernel, pairwise_sq_dists, standard_kde
-from .scaling import assemble_W, sinkhorn_symmetric
+from .scaling import POINTS_SOLVE, SolveSettings, assemble_W, sinkhorn_symmetric
 
-EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8-synthetic")
-# the quantity each sweeping figure varies; fig7 takes another as sweep_param
-_SWEEPS = {"fig3": "n", "fig5": "epsilon", "fig7": "epsilon"}
-# figures that always compare s = 0.5, 2 and the limit, whatever --s says
-_ALL_EXPONENTS = ("fig3", "fig5")
+# every solve on count data: the Poisson pipeline, the transition table, scrna
+COUNTS_SOLVE = SolveSettings(1e-6, 10_000)
+
+
+def _figures_where(test):
+    """The names of the figures whose entry passes ``test``, listed as in a sentence."""
+    names = [name for name, figure in FIGURES.items() if test(figure)]
+    return " and ".join([", ".join(names[:-1]), names[-1]] if len(names) > 1 else names)
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     sweep: list = None
-    sweep_param: str = None  # "n" or "epsilon"; fig7 only
+    sweep_param: str = None  # a second quantity of the figure's sweeps, if it has one
     repeats: int = 10
     seed: int = 0
     epsilon: float = 0.1
@@ -35,16 +39,21 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in FIGURES:
             raise ParameterError(f"unknown experiment {self.experiment!r}")
         if self.repeats < 1:
             raise ParameterError("repeats must be at least 1")
-        if self.sweep_param is not None and self.experiment != "fig7":
-            raise ParameterError(f"{self.experiment} takes no sweep parameter; only fig7 does")
+        sweeps = FIGURES[self.experiment].sweeps
+        if self.sweep_param is not None and len(sweeps) < 2:
+            raise ParameterError(f"{self.experiment} takes no sweep parameter; only "
+                                 f"{_figures_where(lambda f: len(f.sweeps) > 1)} does")
+        if self.sweep_param not in (None, *sweeps):
+            raise ParameterError(f"{self.experiment} sweeps {' or '.join(sweeps)}, "
+                                 f"not {self.sweep_param!r}")
         if self.sweep is not None:
-            if self.experiment not in _SWEEPS:
-                raise ParameterError(
-                    f"{self.experiment} takes no sweep; only fig3, fig5 and fig7 do")
+            if not sweeps:
+                raise ParameterError(f"{self.experiment} takes no sweep; only "
+                                     f"{_figures_where(lambda f: f.sweeps)} do")
             if (not all(0 < v < np.inf for v in self.sweep)
                     or sorted(self.sweep) != list(self.sweep)):
                 raise ParameterError("sweep values must be positive, finite and sorted")
@@ -54,7 +63,7 @@ class ExperimentConfig:
     @property
     def sweep_kind(self):
         """What the sweep varies, "n" or "epsilon"; None for a figure without one."""
-        return self.sweep_param or _SWEEPS.get(self.experiment)
+        return self.sweep_param or next(iter(FIGURES[self.experiment].sweeps), None)
 
 
 @dataclass
@@ -105,13 +114,13 @@ def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
     if two_circles:
         sample = geometry.sample_two_circles(n_per_circle=n // 2, seed=s_sample)
     else:
-        sample = geometry.sample_circle(n, sigma_sq=0.16 * np.pi**2, seed=s_sample)
+        sample = geometry.sample_circle(n, geometry.CIRCLE_SIGMA_SQ, seed=s_sample)
     sample = geometry.embed_orthogonal(sample, m, seed=s_embed)
     return sample, geometry.apply_noise(sample, noise_model, seed=s_noise)
 
 
-def circle_pipeline(n, m, epsilon, noise_model="none", seed=0,
-                    tol=1e-9, max_iter=100_000, two_circles=False):
+def circle_pipeline(n, m, epsilon, noise_model="none", seed=0, tol=POINTS_SOLVE.tol,
+                    max_iter=POINTS_SOLVE.max_iter, two_circles=False):
     """Sample, embed, corrupt, and scale a circle dataset in one call.
 
     A solve that did not converge is kept as it is; ``scaled`` refuses it.
@@ -146,8 +155,8 @@ def run_experiment(config):
     Any stage failure at a sweep point is recorded as a diagnostic row with
     status != "ok" rather than silently skipped.
     """
-    runner = _RUNNERS[config.experiment]
-    header, rows, residuals = runner(config)
+    figure = FIGURES[config.experiment]
+    header, rows, residuals = figure.run(config)
     if config.out:
         meta = {
             "experiment": config.experiment,
@@ -158,7 +167,7 @@ def run_experiment(config):
             "version": __version__,
             "max_scaling_residual": max(residuals) if residuals else "n/a",
         }
-        if config.experiment in _ALL_EXPONENTS:
+        if figure.all_exponents:
             del meta["s"]
         if config.sweep is not None:
             meta["sweep"] = ";".join(str(v) for v in config.sweep)
@@ -187,9 +196,9 @@ def _fig1(config):
     return header, rows, residuals
 
 
-def _sweep(config, default_sweep, noises, column, names, measure):
+def _sweep(config, noises, column, names, measure):
     """Mean and std over ``config.repeats`` circles of each ``measure(pipe)``
-    entry in ``names``, per value of ``config.sweep_kind`` and noise model.
+    entry in ``names``, per sweep value (default: the figure table's) and noise model.
 
     A sweep point stops at its first failing repeat and records the failure
     in its rows' status.
@@ -197,7 +206,7 @@ def _sweep(config, default_sweep, noises, column, names, measure):
     sweep_kind = config.sweep_kind
     header = [sweep_kind, "noise", column, "mean_max_error", "std_max_error", "status"]
     rows, residuals = [], []
-    for value in config.sweep or default_sweep:
+    for value in config.sweep or FIGURES[config.experiment].sweeps[sweep_kind]:
         n = int(value) if sweep_kind == "n" else 2000
         eps = config.epsilon if sweep_kind == "n" else float(value)
         for noise_model in noises:
@@ -222,27 +231,16 @@ def _sweep(config, default_sweep, noises, column, names, measure):
     return header, rows, residuals
 
 
-def _density_sweep(config, default_sweep):
+def _density_sweep(config):
     s_values = [0.5, 2.0, density.S_LIMIT]
     names = ["kde"] + [_dskde_name(s) for s in s_values]
-    return _sweep(config, default_sweep, _noise_settings(config), "method",
-                  names, lambda pipe: _density_errors(pipe, s_values,
-                                                      pipe.sample.intrinsic_dim))
-
-
-def _fig3(config):
-    return _density_sweep(config, [500, 1000, 2000, 3000])
-
-
-def _fig5(config):
-    return _density_sweep(config, [0.025, 0.05, 0.1, 0.2, 0.4])
+    return _sweep(config, _noise_settings(config), "method", names,
+                  lambda pipe: _density_errors(pipe, s_values, pipe.sample.intrinsic_dim))
 
 
 def _fig7(config):
-    default_sweep = [1000, 2000, 5000] if config.sweep_kind == "n" else [0.05, 0.1, 0.2, 0.4]
     noises = [config.noise] if config.noise else ["none", "varying_ball"]
-    return _sweep(config, default_sweep, noises, "family",
-                  ["robust", "traditional"],
+    return _sweep(config, noises, "family", ["robust", "traditional"],
                   lambda pipe: _laplacian_errors(pipe, config.s))
 
 
@@ -301,7 +299,7 @@ def laplacian_errors(n, epsilons, noise_model, seed, s=2.0, alpha=1.0):
     sample, noise = circle_dataset(n, n, noise_model, seed)
     d = pairwise_sq_dists(noise.noisy_points)
     # a pipeline passed only as an argument is freed before the next kernel is built
-    return [_laplacian_errors(_solve(d, eps, 1e-9, 100_000, sample, noise), s, alpha)
+    return [_laplacian_errors(_solve(d, eps, *POINTS_SOLVE, sample, noise), s, alpha)
             for eps in epsilons]
 
 
@@ -313,7 +311,8 @@ def median_sq_dist_epsilon(points, divisor=16.0):
 
 
 def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
-                             cluster_depth_ranges=None, tol=1e-6, max_iter=10_000):
+                             cluster_depth_ranges=None, tol=COUNTS_SOLVE.tol,
+                             max_iter=COUNTS_SOLVE.max_iter):
     """Synthetic Poisson pipeline: counts -> normalize -> scale -> noise estimate."""
     cm = counts_mod.synth_poisson_counts(
         n, m, seed=seed, cluster_depth_ranges=cluster_depth_ranges)
@@ -363,17 +362,23 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0))
     d = pairwise_sq_dists(normalized)
     rows = []
     for eps in epsilons:
-        pipe = _solve(d, eps, 1e-6, 10_000)
+        pipe = _solve(d, eps, *COUNTS_SOLVE)
         rows += transition_errors(pipe.scaled, density.ds_kde(pipe.scaled, 2.0), labels, alphas)
     return rows
 
 
-_RUNNERS = {
-    "fig1": _fig1,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8-synthetic": _fig8,
+# The figure table, in the CLI's order: each figure's runner, which returns
+# (header, rows, residuals); the quantities its sweep may vary with their
+# default values, default first (a second one is what sweep_param may pick);
+# and whether it compares s = 0.5, 2 and the limit whatever s says.
+Figure = namedtuple("Figure", "run sweeps all_exponents", defaults=({}, False))
+FIGURES = {
+    "fig1": Figure(_fig1),
+    "fig3": Figure(_density_sweep, {"n": (500, 1000, 2000, 3000)}, True),
+    "fig4": Figure(_fig4),
+    "fig5": Figure(_density_sweep, {"epsilon": (0.025, 0.05, 0.1, 0.2, 0.4)}, True),
+    "fig6": Figure(_fig6),
+    "fig7": Figure(_fig7, {"epsilon": (0.05, 0.1, 0.2, 0.4), "n": (1000, 2000, 5000)}),
+    "fig8-synthetic": Figure(_fig8),
 }
+EXPERIMENTS = tuple(FIGURES)

@@ -23,12 +23,17 @@ matrix, and assembling W costs O(n). The dense W is built afresh only when
 a caller asks for it.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .kernel import AffinityMatrix
+
+SolveSettings = namedtuple("SolveSettings", "tol max_iter")
+# every solve on points: the default here, in the harness and in the CLI
+POINTS_SOLVE = SolveSettings(1e-9, 100_000)
 
 
 @dataclass
@@ -91,7 +96,8 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
                            operator.absorptions - absorbed_before)
 
 
-def sinkhorn_symmetric(affinity, tol=1e-9, max_iter=100_000, log_d0=None):
+def sinkhorn_symmetric(affinity, tol=POINTS_SOLVE.tol, max_iter=POINTS_SOLVE.max_iter,
+                       log_d0=None):
     """Solve the symmetric scaling problem for a zero-diagonal affinity matrix.
 
     On convergence, max_i |sum_j d_i K_ij d_j - 1| <= tol with the sums

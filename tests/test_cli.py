@@ -79,15 +79,16 @@ def test_density_accepts_limit_exponent(simulated, tmp_path):
     assert code == 0
 
 
-def test_denoise_outputs_and_distances(simulated, tmp_path):
+def test_denoise_outputs_and_distances(simulated, tmp_path, capsys):
     points, sidecar = simulated
     out = tmp_path / "denoise.csv"
     dists = tmp_path / "dists.csv"
-    with pytest.warns(UserWarning, match="corrected distances are negative"):
-        code = run(["denoise", "--input", str(points), "--epsilon", "0.1",
-                    "--dim", "1", "--sidecar", str(sidecar), "--out", str(out),
-                    "--dists-out", str(dists)])
+    code = run(["denoise", "--input", str(points), "--epsilon", "0.1",
+                "--dim", "1", "--sidecar", str(sidecar), "--out", str(out),
+                "--dists-out", str(dists)])
     assert code == 0
+    assert re.fullmatch(r"note: \d+ corrected distances are negative \(expected after bias "
+                        r"subtraction; ranking is unaffected\)\n", capsys.readouterr().err)
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     est = np.array([float(r["noise_sq_hat"]) for r in rows])
@@ -189,15 +190,15 @@ def test_scrna_computes_the_ds_kde_once(labelled_counts, tmp_path, monkeypatch):
     assert exponents == [density.S_LIMIT]
 
 
-def test_scrna_warns_about_rejected_rows(tmp_path):
+def test_scrna_warns_about_rejected_rows(tmp_path, capsys):
     cm = counts.synth_poisson_counts(40, 200, seed=5)
     entries = sparse.vstack([cm.entries, sparse.csr_matrix((1, 200))])  # last row all zero
     mtx = tmp_path / "counts.mtx"
     scipy.io.mmwrite(str(mtx), sparse.coo_matrix(entries))
-    with pytest.warns(UserWarning, match=r"rejected zero-total rows: \[40\]"):
-        code = run(["scrna", "--input", str(mtx), "--epsilon", "0.0002",
-                    "--out", str(tmp_path / "scrna.csv")])
+    code = run(["scrna", "--input", str(mtx), "--epsilon", "0.0002",
+                "--out", str(tmp_path / "scrna.csv")])
     assert code == 0
+    assert capsys.readouterr().err == "note: rejected zero-total rows: [40]\n"
 
 
 @pytest.mark.parametrize("count, extra", [(50, []), (70, []), (50, ["--subsample", "0"])])

@@ -209,6 +209,25 @@ def test_malformed_entry_fields_are_rejected(tmp_path, entry):
         counts.ingest_counts(path)
 
 
+@pytest.mark.parametrize("value", ["2.5", "3.0", "1e2"])
+def test_integer_file_rejects_values_that_are_not_integers(tmp_path, value):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            f"2 2 2\n2 2 1\n\n1 1 {value}\n")
+    with pytest.raises(ParseError, match=f"line 5: malformed entry '1 1 {value}'"):
+        counts.ingest_counts(path)
+
+
+def test_integer_file_reads_integer_counts(tmp_path):
+    path = _write(tmp_path, "%%MatrixMarket matrix coordinate integer general\n"
+                            "2 2 4\n1 1 +5\n1 2 05\n2\t1\t7\n2 2 1  \n")
+    cm = counts.ingest_counts(path)
+    assert cm.entries.dtype == np.int64 and cm.totals.dtype == np.int64
+    np.testing.assert_array_equal(cm.entries.toarray(), [[5, 5], [7, 1]])
+    y, predicted = counts.normalize_counts(cm)
+    np.testing.assert_array_equal(y, [[0.5, 0.5], [7 / 8, 1 / 8]])
+    np.testing.assert_array_equal(predicted, [0.1, 0.125])
+
+
 def test_bad_last_line_of_a_large_file_reports_its_line(tmp_path):
     n = 100_000
     rng = np.random.default_rng(0)
@@ -326,6 +345,9 @@ def test_synth_poisson_validates_ranges():
     with pytest.raises(ParameterError):
         counts.synth_poisson_counts(10, 20, n_clusters=3,
                                     cluster_depth_ranges=((1.0, 2.0), (1.0, 2.0)))
+    for n_clusters in (0, -1):
+        with pytest.raises(ParameterError, match="at least one cluster"):
+            counts.synth_poisson_counts(10, 20, n_clusters=n_clusters)
 
 
 def test_synth_poisson_is_deterministic():

@@ -46,6 +46,7 @@ def test_experiment_config_validation():
             ({"experiment": "fig8-synthetic", "sweep": [0.1]}, "fig8-synthetic takes no"),
             ({"experiment": "fig3", "sweep_param": "epsilon"}, "fig3 takes no sweep param"),
             ({"experiment": "fig5", "sweep_param": "n"}, "fig5 takes no sweep param"),
+            ({"experiment": "fig7", "sweep_param": "m"}, "fig7 sweeps epsilon or n, not 'm'"),
             ({"experiment": "fig3", "sweep": [0.05, 0.1]}, "whole numbers"),
             ({"experiment": "fig7", "sweep": [60.5], "sweep_param": "n"}, "whole numbers"),
             ({"experiment": "fig5", "sweep": [0.1, np.inf]}, "finite")]:

@@ -3,10 +3,8 @@ so do its command-line examples, except the bench ones."""
 
 import re
 import shlex
-from contextlib import nullcontext
 from pathlib import Path
 
-import pytest
 import scipy.io
 from scipy import sparse
 
@@ -23,18 +21,19 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(README), "exec"), namespace)
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch):
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     lines = re.findall(r"`(dskernel (?:simulate|scale|density|denoise|laplacian) [^`]*)`",
                        README.read_text())
     assert [line.split()[1] for line in lines] == [
         "simulate", "scale", "density", "denoise", "laplacian"]
     monkeypatch.chdir(tmp_path)
     for line in lines:
-        # the denoise example's distance matrix notes its negative entries
-        note = (pytest.warns(UserWarning, match="corrected distances are negative")
-                if "--dists-out" in line else nullcontext())
-        with note:
-            assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        err = capsys.readouterr().err
+        if "--dists-out" in line:  # the distance matrix notes its negative entries
+            assert re.fullmatch(r"note: \d+ corrected distances are negative .*\n", err), err
+        else:
+            assert err == "", line
 
 
 def test_readme_count_matrix_example_runs(tmp_path, monkeypatch):
