@@ -6,6 +6,7 @@ import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -41,8 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in FIGURES:
             raise ParameterError(f"unknown experiment {self.experiment!r}")
-        if self.repeats < 1:
-            raise ParameterError("repeats must be at least 1")
+        if not isinstance(self.repeats, Integral) or self.repeats < 1:
+            raise ParameterError(f"repeats must be an integer >= 1, got {self.repeats}")
         sweeps = FIGURES[self.experiment].sweeps
         if self.sweep_param is not None and len(sweeps) < 2:
             raise ParameterError(f"{self.experiment} takes no sweep parameter; only "

@@ -3,6 +3,7 @@ nearest-neighbor recovery scoring. Corrected distances are read off log K.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -104,8 +105,8 @@ def knn_recovery_accuracy(dists_a, dists_clean, k_max):
     n = dists_a.shape[0]
     if dists_a.shape != dists_clean.shape or dists_a.shape != (n, n):
         raise ParameterError("distance matrices must be square and equally sized")
-    if k_max >= n:
-        raise ParameterError("k_max must be smaller than the number of points")
+    if not isinstance(k_max, Integral) or not 1 <= k_max < n:
+        raise ParameterError(f"k_max must be an integer in [1, {n}), got {k_max}")
     order_a = _neighbor_order(dists_a)
     order_clean = _neighbor_order(dists_clean)
     clean_rank = np.empty_like(order_clean)

@@ -25,6 +25,7 @@ a caller asks for it.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -63,8 +64,8 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
     the solve does not depend on what the operator reduced before. Returns a
     ScalingSolution.
     """
-    if not max_iter >= 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not 0 < tol < np.inf:
         raise ParameterError(f"tol must be positive and finite, got {tol}")
     n = operator.n
@@ -106,8 +107,9 @@ def sinkhorn_symmetric(affinity, tol=POINTS_SOLVE.tol, max_iter=POINTS_SOLVE.max
     ``log_d0`` overrides the default starting vector; the fixed point is
     unique, so every start converges to the same scaling factors. The solve
     runs on the affinity, a kernel operator, and leaves it absorbed near the
-    solution for the steps after it. ``max_iter`` below 1, a ``tol`` that is
-    not positive and finite, or a zero row of K raises ParameterError.
+    solution for the steps after it. A ``max_iter`` that is not an integer of
+    at least 1, a ``tol`` that is not positive and finite, or a zero row of K
+    raises ParameterError.
     """
     if affinity.n < 3:
         raise ParameterError("scaling factors are unique only for n > 2")

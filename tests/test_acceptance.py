@@ -4,9 +4,16 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion; each test also prints a one-line summary with the measured values
 (visible with ``-s`` or on failure).
 
-The heavy simulated pipelines are shared through module-scoped fixtures, so
-the whole file runs in a few minutes.
+The heavy simulated pipelines are shared through module-scoped fixtures.
+``circles_2000`` visits each n=m=2000 circle of criteria 2, 3, 4 and 7 once:
+for every noise model and seeds 0-9 it draws the circle, computes its
+distance matrix once and solves every epsilon those criteria need, keeping
+only the error scalars. Criteria 2 and 3 read its seed means at eps=0.1,
+criterion 4 its seeds 0-4 as the n=2000 point, and criterion 7 its per-eps
+means of the Laplacian errors.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -18,6 +25,9 @@ from oracles import newton_symmetric_scaling, pairwise_corrected_dists
 EPSILON = 0.1
 S = 2.0
 DIM = 1
+NOISE_MODELS = ("none", "varying_ball", "outlier_gaussian")
+LAPLACIAN_NOISE = ("none", "varying_ball")
+LAPLACIAN_SWEEP = (0.025, 0.05, 0.1)
 
 
 def _report(criterion, ok, detail):
@@ -29,19 +39,34 @@ def _report(criterion, ok, detail):
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="module")
-def density_errors_2000():
-    """Max abs density errors at n=m=2000, eps=0.1, s=2, 10 repeats per noise."""
+def circles_2000():
+    """Error scalars of the n=m=2000 circles, seeds 0-9, per noise model.
+
+    Each circle is drawn once and gets one distance matrix, shared by its
+    solves: eps=0.1 gives the density errors at s=2, and the Laplacian sweep
+    gives the robust and traditional operator errors at alpha=1 (not for
+    outlier noise). Lists run over seeds in ascending order.
+    """
     out = {}
-    for noise in ("none", "varying_ball", "outlier_gaussian"):
-        kde, dskde, residuals = [], [], []
+    for noise in NOISE_MODELS:
+        sweep = LAPLACIAN_SWEEP if noise in LAPLACIAN_NOISE else (EPSILON,)
+        errs = defaultdict(list)
         for seed in range(10):
-            pipe = harness.circle_pipeline(2000, 2000, EPSILON, noise, seed=seed)
-            errs = harness._density_errors(pipe, [S], DIM)
-            kde.append(errs["kde"])
-            dskde.append(errs["dskde_s2"])
-            residuals.append(pipe.solution.residual)
-        out[noise] = {"kde": np.mean(kde), "dskde": np.mean(dskde),
-                      "max_residual": max(residuals)}
+            sample, noisy = harness.circle_dataset(2000, 2000, noise, seed)
+            d = kernel.pairwise_sq_dists(noisy.noisy_points)
+            for eps in sweep:
+                pipe = harness._solve(d, eps, *scaling.POINTS_SOLVE, sample, noisy)
+                if eps == EPSILON:
+                    density_errs = harness._density_errors(pipe, [S], DIM)
+                    errs["kde"].append(density_errs["kde"])
+                    errs["dskde"].append(density_errs["dskde_s2"])
+                if noise in LAPLACIAN_NOISE:
+                    lap_errs = harness._laplacian_errors(pipe, S, 1.0)
+                    for family in ("robust", "traditional"):
+                        errs[(eps, family)].append(lap_errs[family])
+                del pipe  # one log K and one absorbed matrix alive at a time
+            del d
+        out[noise] = dict(errs)
     return out
 
 
@@ -89,19 +114,19 @@ def test_criterion_01_scaling_correctness():
             f"init_gap={init_gap:.1e} newton_gap={oracle_gap:.1e}")
 
 
-def test_criterion_02_ds_kde_clean_accuracy(density_errors_2000):
-    err = density_errors_2000["none"]["dskde"]
+def test_criterion_02_ds_kde_clean_accuracy(circles_2000):
+    err = np.mean(circles_2000["none"]["dskde"])
     ok = 0.01 <= err <= 0.04
     _report("criterion-02 ds-kde-clean-accuracy", ok,
             f"mean max error={err:.4f}, band [0.01, 0.04]")
 
 
-def test_criterion_03_ds_kde_noise_robustness(density_errors_2000):
-    clean = density_errors_2000["none"]["dskde"]
+def test_criterion_03_ds_kde_noise_robustness(circles_2000):
+    clean = np.mean(circles_2000["none"]["dskde"])
     checks = []
     for noise in ("varying_ball", "outlier_gaussian"):
-        ds = density_errors_2000[noise]["dskde"]
-        kde = density_errors_2000[noise]["kde"]
+        ds = np.mean(circles_2000[noise]["dskde"])
+        kde = np.mean(circles_2000[noise]["kde"])
         checks.append((noise, ds, kde, ds <= 2.0 * clean and kde >= 0.08))
     ok = all(c[-1] for c in checks)
     detail = "; ".join(f"{n}: dskde={d:.4f} (clean {clean:.4f}), kde={k:.3f}"
@@ -109,17 +134,18 @@ def test_criterion_03_ds_kde_noise_robustness(density_errors_2000):
     _report("criterion-03 ds-kde-noise-robustness", ok, detail)
 
 
-def test_criterion_04_convergence_rate():
+def test_criterion_04_convergence_rate(circles_2000):
     ns = np.array([500.0, 1000.0, 2000.0])
     slopes = {}
-    for noise in ("none", "varying_ball", "outlier_gaussian"):
+    for noise in NOISE_MODELS:
         means = []
-        for n in ns:
+        for n in ns[:2]:
             errs = []
             for seed in range(5):
                 pipe = harness.circle_pipeline(int(n), int(n), EPSILON, noise, seed=seed)
                 errs.append(harness._density_errors(pipe, [S], DIM)["dskde_s2"])
             means.append(np.mean(errs))
+        means.append(np.mean(circles_2000[noise]["dskde"][:5]))  # n=2000, seeds 0-4
         slopes[noise] = np.polyfit(np.log(ns), np.log(means), 1)[0]
     ok = all(-0.7 <= v <= -0.3 for v in slopes.values())
     _report("criterion-04 convergence-rate", ok,
@@ -157,17 +183,11 @@ def test_criterion_06_knn_recovery(varying_noise_1000):
             f"share of oracle gain={share:.3f} (>=0.9)")
 
 
-def test_criterion_07_laplacian_ordering():
-    sweep = (0.025, 0.05, 0.1)
-    trials = 10
-    errors = {}
-    for noise in ("none", "varying_ball"):
-        # one circle per seed, shared by every eps of the sweep
-        per_seed = [harness.laplacian_errors(2000, sweep, noise, seed, s=S, alpha=1.0)
-                    for seed in range(trials)]
-        for i, eps in enumerate(sweep):
-            errors[(eps, noise)] = (np.mean([errs[i]["robust"] for errs in per_seed]),
-                                    np.mean([errs[i]["traditional"] for errs in per_seed]))
+def test_criterion_07_laplacian_ordering(circles_2000):
+    sweep = LAPLACIAN_SWEEP
+    errors = {(eps, noise): (np.mean(circles_2000[noise][(eps, "robust")]),
+                             np.mean(circles_2000[noise][(eps, "traditional")]))
+              for noise in LAPLACIAN_NOISE for eps in sweep}
     clean_ok = all(
         abs(errors[(eps, "none")][0] - errors[(eps, "none")][1])
         / max(errors[(eps, "none")]) <= 0.10

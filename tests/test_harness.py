@@ -36,6 +36,8 @@ def test_experiment_config_validation():
         harness.ExperimentConfig(experiment="fig99")
     with pytest.raises(ParameterError):
         harness.ExperimentConfig(experiment="fig3", repeats=0)
+    with pytest.raises(ParameterError, match="repeats must be an integer"):
+        harness.ExperimentConfig(experiment="fig3", repeats=2.5, sweep=[50])
     with pytest.raises(ParameterError):
         harness.ExperimentConfig(experiment="fig3", sweep=[100, 50])
     # a sweep or sweep parameter that the figure would not read

@@ -140,6 +140,9 @@ def test_knn_recovery_rejects_bad_shapes():
         inference.knn_recovery_accuracy(d, np.zeros((3, 3)), 2)
     with pytest.raises(ParameterError):
         inference.knn_recovery_accuracy(d, d, 4)
+    for k_max in (0, -1, 2.5):
+        with pytest.raises(ParameterError, match="k_max"):
+            inference.knn_recovery_accuracy(d, d, k_max)
 
 
 def test_corrected_distances_improve_knn_under_noise():

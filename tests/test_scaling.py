@@ -313,7 +313,8 @@ def test_rejects_tiny_matrices_and_bad_entries():
 @pytest.mark.parametrize("kwargs, name", [
     ({"max_iter": 0}, "max_iter"), ({"max_iter": -5}, "max_iter"),
     ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
-    ({"tol": np.inf}, "tol")])
+    ({"tol": np.inf}, "tol"),
+    ({"max_iter": 1e5}, "max_iter"), ({"max_iter": 2.5}, "max_iter")])
 def test_rejects_bad_solver_parameters(kwargs, name):
     with pytest.raises(ParameterError, match=name):
         scaling.sinkhorn_symmetric(circle_affinity(10, 0.1), **kwargs)
