@@ -241,6 +241,8 @@ def _subsample_per_class(labels, per_class, seed):
 
 
 def _cmd_scrna(args):
+    if args.transitions_out and not args.labels:
+        raise ParameterError("--transitions-out requires --labels")
     labels = counts_mod.read_labels(args.labels) if args.labels else None
     cm = counts_mod.ingest_counts(args.input, fmt=args.format, labels=labels)
     if cm.rejected_rows:
@@ -257,8 +259,6 @@ def _cmd_scrna(args):
                zip(range(len(nhat)), repeat("") if cm.labels is None else cm.labels,
                    map(int, cm.totals), 1.0 / cm.totals, nhat))
     if args.transitions_out:
-        if cm.labels is None:
-            raise ParameterError("--transitions-out requires --labels")
         rows = harness.transition_errors(pipe.scaled, qhat, cm.labels)
         header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
         _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))

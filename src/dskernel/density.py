@@ -7,6 +7,7 @@ over the absorbed matrix, and so is the row entropy of W.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -105,8 +106,8 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     the discrete scaling engine with the quadrature weights folded into the
     matrix (diagonal included: this is the continuum problem, K(x, x) = 1).
     """
-    if grid_size < 256:
-        raise ParameterError("grid_size must be at least 256")
+    if not isinstance(grid_size, Integral) or grid_size < 256:
+        raise ParameterError(f"grid_size must be an integer >= 256, got {grid_size}")
     _check_epsilon(epsilon)
     h = 2.0 * np.pi / grid_size
     if np.sqrt(epsilon) / h < 8.0:

@@ -49,8 +49,8 @@ def wrapped_normal_density(theta, sigma_sq):
     The series over wrap indices is truncated adaptively so the omitted tail
     is below 1e-12.
     """
-    if sigma_sq <= 0:
-        raise ParameterError("sigma_sq must be positive")
+    if not 0 < sigma_sq < np.inf:
+        raise ParameterError(f"sigma_sq must be positive and finite, got {sigma_sq}")
     theta = np.asarray(theta, dtype=float)
     sigma = np.sqrt(sigma_sq)
     # terms at wrap k decay like exp(-(2*pi*k - pi)^2 / (2 sigma^2)); 8 sigma
@@ -70,8 +70,9 @@ def sample_circle(n, sigma_sq, radius=1.0, seed=0):
     """
     if n < 3:
         raise ParameterError("n must be at least 3")
-    if sigma_sq <= 0 or radius <= 0:
-        raise ParameterError("sigma_sq and radius must be positive")
+    if not (0 < sigma_sq < np.inf and 0 < radius < np.inf):
+        raise ParameterError("sigma_sq and radius must be positive and finite, "
+                             f"got {sigma_sq} and {radius}")
     rng = np.random.default_rng(seed)
     angles = np.mod(rng.normal(0.0, np.sqrt(sigma_sq), size=n), TWO_PI)
     clean = radius * np.column_stack([np.cos(angles), np.sin(angles)])

@@ -19,6 +19,8 @@ from .scaling import POINTS_SOLVE, SolveSettings, assemble_W, sinkhorn_symmetric
 
 # every solve on count data: the Poisson pipeline, the transition table, scrna
 COUNTS_SOLVE = SolveSettings(1e-6, 10_000)
+# the depth ranges of fig8's two cell clusters, a shallow and a deep one
+FIG8_DEPTH_RANGES = ((400.0, 800.0), (2000.0, 4000.0))
 
 
 def _figures_where(test):
@@ -44,6 +46,10 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.repeats, Integral) or self.repeats < 1:
             raise ParameterError(f"repeats must be an integer >= 1, got {self.repeats}")
+        _check_epsilon(self.epsilon)
+        density._check_s(self.s)
+        if self.noise is not None and self.noise not in geometry.NOISE_MODELS:
+            raise ParameterError(f"unknown noise model {self.noise!r}")
         sweeps = FIGURES[self.experiment].sweeps
         if self.sweep_param is not None and len(sweeps) < 2:
             raise ParameterError(f"{self.experiment} takes no sweep parameter; only "
@@ -153,8 +159,9 @@ def _density_errors(pipe, s_values, dim=1):
 def run_experiment(config):
     """Run one benchmark and return (header, rows); writes CSV if out is set.
 
-    Any stage failure at a sweep point is recorded as a diagnostic row with
-    status != "ok" rather than silently skipped.
+    A parameter or convergence failure at a sweep point is recorded as a
+    diagnostic row with status != "ok" rather than silently skipped; any
+    other exception is a bug and propagates.
     """
     figure = FIGURES[config.experiment]
     header, rows, residuals = figure.run(config)
@@ -201,8 +208,8 @@ def _sweep(config, noises, column, names, measure):
     """Mean and std over ``config.repeats`` circles of each ``measure(pipe)``
     entry in ``names``, per sweep value (default: the figure table's) and noise model.
 
-    A sweep point stops at its first failing repeat and records the failure
-    in its rows' status.
+    A sweep point stops at its first repeat that raises ParameterError or
+    ConvergenceError and records the failure in its rows' status.
     """
     sweep_kind = config.sweep_kind
     header = [sweep_kind, "noise", column, "mean_max_error", "std_max_error", "status"]
@@ -220,7 +227,7 @@ def _sweep(config, noises, column, names, measure):
                 try:
                     pipe = circle_pipeline(n, n, eps, noise_model, seed)
                     errs = measure(pipe)
-                except Exception as exc:  # diagnostic row, never a silent skip
+                except (ParameterError, ConvergenceError) as exc:
                     status = f"failed: {exc}"
                     break
                 residuals.append(pipe.solution.residual)
@@ -332,8 +339,7 @@ def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
 
 def _fig8(config):
     result = poisson_noise_experiment(
-        seed=config.seed, s=config.s,
-        cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+        seed=config.seed, s=config.s, cluster_depth_ranges=FIG8_DEPTH_RANGES)
     header = ["index", "label", "total_count", "inv_count", "noise_sq_hat"]
     cm = result["counts"]
     rows = list(zip(range(len(cm.totals)), cm.labels, map(int, cm.totals),

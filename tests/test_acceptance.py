@@ -206,8 +206,8 @@ def test_criterion_08_population_scaling_trend():
     errs = []
     for eps in (0.05, 0.025, 0.0125):
         ps = density.solve_population_scaling_1d(
-            lambda t: geometry.wrapped_normal_density(t, 0.16 * np.pi**2), eps)
-        q = geometry.wrapped_normal_density(ps.grid, 0.16 * np.pi**2)
+            lambda t: geometry.wrapped_normal_density(t, geometry.CIRCLE_SIGMA_SQ), eps)
+        q = geometry.wrapped_normal_density(ps.grid, geometry.CIRCLE_SIGMA_SQ)
         errs.append(np.abs(ps.rho - q**-0.5).max())
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     ok = all(1.5 <= r <= 2.5 for r in ratios)
@@ -218,8 +218,7 @@ def test_criterion_08_population_scaling_trend():
 
 def test_criterion_09_poisson_surrogate():
     res = harness.poisson_noise_experiment(
-        n=600, m=5000, seed=0,
-        cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+        n=600, m=5000, seed=0, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
     pearson = stats.pearsonr(res["noise_sq_hat"], res["predicted_noise"])[0]
     eps0 = res["epsilon"]
     rows = harness.transition_error_table(

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sparse
 
 import dskernel
 from dskernel import cli, counts, density, harness, inference
+from oracles import record_calls, write_counts
 
 
 def run(argv):
@@ -127,12 +127,8 @@ def test_laplacian_sweep(tmp_path):
 @pytest.fixture
 def labelled_counts(tmp_path):
     cm = counts.synth_poisson_counts(
-        80, 300, seed=5, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
-    mtx = tmp_path / "counts.mtx"
-    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(cm.entries))
-    labels_path = tmp_path / "labels.csv"
-    labels_path.write_text("\n".join(str(c) for c in cm.labels) + "\n")
-    return mtx, labels_path
+        80, 300, seed=5, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
+    return write_counts(tmp_path, cm.entries, cm.labels)
 
 
 def test_scrna_pipeline(labelled_counts, tmp_path):
@@ -174,27 +170,19 @@ def test_scrna_transitions_use_the_exponent(labelled_counts, tmp_path):
 
 def test_scrna_computes_the_ds_kde_once(labelled_counts, tmp_path, monkeypatch):
     # the noise estimates and the transition table share one DS-KDE
-    exponents = []
-    ds_kde = density.ds_kde
-
-    def counted(scaled, s, *args, **kwargs):
-        exponents.append(s)
-        return ds_kde(scaled, s, *args, **kwargs)
-
-    monkeypatch.setattr(density, "ds_kde", counted)
+    calls = record_calls(monkeypatch, density.ds_kde)["ds_kde"]
     mtx, labels_path = labelled_counts
     code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
                 "--epsilon", "0.0002", "--s", "limit", "--out", str(tmp_path / "scrna.csv"),
                 "--transitions-out", str(tmp_path / "transitions.csv")])
     assert code == 0
-    assert exponents == [density.S_LIMIT]
+    assert [call["s"] for call in calls] == [density.S_LIMIT]
 
 
 def test_scrna_warns_about_rejected_rows(tmp_path, capsys):
     cm = counts.synth_poisson_counts(40, 200, seed=5)
-    entries = sparse.vstack([cm.entries, sparse.csr_matrix((1, 200))])  # last row all zero
-    mtx = tmp_path / "counts.mtx"
-    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(entries))
+    # the last row is all zero
+    mtx, _ = write_counts(tmp_path, sparse.vstack([cm.entries, sparse.csr_matrix((1, 200))]))
     code = run(["scrna", "--input", str(mtx), "--epsilon", "0.0002",
                 "--out", str(tmp_path / "scrna.csv")])
     assert code == 0
@@ -204,14 +192,20 @@ def test_scrna_warns_about_rejected_rows(tmp_path, capsys):
 @pytest.mark.parametrize("count, extra", [(50, []), (70, []), (50, ["--subsample", "0"])])
 def test_scrna_labels_must_match_the_cells(tmp_path, capsys, count, extra):
     cm = counts.synth_poisson_counts(60, 200, seed=0)
-    mtx = tmp_path / "counts.mtx"
-    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(cm.entries))
-    labels_path = tmp_path / "labels.csv"
-    labels_path.write_text("\n".join(str(c) for c in np.resize(cm.labels, count)) + "\n")
+    mtx, labels_path = write_counts(tmp_path, cm.entries, np.resize(cm.labels, count))
     code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
                 "--epsilon", "0.0002", "--out", str(tmp_path / "scrna.csv"), *extra])
     assert code == 1
     assert one_line_error(capsys) == f"error: {count} labels for 60 rows\n"
+
+
+def test_scrna_transitions_need_labels_before_any_input_is_read(tmp_path, capsys):
+    out = tmp_path / "scrna.csv"
+    code = run(["scrna", "--input", str(tmp_path / "missing.mtx"), "--epsilon", "0.0002",
+                "--out", str(out), "--transitions-out", str(tmp_path / "transitions.csv")])
+    assert code == 1
+    assert one_line_error(capsys) == "error: --transitions-out requires --labels\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_scrna_non_utf8_labels_are_a_one_line_error(labelled_counts, tmp_path, capsys):
@@ -277,6 +271,19 @@ def test_bench_records_a_failed_sweep_point(tmp_path):
     for row in rows:
         assert row["status"] == "failed: scaling did not converge; refusing to assemble W"
         assert row["mean_max_error"] == row["std_max_error"] == ""
+
+
+def test_bench_settings_are_checked_before_any_data_is_drawn(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the circle was generated")
+
+    monkeypatch.setattr(harness, "circle_dataset", unreachable)
+    out = tmp_path / "f.csv"
+    code = run(["bench", "fig3", "--epsilon", "0", "--sweep", "50", "--repeats", "1",
+                "--out", str(out)])
+    assert code == 1
+    assert one_line_error(capsys) == "error: epsilon must be positive and finite, got 0.0\n"
+    assert not out.exists()
 
 
 def test_unconverged_scale_is_a_one_line_error(simulated, tmp_path, capsys):
@@ -366,9 +373,7 @@ def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     code = run(["scale", "--input", str(tmp_path / "nope.csv"),
                 "--epsilon", "0.1", "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
+    one_line_error(capsys)
 
 
 def test_bad_epsilon_is_reported(simulated, tmp_path, capsys):
@@ -489,9 +494,7 @@ def test_malformed_points_csv_is_a_one_line_error(tmp_path, capsys, text, where)
     code = run(["scale", "--input", str(points), "--epsilon", "0.1",
                 "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}")
-    assert len(err.strip().splitlines()) == 1
+    assert one_line_error(capsys).startswith(f"error: {where}")
 
 
 @pytest.mark.parametrize("command, name, text, where", [
@@ -505,6 +508,4 @@ def test_non_utf8_input_is_a_one_line_error(tmp_path, capsys, command, name, tex
     code = run([command, "--input", str(path), "--epsilon", "0.1",
                 "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}: not utf-8 text")
-    assert len(err.strip().splitlines()) == 1
+    assert one_line_error(capsys).startswith(f"error: {where}: not utf-8 text")

@@ -5,7 +5,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dskernel import counts
+from dskernel import counts, harness
 from dskernel.errors import ParameterError, ParseError
 from oracles import naive_matrix_market
 
@@ -332,8 +332,8 @@ def test_synth_poisson_counts_structure():
 
 
 def test_synth_poisson_cluster_depth_ranges():
-    ranges = ((400.0, 800.0), (2000.0, 4000.0))
-    cm = counts.synth_poisson_counts(200, 500, seed=4, cluster_depth_ranges=ranges)
+    cm = counts.synth_poisson_counts(200, 500, seed=4,
+                                     cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
     low = cm.totals[cm.labels == 0]
     high = cm.totals[cm.labels == 1]
     assert low.max() < high.min()

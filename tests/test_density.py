@@ -3,16 +3,8 @@ import pytest
 
 from dskernel import density, geometry, kernel, scaling
 from dskernel.errors import ParameterError
-from oracles import brute_force_ds_kde
-
-SIGMA_SQ = 0.16 * np.pi**2
-
-
-def scaled_circle(n=200, epsilon=0.1, seed=0):
-    sample = geometry.sample_circle(n, SIGMA_SQ, seed=seed)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), epsilon)
-    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
-    return sample, scaling.assemble_W(aff, sol)
+from dskernel.geometry import CIRCLE_SIGMA_SQ
+from oracles import clean_circle, dense_ds_kde, log_w_of
 
 
 def test_uniform_w_gives_unit_density():
@@ -26,15 +18,15 @@ def test_uniform_w_gives_unit_density():
 
 
 def test_ds_kde_matches_brute_force():
-    _, scaled = scaled_circle(n=120, seed=1)
+    scaled = clean_circle(120, 0.1, seed=1, tol=1e-12).scaled
     for s in (0.5, 2.0, 3.0):
         got = density.ds_kde(scaled, s)
-        expected = brute_force_ds_kde(scaled.w, s)
+        expected = dense_ds_kde(log_w_of(scaled), s)
         np.testing.assert_allclose(got.raw, expected, rtol=1e-10)
 
 
 def test_entropy_limit_agrees_with_s_near_one():
-    _, scaled = scaled_circle(n=150, seed=2)
+    scaled = clean_circle(150, 0.1, seed=2, tol=1e-12).scaled
     limit = density.ds_kde(scaled, density.S_LIMIT)
     near = density.ds_kde(scaled, 1.0 + 1e-6)
     np.testing.assert_allclose(limit.raw, near.raw, rtol=1e-4)
@@ -52,7 +44,7 @@ def test_normalization_constant_values_and_limit():
 
 
 def test_ds_kde_parameter_validation():
-    _, scaled = scaled_circle(n=60)
+    scaled = clean_circle(60, 0.1, tol=1e-12).scaled
     for bad in (1.0, -2.0, 0.0, np.inf, np.nan):
         with pytest.raises(ParameterError, match="s must be positive, finite"):
             density.ds_kde(scaled, bad)
@@ -68,9 +60,9 @@ def test_ds_kde_parameter_validation():
 
 
 def test_normalized_estimate_tracks_true_density():
-    sample, scaled = scaled_circle(n=1500, epsilon=0.1, seed=3)
-    est = density.ds_kde(scaled, 2.0, dim=1)
-    err = np.abs(est.normalized - sample.density_values).max()
+    pipe = clean_circle(1500, 0.1, seed=3, tol=1e-12)
+    est = density.ds_kde(pipe.scaled, 2.0, dim=1)
+    err = np.abs(est.normalized - pipe.sample.density_values).max()
     assert err < 0.08
 
 
@@ -86,14 +78,14 @@ def test_population_scaling_uniform_density_is_flat():
 
 def test_population_scaling_approximates_inverse_sqrt_density():
     ps = density.solve_population_scaling_1d(
-        lambda t: geometry.wrapped_normal_density(t, SIGMA_SQ), 0.025)
-    q = geometry.wrapped_normal_density(ps.grid, SIGMA_SQ)
+        lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ), 0.025)
+    q = geometry.wrapped_normal_density(ps.grid, CIRCLE_SIGMA_SQ)
     rel = np.abs(ps.rho - q**-0.5) / q**-0.5
     assert rel.max() < 0.05
 
 
 def test_population_scaling_grid_refinement_is_stable():
-    fn = lambda t: geometry.wrapped_normal_density(t, SIGMA_SQ)
+    fn = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
     coarse = density.solve_population_scaling_1d(fn, 0.05, grid_size=2048)
     fine = density.solve_population_scaling_1d(fn, 0.05, grid_size=4096)
     # compare on the shared subgrid
@@ -101,9 +93,13 @@ def test_population_scaling_grid_refinement_is_stable():
 
 
 def test_population_scaling_rejects_unresolvable_grid():
-    fn = lambda t: geometry.wrapped_normal_density(t, SIGMA_SQ)
+    fn = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
     with pytest.raises(ParameterError, match="grid_size"):
         density.solve_population_scaling_1d(fn, 1e-5, grid_size=1024)
+    # a grid size must count points: 300.5 would space 301 points 2 pi / 300.5 apart
+    for bad in (300.5, 1024.0, 255):
+        with pytest.raises(ParameterError, match="grid_size must be an integer >= 256"):
+            density.solve_population_scaling_1d(fn, 0.05, grid_size=bad)
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
             density.solve_population_scaling_1d(fn, bad, grid_size=256)

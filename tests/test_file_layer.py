@@ -1,21 +1,16 @@
 """The file layer: which line a rejected input file is reported at, the text
 the table writer gives each cell, and which functions a valid run calls."""
 
-import functools
-import importlib
 import inspect
-import pkgutil
 
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dskernel
-from dskernel import cli, counts, geometry
+from dskernel import cli, counts, geometry, harness
 from dskernel.errors import ParseError
+from oracles import record_calls, write_counts
 
 BAD_TOKENS = ["x", "1x", "0x10", "1.2.3"]
 
@@ -137,31 +132,15 @@ def test_valid_scrna_run_calls_no_public_geometry_function(tmp_path, monkeypatch
     public geometry function called inside a timed ``scrna`` call would drop
     out of the per-layer sum. Every public geometry function is wrapped in
     every dskernel namespace that holds it, as the tracer wraps it."""
-    public = {obj for name, obj in vars(geometry).items()
+    public = [obj for name, obj in vars(geometry).items()
               if inspect.isfunction(obj) and obj.__module__ == geometry.__name__
-              and not name.startswith("_")}
-    called = []
-
-    def spy(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            called.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [dskernel] + [importlib.import_module(f"dskernel.{info.name}")
-                            for info in pkgutil.iter_modules(dskernel.__path__)]
-    for module in modules:
-        for name, obj in list(vars(module).items()):
-            if inspect.isfunction(obj) and obj in public:
-                monkeypatch.setattr(module, name, spy(obj))
+              and not name.startswith("_")]
+    calls = record_calls(monkeypatch, *public)
     cm = counts.synth_poisson_counts(
-        60, 200, seed=1, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
-    mtx, labels = tmp_path / "counts.mtx", tmp_path / "labels.csv"
-    scipy.io.mmwrite(str(mtx), sparse.coo_matrix(cm.entries))
-    np.savetxt(labels, cm.labels, fmt="%d")
+        60, 200, seed=1, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
+    mtx, labels = write_counts(tmp_path, cm.entries, cm.labels)
     code = cli.main(["scrna", "--input", str(mtx), "--labels", str(labels),
                      "--epsilon", "0.0002", "--out", str(tmp_path / "noise.csv"),
                      "--transitions-out", str(tmp_path / "transitions.csv")])
     assert code == 0
-    assert called == []
+    assert [name for name, c in calls.items() if c] == []

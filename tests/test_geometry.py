@@ -3,47 +3,52 @@ import pytest
 
 from dskernel import geometry
 from dskernel.errors import ParameterError, ParseError
-
-SIGMA_SQ = 0.16 * np.pi**2
+from dskernel.geometry import CIRCLE_SIGMA_SQ
+from oracles import clean_sample
 
 
 def test_wrapped_normal_density_integrates_to_one():
     theta = np.linspace(0.0, 2.0 * np.pi, 20001)
-    q = geometry.wrapped_normal_density(theta, SIGMA_SQ)
+    q = geometry.wrapped_normal_density(theta, CIRCLE_SIGMA_SQ)
     mass = np.trapezoid(q, theta)
     assert abs(mass - 1.0) < 1e-6
 
 
 def test_wrapped_normal_density_matches_long_series():
     theta = np.array([0.0, 0.3, np.pi, 5.1])
-    sigma = np.sqrt(SIGMA_SQ)
+    sigma = np.sqrt(CIRCLE_SIGMA_SQ)
     ks = np.arange(-200, 201)
-    expected = (np.exp(-0.5 * (theta[:, None] - 2 * np.pi * ks) ** 2 / SIGMA_SQ)
-                .sum(axis=1) / np.sqrt(2 * np.pi * SIGMA_SQ))
-    got = geometry.wrapped_normal_density(theta, SIGMA_SQ)
+    expected = (np.exp(-0.5 * (theta[:, None] - 2 * np.pi * ks) ** 2 / CIRCLE_SIGMA_SQ)
+                .sum(axis=1) / np.sqrt(2 * np.pi * CIRCLE_SIGMA_SQ))
+    got = geometry.wrapped_normal_density(theta, CIRCLE_SIGMA_SQ)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert sigma > 0
 
 
 def test_wrapped_normal_density_rejects_bad_variance():
-    with pytest.raises(ParameterError):
-        geometry.wrapped_normal_density(np.array([0.0]), 0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="sigma_sq must be positive and finite"):
+            geometry.wrapped_normal_density(np.array([0.0]), bad)
 
 
 def test_sample_circle_shapes_and_density():
-    sample = geometry.sample_circle(400, SIGMA_SQ, radius=0.5, seed=11)
+    sample = geometry.sample_circle(400, CIRCLE_SIGMA_SQ, radius=0.5, seed=11)
     assert sample.clean_points.shape == (400, 2)
     assert np.all((sample.angles >= 0) & (sample.angles < 2 * np.pi))
     np.testing.assert_allclose(np.linalg.norm(sample.clean_points, axis=1), 0.5)
-    expected = geometry.wrapped_normal_density(sample.angles, SIGMA_SQ) / 0.5
+    expected = geometry.wrapped_normal_density(sample.angles, CIRCLE_SIGMA_SQ) / 0.5
     np.testing.assert_allclose(sample.density_values, expected)
 
 
 def test_sample_circle_rejects_bad_parameters():
     with pytest.raises(ParameterError):
-        geometry.sample_circle(2, SIGMA_SQ)
+        geometry.sample_circle(2, CIRCLE_SIGMA_SQ)
     with pytest.raises(ParameterError):
-        geometry.sample_circle(10, SIGMA_SQ, radius=0.0)
+        geometry.sample_circle(10, CIRCLE_SIGMA_SQ, radius=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in ({"sigma_sq": bad}, {"sigma_sq": CIRCLE_SIGMA_SQ, "radius": bad}):
+            with pytest.raises(ParameterError, match="must be positive and finite"):
+                geometry.sample_circle(10, **kwargs)
 
 
 def test_sample_two_circles_structure():
@@ -54,12 +59,12 @@ def test_sample_two_circles_structure():
     radii = np.linalg.norm(sample.clean_points, axis=1)
     np.testing.assert_allclose(radii, sample.radius_labels)
     # arc-length density of each circle is angular density / radius
-    expected = geometry.wrapped_normal_density(sample.angles, SIGMA_SQ)
+    expected = geometry.wrapped_normal_density(sample.angles, CIRCLE_SIGMA_SQ)
     np.testing.assert_allclose(sample.density_values * sample.radius_labels, expected)
 
 
 def test_embedding_is_isometric():
-    sample = geometry.sample_circle(150, SIGMA_SQ, seed=5)
+    sample = geometry.sample_circle(150, CIRCLE_SIGMA_SQ, seed=5)
     embedded = geometry.embed_orthogonal(sample, 700, seed=6)
     assert embedded.clean_points.shape == (150, 700)
     pre = np.linalg.norm(sample.clean_points[:, None] - sample.clean_points[None], axis=-1)
@@ -68,20 +73,20 @@ def test_embedding_is_isometric():
 
 
 def test_embedding_rejects_too_small_dimension():
-    sample = geometry.sample_circle(10, SIGMA_SQ)
+    sample = geometry.sample_circle(10, CIRCLE_SIGMA_SQ)
     with pytest.raises(ParameterError):
         geometry.embed_orthogonal(sample, 1)
 
 
 def test_noise_none_is_identity():
-    sample = geometry.sample_circle(50, SIGMA_SQ, seed=1)
+    sample = geometry.sample_circle(50, CIRCLE_SIGMA_SQ, seed=1)
     noise = geometry.apply_noise(sample, "none", seed=3)
     assert np.all(noise.true_noise_sq == 0.0)
     np.testing.assert_array_equal(noise.noisy_points, sample.clean_points)
 
 
 def test_varying_ball_radius_bounds():
-    sample = geometry.embed_orthogonal(geometry.sample_circle(500, SIGMA_SQ, seed=7), 300, seed=8)
+    sample = clean_sample(500, seed=7, m=300)
     noise = geometry.apply_noise(sample, "varying_ball", seed=9)
     radii = geometry.varying_ball_radius(sample.angles)
     norms = np.sqrt(noise.true_noise_sq)
@@ -94,14 +99,14 @@ def test_varying_ball_radius_bounds():
 
 
 def test_outlier_gaussian_zero_fraction():
-    sample = geometry.embed_orthogonal(geometry.sample_circle(10_000, SIGMA_SQ, seed=0), 50, seed=1)
+    sample = clean_sample(10_000, seed=0, m=50)
     noise = geometry.apply_noise(sample, "outlier_gaussian", seed=2)
     zero_rows = np.all(noise.noise_vectors == 0.0, axis=1).mean()
     assert abs(zero_rows - 0.9) < 0.01
 
 
 def test_outlier_scaled_gaussian_basics():
-    sample = geometry.embed_orthogonal(geometry.sample_circle(5000, SIGMA_SQ, seed=0), 40, seed=1)
+    sample = clean_sample(5000, seed=0, m=40)
     noise = geometry.apply_noise(sample, "outlier_scaled_gaussian", seed=2)
     zero_rows = np.all(noise.noise_vectors == 0.0, axis=1).mean()
     assert abs(zero_rows - 0.9) < 0.02
@@ -109,7 +114,7 @@ def test_outlier_scaled_gaussian_basics():
 
 
 def test_noise_models_are_mean_zero():
-    sample = geometry.embed_orthogonal(geometry.sample_circle(100_000, SIGMA_SQ, seed=4), 3, seed=5)
+    sample = clean_sample(100_000, seed=4, m=3)
     for model, std in [("varying_ball", 0.5 / np.sqrt(3)),
                        ("outlier_gaussian", 1.0 / np.sqrt(12))]:
         noise = geometry.apply_noise(sample, model, seed=6)
@@ -118,14 +123,14 @@ def test_noise_models_are_mean_zero():
 
 
 def test_unknown_noise_model_raises():
-    sample = geometry.sample_circle(10, SIGMA_SQ)
+    sample = geometry.sample_circle(10, CIRCLE_SIGMA_SQ)
     with pytest.raises(ParameterError):
         geometry.apply_noise(sample, "cauchy")
 
 
 def test_sampling_is_deterministic():
-    a = geometry.sample_circle(64, SIGMA_SQ, seed=123)
-    b = geometry.sample_circle(64, SIGMA_SQ, seed=123)
+    a = geometry.sample_circle(64, CIRCLE_SIGMA_SQ, seed=123)
+    b = geometry.sample_circle(64, CIRCLE_SIGMA_SQ, seed=123)
     np.testing.assert_array_equal(a.angles, b.angles)
     na = geometry.apply_noise(a, "varying_ball", seed=9)
     nb = geometry.apply_noise(b, "varying_ball", seed=9)
@@ -151,7 +156,7 @@ def test_test_function_laplacian_matches_second_difference():
 
 
 def test_save_and_load_dataset_roundtrip(tmp_path):
-    sample = geometry.embed_orthogonal(geometry.sample_circle(30, SIGMA_SQ, seed=3), 10, seed=4)
+    sample = clean_sample(30, seed=3, m=10)
     noise = geometry.apply_noise(sample, "varying_ball", seed=5)
     points_path = tmp_path / "points.csv"
     sidecar_path = tmp_path / "sidecar.csv"

@@ -1,13 +1,10 @@
-import sys
-
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse as sparse
 from scipy import stats
 
 from dskernel import cli, density, harness, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
+from oracles import record_calls, small_counts_experiment, write_counts
 
 
 def test_circle_pipeline_is_deterministic():
@@ -51,9 +48,25 @@ def test_experiment_config_validation():
             ({"experiment": "fig7", "sweep_param": "m"}, "fig7 sweeps epsilon or n, not 'm'"),
             ({"experiment": "fig3", "sweep": [0.05, 0.1]}, "whole numbers"),
             ({"experiment": "fig7", "sweep": [60.5], "sweep_param": "n"}, "whole numbers"),
-            ({"experiment": "fig5", "sweep": [0.1, np.inf]}, "finite")]:
+            ({"experiment": "fig5", "sweep": [0.1, np.inf]}, "finite"),
+            # settings that would fail every sweep point, checked before any data
+            ({"experiment": "fig3", "epsilon": 0.0}, "epsilon must be positive and finite"),
+            ({"experiment": "fig1", "epsilon": np.nan}, "epsilon must be positive and finite"),
+            ({"experiment": "fig3", "noise": "bogus"}, "unknown noise model 'bogus'"),
+            ({"experiment": "fig7", "s": 1.0, "noise": "none"}, "s must be positive, finite")]:
         with pytest.raises(ParameterError, match=message):
             harness.ExperimentConfig(**kwargs)
+
+
+def test_a_bug_at_a_sweep_point_propagates(monkeypatch):
+    # only parameter and convergence failures become diagnostic rows
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(harness, "circle_pipeline", broken)
+    config = harness.ExperimentConfig(experiment="fig3", sweep=[60], repeats=1, noise="none")
+    with pytest.raises(TypeError, match="a bug"):
+        harness.run_experiment(config)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -107,36 +120,21 @@ def test_laplacian_errors_keys_and_magnitudes():
     assert 0.0 < errs["traditional"] < 1.5
 
 
-def count_calls(monkeypatch, *functions):
-    """Count the calls of each function made through any dskernel namespace."""
-    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
-    for fn in functions:
-        def counted(*args, fn=fn, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "dskernel" and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
-
-
 def test_laplacian_sweep_draws_one_circle_and_one_distance_matrix(monkeypatch, tmp_path):
-    calls = count_calls(monkeypatch, harness.circle_dataset, kernel.pairwise_sq_dists)
+    calls = record_calls(monkeypatch, harness.circle_dataset, kernel.pairwise_sq_dists)
     out = tmp_path / "lap.csv"
     assert cli.main(["laplacian", "--n", "60", "--epsilon", "0.1", "--epsilon", "0.2",
                      "--epsilon", "0.4", "--out", str(out)]) == 0
-    assert calls == {"circle_dataset": 1, "pairwise_sq_dists": 1}
+    assert [len(calls["circle_dataset"]), len(calls["pairwise_sq_dists"])] == [1, 1]
     assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
 
 def test_transition_error_table_computes_one_distance_matrix(monkeypatch):
-    res = harness.poisson_noise_experiment(
-        n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
-    calls = count_calls(monkeypatch, kernel.pairwise_sq_dists)
+    res = small_counts_experiment()
+    calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)
     epsilons = [res["epsilon"] * f for f in (1.0, 1.5, 2.0)]
     rows = harness.transition_error_table(res["normalized"], res["counts"].labels, epsilons)
-    assert calls == {"pairwise_sq_dists": 1}
+    assert len(calls["pairwise_sq_dists"]) == 1
     assert [row["epsilon"] for row in rows] == [eps for eps in epsilons for _ in range(6)]
 
 
@@ -154,9 +152,7 @@ def test_poisson_noise_experiment_tracks_inverse_depth():
 
 
 def test_transition_error_table_structure():
-    res = harness.poisson_noise_experiment(
-        n=120, m=400, seed=2,
-        cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    res = small_counts_experiment()
     rows = harness.transition_error_table(res["normalized"], res["counts"].labels,
                                           [res["epsilon"]], alphas=(0.0, 1.0))
     assert len(rows) == 4  # two alphas x two families
@@ -173,17 +169,14 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch, tmp_path):
 
     monkeypatch.setattr(scaling.ScaledMatrix, "w", property(refuse))
     harness.laplacian_errors(300, [0.1], "varying_ball", seed=0)
-    res = harness.poisson_noise_experiment(
-        n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    res = small_counts_experiment()
     rows = harness.transition_errors(res["scaled"], res["qhat"], res["counts"].labels)
     assert len(rows) == 6
     sample, noise = harness.circle_dataset(200, 100, "varying_ball", seed=1)
     np.savetxt(tmp_path / "points.csv", noise.noisy_points, delimiter=",")
     assert cli.main(["denoise", "--input", str(tmp_path / "points.csv"), "--epsilon", "0.1",
                      "--out", str(tmp_path / "est.csv")]) == 0
-    scipy.io.mmwrite(str(tmp_path / "counts.mtx"), sparse.coo_matrix(res["counts"].entries))
-    np.savetxt(tmp_path / "labels.csv", res["counts"].labels, fmt="%d")
-    assert cli.main(["scrna", "--input", str(tmp_path / "counts.mtx"),
-                     "--labels", str(tmp_path / "labels.csv"),
+    mtx, labels = write_counts(tmp_path, res["counts"].entries, res["counts"].labels)
+    assert cli.main(["scrna", "--input", str(mtx), "--labels", str(labels),
                      "--epsilon", str(res["epsilon"]), "--out", str(tmp_path / "scrna.csv"),
                      "--transitions-out", str(tmp_path / "transitions.csv")]) == 0

@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,18 +7,7 @@ from hypothesis import strategies as st
 
 from dskernel import cli, density, geometry, harness, inference, kernel, laplacian, scaling
 from dskernel.errors import ConvergenceError, ParameterError
-from oracles import pairwise_corrected_dists
-
-SIGMA_SQ = 0.16 * np.pi**2
-
-
-def clean_circle_pipeline(n=500, m=500, epsilon=0.1, seed=0):
-    sample = geometry.sample_circle(n, SIGMA_SQ, seed=seed)
-    sample = geometry.embed_orthogonal(sample, m, seed=seed + 1)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), epsilon)
-    sol = scaling.sinkhorn_symmetric(aff)
-    scaled = scaling.assemble_W(aff, sol)
-    return sample, aff, sol, scaled
+from oracles import clean_circle, pairwise_corrected_dists, record_calls
 
 
 def test_distance_bias_closed_forms():
@@ -42,8 +30,8 @@ def test_distance_bias_rejects_what_ds_kde_rejects():
 
 
 def test_clean_noise_magnitude_has_known_small_bias():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=1000, m=1000, seed=2)
-    qhat = density.ds_kde(scaled, 2.0)
+    pipe = clean_circle(1000, 0.1, seed=2, m=1000, tol=scaling.POINTS_SOLVE.tol)
+    sol, qhat = pipe.solution, density.ds_kde(pipe.scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
     # on clean data the estimate concentrates at eps*d*log(s)/(4(s-1))
     expected = 0.1 * np.log(2.0) / 4.0
@@ -53,48 +41,49 @@ def test_clean_noise_magnitude_has_known_small_bias():
 
 
 def test_clean_signal_magnitude_near_squared_radius():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=1000, m=1000, seed=3)
-    qhat = density.ds_kde(scaled, 2.0)
-    nhat = inference.noise_magnitude(sol, qhat, 0.1)
+    pipe = clean_circle(1000, 0.1, seed=3, m=1000, tol=scaling.POINTS_SOLVE.tol)
+    qhat = density.ds_kde(pipe.scaled, 2.0)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, 0.1)
     table = inference.signal_magnitude_and_distances(
-        sample.clean_points, nhat, 0.1, 2.0, dim=1, scaled=scaled, qhat=qhat)
+        pipe.sample.clean_points, nhat, 0.1, 2.0, dim=1, scaled=pipe.scaled, qhat=qhat)
     assert abs(table.signal_sq_hat.mean() - (1.0 - 0.1 * np.log(2.0) / 4.0)) < 0.005
 
 
 def test_signal_plus_noise_identity_is_exact():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=300, m=100, seed=4)
-    qhat = density.ds_kde(scaled, 2.0)
-    nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
-                                                     scaled=scaled)
-    sq_norms = (sample.clean_points**2).sum(axis=1)
+    pipe = clean_circle(300, 0.1, seed=4, m=100, tol=scaling.POINTS_SOLVE.tol)
+    points, scaled = pipe.sample.clean_points, pipe.scaled
+    nhat = inference.noise_magnitude(pipe.solution, density.ds_kde(scaled, 2.0), 0.1)
+    table = inference.signal_magnitude_and_distances(points, nhat, 0.1, 2.0, scaled=scaled)
+    sq_norms = (points**2).sum(axis=1)
     np.testing.assert_allclose(table.signal_sq_hat + table.noise_sq_hat, sq_norms,
                                rtol=0, atol=1e-12)
 
 
 def test_affinity_and_subtraction_distance_forms_agree():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=400, m=200, seed=5)
+    pipe = clean_circle(400, 0.1, seed=5, m=200, tol=scaling.POINTS_SOLVE.tol)
+    points, scaled = pipe.sample.clean_points, pipe.scaled
     qhat = density.ds_kde(scaled, 2.0)
-    nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    sub = pairwise_corrected_dists(sample.clean_points, nhat)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, 0.1)
+    sub = pairwise_corrected_dists(points, nhat)
     # the kernel route, with the affinity-form check of the noise estimates
-    alt = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+    alt = inference.signal_magnitude_and_distances(points, nhat, 0.1, 2.0,
                                                    scaled=scaled, qhat=qhat)
     assert np.abs(alt.corrected_dists - sub).max() < 1e-8
 
 
 def test_corrected_distance_diagonal_is_zeroed():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=100, m=50, seed=6)
-    qhat = density.ds_kde(scaled, 2.0)
-    nhat = inference.noise_magnitude(sol, qhat, 0.1)
-    table = inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,
+    pipe = clean_circle(100, 0.1, seed=6, m=50, tol=scaling.POINTS_SOLVE.tol)
+    scaled = pipe.scaled
+    nhat = inference.noise_magnitude(pipe.solution, density.ds_kde(scaled, 2.0), 0.1)
+    table = inference.signal_magnitude_and_distances(pipe.sample.clean_points, nhat, 0.1, 2.0,
                                                      scaled=scaled)
     assert np.all(np.diag(table.corrected_dists) == 0.0)
     assert np.array_equal(table.corrected_dists, table.corrected_dists.T)
 
 
 def test_noise_magnitude_input_validation():
-    sample, aff, sol, scaled = clean_circle_pipeline(n=100, m=50, seed=7)
+    pipe = clean_circle(100, 0.1, seed=7, m=50, tol=scaling.POINTS_SOLVE.tol)
+    sample, sol, scaled = pipe.sample, pipe.solution, pipe.scaled
     qhat = density.ds_kde(scaled, 2.0)
     zero = replace(qhat, raw=np.zeros(100))
     with pytest.raises(ParameterError):
@@ -146,17 +135,9 @@ def test_knn_recovery_rejects_bad_shapes():
 
 
 def test_corrected_distances_improve_knn_under_noise():
-    n = m = 600
-    seq = np.random.SeedSequence(9)
-    s_sample, s_embed, s_noise = seq.spawn(3)
-    sample = geometry.sample_circle(n, SIGMA_SQ, seed=s_sample)
-    sample = geometry.embed_orthogonal(sample, m, seed=s_embed)
-    noise = geometry.apply_noise(sample, "varying_ball", seed=s_noise)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(noise.noisy_points), 0.1)
-    sol = scaling.sinkhorn_symmetric(aff)
-    scaled = scaling.assemble_W(aff, sol)
-    qhat = density.ds_kde(scaled, 2.0)
-    nhat = inference.noise_magnitude(sol, qhat, 0.1)
+    pipe = harness.circle_pipeline(600, 600, 0.1, "varying_ball", 9)
+    sample, noise, scaled = pipe.sample, pipe.noise, pipe.scaled
+    nhat = inference.noise_magnitude(pipe.solution, density.ds_kde(scaled, 2.0), 0.1)
     # the recovered magnitudes track the true ones tightly
     corr = np.corrcoef(nhat, noise.true_noise_sq)[0, 1]
     assert corr > 0.99
@@ -200,7 +181,8 @@ def test_affinity_check_gap_is_the_dense_gap():
     corrected distances and the dense affinity form
     -eps * (h_i + h_j + log K_ij), h = log((n-1) q)/2 + log d."""
     n, epsilon = 200, 0.1
-    sample, aff, sol, scaled = clean_circle_pipeline(n=n, m=100, epsilon=epsilon, seed=10)
+    pipe = clean_circle(n, epsilon, seed=10, m=100, tol=scaling.POINTS_SOLVE.tol)
+    sample, aff, sol, scaled = pipe.sample, pipe.affinity, pipe.solution, pipe.scaled
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, epsilon)
     h = 0.5 * np.log((n - 1) * qhat.raw) + sol.log_d
@@ -220,28 +202,13 @@ def test_affinity_check_gap_is_the_dense_gap():
         assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(dense_gap, rel=5e-3)
 
 
-def count_pairwise_calls(monkeypatch):
-    """Count the calls of pairwise_sq_dists made through any dskernel namespace."""
-    original = kernel.pairwise_sq_dists
-    calls = []
-
-    def counted(points):
-        calls.append(len(points))
-        return original(points)
-
-    for name, module in list(sys.modules.items()):
-        if (name.partition(".")[0] == "dskernel"
-                and getattr(module, "pairwise_sq_dists", None) is original):
-            monkeypatch.setattr(module, "pairwise_sq_dists", counted)
-    return calls
-
-
 def test_denoise_computes_pairwise_distances_once(monkeypatch, tmp_path):
     n, epsilon, s = 200, 0.1, 2.0
     pipe = harness.circle_pipeline(n, n, epsilon, "varying_ball", seed=11)
     points = pipe.noise.noisy_points
     f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
-    calls = count_pairwise_calls(monkeypatch)
+    calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)["pairwise_sq_dists"]
+    sizes = lambda: [len(call["points"]) for call in calls]
     # the dskernel denoise API sequence followed by both Laplacians
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
     sol = scaling.sinkhorn_symmetric(aff)
@@ -253,12 +220,12 @@ def test_denoise_computes_pairwise_distances_once(monkeypatch, tmp_path):
     for fam in (laplacian.robust_markov(scaled, qhat, 1.0),
                 laplacian.traditional_markov(aff, 1.0)):
         laplacian.operator_error(fam, f, lap_f, epsilon)
-    assert calls == [n]
+    assert sizes() == [n]
     # the harness table behind fig4 and fig6 reuses the pipeline's kernel
     harness._estimate_table(pipe, s)
-    assert calls == [n]
+    assert sizes() == [n]
     path = tmp_path / "points.csv"
     np.savetxt(path, points, delimiter=",")
     assert cli.main(["denoise", "--input", str(path), "--epsilon", str(epsilon),
                      "--out", str(tmp_path / "est.csv")]) == 0
-    assert calls == [n, n]
+    assert sizes() == [n, n]

@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 from dskernel import counts, geometry, kernel, laplacian
 from dskernel.errors import ParameterError
+from oracles import clean_sample, dense_traditional
 
 
 def random_points(n, m, seed=0):
@@ -74,11 +75,8 @@ def test_traditional_normalization_row_stochastic(alpha):
 def test_traditional_normalization_matches_dense_oracle():
     pts = random_points(20, 3, seed=6)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.6)
-    k_lin = np.exp(aff.log_entries)
-    deg = k_lin.sum(axis=1)
     for alpha in (0.0, 0.5, 1.0):
-        compensated = k_lin / np.outer(deg**alpha, deg**alpha)
-        expected = compensated / compensated.sum(axis=1, keepdims=True)
+        expected = dense_traditional(aff.log_entries, alpha)
         fam = laplacian.traditional_markov(aff, alpha)
         got = fam.apply(np.eye(fam.n))
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
@@ -106,8 +104,7 @@ def _expanded_form_with_mirror(points):
 
 def test_pairwise_sq_dists_in_one_buffer_is_bit_identical():
     # n = 600 spans two row blocks
-    sample = geometry.sample_circle(600, 0.16 * np.pi**2, seed=1)
-    sample = geometry.embed_orthogonal(sample, 600, seed=2)
+    sample = clean_sample(600, seed=1, m=600)
     noisy = geometry.apply_noise(sample, "varying_ball", seed=3).noisy_points
     cm = counts.synth_poisson_counts(600, 2000, seed=4)
     y, _ = counts.normalize_counts(cm)

@@ -3,40 +3,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dskernel import density, geometry, kernel, laplacian, scaling
+from dskernel import density, geometry, kernel, laplacian
 from dskernel.errors import ParameterError
-
-SIGMA_SQ = 0.16 * np.pi**2
-
-
-def circle_setup(n=300, epsilon=0.1, seed=0):
-    sample = geometry.sample_circle(n, SIGMA_SQ, seed=seed)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), epsilon)
-    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
-    scaled = scaling.assemble_W(aff, sol)
-    qhat = density.ds_kde(scaled, 2.0)
-    return sample, aff, scaled, qhat
+from oracles import clean_circle, dense_robust, log_w_of
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
 def test_constant_functions_are_annihilated(alpha):
-    _, aff, scaled, qhat = circle_setup()
-    const = np.full(scaled.n, 3.1)
-    for fam in (laplacian.robust_markov(scaled, qhat, alpha),
-                laplacian.traditional_markov(aff, alpha)):
+    pipe = clean_circle(300, 0.1, tol=1e-12)
+    qhat = density.ds_kde(pipe.scaled, 2.0)
+    const = np.full(pipe.scaled.n, 3.1)
+    for fam in (laplacian.robust_markov(pipe.scaled, qhat, alpha),
+                laplacian.traditional_markov(pipe.affinity, alpha)):
         out = laplacian.apply_laplacian(fam, const, 0.1)
         assert np.abs(out).max() < 1e-9
 
 
 def test_alpha_half_returns_w_bit_identically():
-    _, aff, scaled, qhat = circle_setup(n=150)
-    fam = laplacian.robust_markov(scaled, qhat, 0.5)
+    scaled = clean_circle(150, 0.1, tol=1e-12).scaled
+    fam = laplacian.robust_markov(scaled, density.ds_kde(scaled, 2.0), 0.5)
     for x in (np.eye(fam.n), np.cos(np.arange(fam.n))):
         assert np.array_equal(fam.apply(x), scaled.matvec(x))
 
 
 def test_robust_markov_is_row_stochastic():
-    _, aff, scaled, qhat = circle_setup(n=150)
+    scaled = clean_circle(150, 0.1, tol=1e-12).scaled
+    qhat = density.ds_kde(scaled, 2.0)
     for alpha in (0.0, 0.3, 1.0):
         fam = laplacian.robust_markov(scaled, qhat, alpha)
         markov = fam.apply(np.eye(fam.n))
@@ -46,17 +38,18 @@ def test_robust_markov_is_row_stochastic():
 
 
 def test_robust_markov_matches_dense_oracle():
-    _, aff, scaled, qhat = circle_setup(n=100)
+    scaled = clean_circle(100, 0.1, tol=1e-12).scaled
+    qhat = density.ds_kde(scaled, 2.0)
     alpha = 0.8
-    comp = scaled.w / np.outer(qhat.raw, qhat.raw) ** (alpha - 0.5)
-    expected = comp / comp.sum(axis=1, keepdims=True)
+    expected = dense_robust(log_w_of(scaled), qhat.raw, alpha)
     fam = laplacian.robust_markov(scaled, qhat, alpha)
     got = fam.apply(np.eye(fam.n))
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
 
 
 def test_alpha_out_of_range_raises():
-    _, aff, scaled, qhat = circle_setup(n=60)
+    scaled = clean_circle(60, 0.1, tol=1e-12).scaled
+    qhat = density.ds_kde(scaled, 2.0)
     with pytest.raises(ParameterError):
         laplacian.robust_markov(scaled, qhat, 1.5)
     with pytest.raises(ParameterError):
@@ -64,9 +57,9 @@ def test_alpha_out_of_range_raises():
 
 
 def test_operator_error_zero_against_own_output():
-    sample, aff, scaled, qhat = circle_setup(n=120)
-    fam = laplacian.robust_markov(scaled, qhat, 1.0)
-    f, _ = geometry.test_function_and_laplacian(sample.angles)
+    pipe = clean_circle(120, 0.1, tol=1e-12)
+    fam = laplacian.robust_markov(pipe.scaled, density.ds_kde(pipe.scaled, 2.0), 1.0)
+    f, _ = geometry.test_function_and_laplacian(pipe.sample.angles)
     out = laplacian.apply_laplacian(fam, f, 0.1)
     assert laplacian.operator_error(fam, f, out, 0.1) == 0.0
     with pytest.raises(ParameterError):
@@ -74,9 +67,9 @@ def test_operator_error_zero_against_own_output():
 
 
 def test_graph_laplacian_approximates_laplace_beltrami():
-    sample, aff, scaled, qhat = circle_setup(n=1500, epsilon=0.1, seed=2)
-    f, lap_f = geometry.test_function_and_laplacian(sample.angles)
-    fam = laplacian.robust_markov(scaled, qhat, 1.0)
+    pipe = clean_circle(1500, 0.1, seed=2, tol=1e-12)
+    f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
+    fam = laplacian.robust_markov(pipe.scaled, density.ds_kde(pipe.scaled, 2.0), 1.0)
     err = laplacian.operator_error(fam, f, lap_f, 0.1)
     # max |lap_f| is about 0.96, so this only passes with the right sign
     assert err < 0.5

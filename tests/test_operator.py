@@ -1,9 +1,9 @@
 """The kernel operator against the dense log-domain formulas it replaces.
 
 Every step after the solve reduces rows of W = diag(d) K diag(d) through the
-operator the solve leaves absorbed. Each reference below is the dense
-formula: log W as an n x n array, n x n log-sum-exps, and the Markov matrices
-built entry by entry.
+operator the solve leaves absorbed. Each reference, from oracles.py, is the
+dense formula: log W as an n x n array, n x n log-sum-exps, and the Markov
+matrices built entry by entry.
 """
 
 import ast
@@ -18,6 +18,8 @@ from scipy.special import logsumexp
 
 from dskernel import density, geometry, harness, kernel, laplacian
 from dskernel.errors import ParameterError
+from oracles import (dense_ds_kde, dense_leave, dense_robust, dense_traditional, log_w_of,
+                     small_counts_experiment)
 
 ALPHAS = (0.0, 0.25, 0.5, 1.0)
 RTOL = 1e-12
@@ -28,42 +30,6 @@ def assert_rel(got, expected, rtol=RTOL):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
-
-
-def log_w_of(scaled):
-    """The dense log W of an assembled W, diagonal -inf."""
-    return scaled.operator.weighted_log(scaled.log_d)
-
-
-def dense_ds_kde(log_w, s):
-    n = log_w.shape[0]
-    if s == density.S_LIMIT:
-        w = np.exp(log_w)
-        entropy = -np.sum(w * np.where(np.isfinite(log_w), log_w, 0.0), axis=1)
-        return np.exp(entropy) / (n - 1)
-    return np.exp(-np.log(n - 1) + logsumexp(s * log_w, axis=1) / (1.0 - s))
-
-
-def dense_robust(log_w, raw, alpha):
-    if alpha == 0.5:
-        return np.exp(log_w)
-    log_q = np.log(raw)
-    log_m = log_w - (alpha - 0.5) * (log_q[:, None] + log_q[None, :])
-    log_m -= logsumexp(log_m, axis=1, keepdims=True)
-    return np.exp(log_m)
-
-
-def dense_traditional(log_k, alpha):
-    log_deg = logsumexp(log_k, axis=1)
-    log_m = log_k - alpha * (log_deg[:, None] + log_deg[None, :])
-    log_m -= logsumexp(log_m, axis=1, keepdims=True)
-    return np.exp(log_m)
-
-
-def dense_leave(markov, labels):
-    same = labels[:, None] == labels[None, :]
-    leave = np.where(same, 0.0, markov).sum(axis=1)
-    return leave.mean(), max(leave[labels == c].mean() for c in np.unique(labels))
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +44,9 @@ def noisy_circle():
 def small_eps_counts():
     # at a hundredth of the median squared distance log d spans about 60, so
     # the degree and Markov weights lie more than ABSORB_THRESHOLD from it
-    base = harness.poisson_noise_experiment(
-        n=120, m=400, seed=2, cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    base = small_counts_experiment()
     eps = harness.median_sq_dist_epsilon(base["normalized"], divisor=100.0)
-    return harness.poisson_noise_experiment(
-        n=120, m=400, seed=2, epsilon=eps, tol=1e-9, max_iter=20_000,
-        cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+    return small_counts_experiment(epsilon=eps, tol=1e-9, max_iter=20_000)
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, density.S_LIMIT])

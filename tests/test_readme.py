@@ -5,10 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
-import scipy.io
-from scipy import sparse
-
 from dskernel import cli, counts
+from oracles import write_counts
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,7 +38,6 @@ def test_readme_count_matrix_example_runs(tmp_path, monkeypatch):
     (line,) = re.findall(r"`(dskernel scrna [^`]*)`", README.read_text())
     monkeypatch.chdir(tmp_path)
     cm = counts.synth_poisson_counts(120, 800, seed=0)
-    scipy.io.mmwrite("counts.mtx", sparse.coo_matrix(cm.entries))
-    Path("labels.csv").write_text("\n".join(str(c) for c in cm.labels) + "\n")
+    write_counts(tmp_path, cm.entries, cm.labels)
     assert cli.main(shlex.split(line)[1:]) == 0, line
     assert Path("noise.csv").is_file() and Path("trans.csv").is_file()

@@ -6,22 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from dskernel import density, geometry, harness, inference, kernel, scaling
+from dskernel import density, harness, inference, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
-from oracles import newton_symmetric_scaling
-
-SIGMA_SQ = 0.16 * np.pi**2
-
-
-def circle_affinity(n, epsilon, seed=0, m=None):
-    sample = geometry.sample_circle(n, SIGMA_SQ, seed=seed)
-    if m is not None:
-        sample = geometry.embed_orthogonal(sample, m, seed=seed + 1)
-    return kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), epsilon)
+from oracles import clean_circle, clean_sample, log_w_of, newton_symmetric_scaling
 
 
 def test_scaled_matrix_is_doubly_stochastic():
-    aff = circle_affinity(300, 0.1, seed=1)
+    aff = clean_circle(300, 0.1, seed=1).affinity
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.converged
     w = scaling.assemble_W(aff, sol).w
@@ -32,7 +23,7 @@ def test_scaled_matrix_is_doubly_stochastic():
 
 
 def test_w_holds_its_kernel_and_reads_epsilon_from_it():
-    aff = circle_affinity(60, 0.1)
+    aff = clean_circle(60, 0.1).affinity
     scaled = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff))
     assert [f.name for f in dataclasses.fields(scaled)] == ["operator", "log_d"]
     assert scaled.operator is aff
@@ -53,7 +44,7 @@ def test_matches_newton_oracle_on_small_matrices():
 
 
 def test_distinct_initializations_agree():
-    aff = circle_affinity(120, 0.2, seed=3)
+    aff = clean_circle(120, 0.2, seed=3).affinity
     sol_default = scaling.sinkhorn_symmetric(aff, tol=1e-11)
     rng = np.random.default_rng(0)
     sol_random = scaling.sinkhorn_symmetric(aff, tol=1e-11,
@@ -64,7 +55,7 @@ def test_distinct_initializations_agree():
 
 def test_kernel_scale_invariance_of_w():
     # multiplying K by a global constant shifts log d but leaves W unchanged
-    aff = circle_affinity(80, 0.15, seed=4)
+    aff = clean_circle(80, 0.15, seed=4).affinity
     shifted = kernel.AffinityMatrix(log_entries=aff.log_entries + 3.7,
                                     epsilon=aff.epsilon)
     w_a = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff, tol=1e-12))
@@ -74,7 +65,7 @@ def test_kernel_scale_invariance_of_w():
 
 @pytest.mark.parametrize("diagonal", [0.0, 5.0, np.nan])
 def test_hand_built_diagonal_is_excluded(diagonal):
-    aff = circle_affinity(60, 0.2, seed=6)
+    aff = clean_circle(60, 0.2, seed=6).affinity
     # a matrix that already excludes its diagonal is kept, not copied
     assert kernel.AffinityMatrix(aff.log_entries, aff.epsilon).log_entries is aff.log_entries
     log_k = aff.log_entries.copy()
@@ -97,14 +88,14 @@ def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth,
     aff = kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
     log_d = rng.uniform(-spread, spread, size=n)  # log W stays within exp range
     scaled = scaling.assemble_W(aff, scaling.ScalingSolution(log_d, 0.0, 1, True))
-    log_w = scaled.operator.weighted_log(scaled.log_d)
+    log_w = log_w_of(scaled)
     assert np.array_equal(log_w, log_w.T)
     assert np.all(np.isneginf(np.diag(log_w)))
     assert np.array_equal(scaled.w, np.exp(log_w))
 
 
 def test_permutation_equivariance():
-    aff = circle_affinity(60, 0.2, seed=5)
+    aff = clean_circle(60, 0.2, seed=5).affinity
     perm = np.random.default_rng(1).permutation(60)
     permuted = kernel.AffinityMatrix(
         log_entries=aff.log_entries[np.ix_(perm, perm)], epsilon=aff.epsilon)
@@ -220,8 +211,7 @@ def test_underflowing_kernel_is_handled_in_log_domain():
 def test_isolated_outlier_far_below_exp_range_converges():
     # one point so far from the rest that its whole kernel row sits near
     # exp(-2133); its scaling factor must grow to about e^2133 to compensate
-    sample = geometry.sample_circle(200, SIGMA_SQ, seed=0)
-    pts = sample.clean_points.copy()
+    pts = clean_sample(200).clean_points.copy()
     pts[0] = (9.0, 0.0)
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.03)
     assert aff.log_entries[0].max() < -2100
@@ -248,7 +238,7 @@ def test_solution_reports_absorptions():
 def test_kernel_without_finite_entries_is_rejected_before_the_first_iteration():
     # at eps = 1e-310 most -D/eps overflow to -inf, an exact zero of K, and
     # whole rows of the kernel are zero; the first absorption names the first
-    aff = circle_affinity(60, 1e-310)
+    aff = clean_circle(60, 1e-310).affinity
     empty = np.flatnonzero(np.isneginf(aff.log_entries).all(axis=1))
     assert 0 < empty[0] < empty[-1]
     with pytest.raises(ParameterError, match=f"^row {empty[0]} of the matrix is zero$"):
@@ -289,7 +279,7 @@ def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
 
 
 def test_residual_history_reaches_tolerance():
-    aff = circle_affinity(100, 0.1, seed=8)
+    aff = clean_circle(100, 0.1, seed=8).affinity
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.residual <= 1e-9
     assert sol.residual_history[-1] == sol.residual
@@ -297,7 +287,7 @@ def test_residual_history_reaches_tolerance():
 
 
 def test_rejects_tiny_matrices_and_bad_entries():
-    aff = circle_affinity(10, 0.1)
+    aff = clean_circle(10, 0.1).affinity
     # NaN or +inf in log K is rejected when the affinity is built
     with pytest.raises(ParameterError, match=r"NaN or \+inf"):
         kernel.AffinityMatrix(log_entries=np.full((3, 3), np.nan), epsilon=0.1)
@@ -317,11 +307,11 @@ def test_rejects_tiny_matrices_and_bad_entries():
     ({"max_iter": 1e5}, "max_iter"), ({"max_iter": 2.5}, "max_iter")])
 def test_rejects_bad_solver_parameters(kwargs, name):
     with pytest.raises(ParameterError, match=name):
-        scaling.sinkhorn_symmetric(circle_affinity(10, 0.1), **kwargs)
+        scaling.sinkhorn_symmetric(clean_circle(10, 0.1).affinity, **kwargs)
 
 
 def test_assemble_refuses_unconverged_solution():
-    aff = circle_affinity(200, 0.05, seed=9)
+    aff = clean_circle(200, 0.05, seed=9).affinity
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-14, max_iter=2)
     assert not sol.converged
     with pytest.raises(ConvergenceError):
@@ -330,18 +320,15 @@ def test_assemble_refuses_unconverged_solution():
 
 def test_clean_data_diagnostics_are_small():
     # on clean data the noise magnitudes implied by the true density are O(epsilon)
-    sample = geometry.sample_circle(1000, SIGMA_SQ, seed=10)
-    sample = geometry.embed_orthogonal(sample, 1000, seed=11)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), 0.1)
-    sol = scaling.sinkhorn_symmetric(aff)
-    oracle = density.DensityEstimate(raw=sample.density_values * np.sqrt(np.pi * 0.1),
+    pipe = clean_circle(1000, 0.1, seed=10, m=1000, tol=scaling.POINTS_SOLVE.tol)
+    oracle = density.DensityEstimate(raw=pipe.sample.density_values * np.sqrt(np.pi * 0.1),
                                      normalized=None, s=2.0)
-    implied = inference.noise_magnitude(sol, oracle, 0.1)
+    implied = inference.noise_magnitude(pipe.solution, oracle, 0.1)
     assert np.abs(implied).max() < 0.05
 
 
 def test_diagnostics_reject_nonpositive_density():
-    aff = circle_affinity(20, 0.1)
+    aff = clean_circle(20, 0.1).affinity
     sol = scaling.sinkhorn_symmetric(aff)
     with pytest.raises(ParameterError):
         inference.noise_magnitude(sol, density.DensityEstimate(
