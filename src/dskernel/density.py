@@ -7,7 +7,6 @@ over the absorbed matrix, and so is the row entropy of W.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -92,12 +91,12 @@ def raw_density(qhat):
 class PopulationScaling:
     """Solution of the continuum scaling equation on a circle grid."""
 
-    grid: np.ndarray
+    grid: np.ndarray  # the N uniformly spaced quadrature angles 2 pi k / N
     rho: np.ndarray
     residual: float
 
 
-def solve_population_scaling_1d(density, epsilon, grid_size=4096):
+def solve_population_scaling_1d(density, epsilon):
     """Solve the integral scaling equation on the unit circle by quadrature.
 
     ``density`` maps angles to the arc-length density q. The equation
@@ -105,17 +104,26 @@ def solve_population_scaling_1d(density, epsilon, grid_size=4096):
     discretized with the trapezoid rule on a uniform angle grid and handed to
     the discrete scaling engine with the quadrature weights folded into the
     matrix (diagonal included: this is the continuum problem, K(x, x) = 1).
+
+    The grid is the smallest power of two N >= 256 with at least 8 points per
+    sqrt(eps) of angle; an eps that needs more than 4096 is rejected. The
+    trapezoid rule converges exponentially on a smooth periodic integrand, so
+    a finer grid gives the same rho on the shared points to rounding. That
+    assumes q is smooth on the grid scale: content at a multiple of N aliases.
     """
-    if not isinstance(grid_size, Integral) or grid_size < 256:
-        raise ParameterError(f"grid_size must be an integer >= 256, got {grid_size}")
     _check_epsilon(epsilon)
-    h = 2.0 * np.pi / grid_size
-    if np.sqrt(epsilon) / h < 8.0:
-        needed = int(np.ceil(8.0 * 2.0 * np.pi / np.sqrt(epsilon)))
-        raise ParameterError(
-            f"grid under-resolves the kernel at epsilon={epsilon}; "
-            f"need grid_size >= {needed}")
-    theta = np.arange(grid_size) * h
+    resolving = [n for n in (256, 512, 1024, 2048, 4096)
+                 if np.sqrt(epsilon) / (2.0 * np.pi / n) >= 8.0]
+    if not resolving:
+        raise ParameterError(f"epsilon too small for the population grid: epsilon="
+                             f"{epsilon} needs more than 4096 points for 8 per sqrt(epsilon)")
+    return _solve_on_grid(density, epsilon, resolving[0])
+
+
+def _solve_on_grid(density, epsilon, size):
+    """The population solve on ``size`` uniformly spaced angles."""
+    h = 2.0 * np.pi / size
+    theta = np.arange(size) * h
     q = np.asarray(density(theta), dtype=float)
     if np.any(q <= 0):
         raise ParameterError("density must be strictly positive on the grid")

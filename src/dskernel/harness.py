@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.repeats, Integral) or self.repeats < 1:
             raise ParameterError(f"repeats must be an integer >= 1, got {self.repeats}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed}")
         _check_epsilon(self.epsilon)
         density._check_s(self.s)
         if self.noise is not None and self.noise not in geometry.NOISE_MODELS:
@@ -311,11 +313,11 @@ def laplacian_errors(n, epsilons, noise_model, seed, s=2.0, alpha=1.0):
             for eps in epsilons]
 
 
-def median_sq_dist_epsilon(points, divisor=16.0):
-    """Bandwidth rule of thumb for count data: median squared distance / divisor."""
+def median_sq_dist_epsilon(points):
+    """Bandwidth rule of thumb for count data: median squared distance / 16."""
     d = pairwise_sq_dists(points)
     off = d[~np.eye(len(d), dtype=bool)]
-    return float(np.median(off)) / divisor
+    return float(np.median(off)) / 16.0
 
 
 def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,

@@ -23,8 +23,7 @@ from .errors import ParameterError
 # re-absorb once a weight vector has drifted this far from the absorption
 # point; every weighted row sum then lies in [e^-30, n e^30]
 ABSORB_THRESHOLD = 30.0
-_TINY = np.finfo(float).tiny
-_LOG_TINY = np.log(_TINY)
+_LOG_TINY = np.log(np.finfo(float).tiny)
 _LOG_EPS = np.log(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
 
@@ -95,20 +94,15 @@ class KernelOperator:
                 raise ParameterError(f"row {rows.start + m.argmin()} of the matrix is zero")
             block -= m[:, None]
             # Every entry of B below the smallest normal double is an exact
-            # zero, and reaches exp only as an exact zero of the exponent. It
-            # lies far below the resolution of its row sum, a subnormal slows
-            # every product severalfold, and numpy's exp takes a per-element
-            # slow path for every exponent below about -707.70 (log 2^-1021),
-            # log(tiny) = -708.40 included. Exponents are clipped at log(tiny)
-            # (-inf times 0 is NaN); where more flush than the block's rows
-            # (its -inf diagonal), the mask turns them into -0.0, and after
-            # exp it zeroes them.
+            # zero: it lies far below the resolution of its row sum, and a
+            # subnormal slows every product severalfold. The exponents that
+            # flush are zeroed before exp, because numpy's exp takes a
+            # per-element slow path below about -707.70 (log 2^-1021), and
+            # clipped at log(tiny) first, because -inf times 0 is NaN.
             keep = block >= _LOG_TINY
             np.maximum(block, _LOG_TINY, out=block)
-            if keep.size - np.count_nonzero(keep) > len(block):
-                block *= keep
+            block *= keep
             np.exp(block, out=block)
-            keep &= block >= _TINY
             block *= keep
         self._b = u.copy()
         self.absorptions += 1

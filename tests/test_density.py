@@ -68,8 +68,7 @@ def test_normalized_estimate_tracks_true_density():
 
 def test_population_scaling_uniform_density_is_flat():
     q0 = 1.0 / (2.0 * np.pi)
-    ps = density.solve_population_scaling_1d(
-        lambda t: np.full_like(t, q0), 0.05, grid_size=1024)
+    ps = density.solve_population_scaling_1d(lambda t: np.full_like(t, q0), 0.05)
     assert ps.residual <= 1e-8
     # rho is constant by symmetry and close to q^(-1/2)
     assert ps.rho.std() / ps.rho.mean() < 1e-10
@@ -85,24 +84,23 @@ def test_population_scaling_approximates_inverse_sqrt_density():
 
 
 def test_population_scaling_grid_refinement_is_stable():
-    fn = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
-    coarse = density.solve_population_scaling_1d(fn, 0.05, grid_size=2048)
-    fine = density.solve_population_scaling_1d(fn, 0.05, grid_size=4096)
-    # compare on the shared subgrid
-    np.testing.assert_allclose(coarse.rho, fine.rho[::2], rtol=1e-6)
+    paper = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
+    wavy = lambda t: (1.0 + 0.5 * np.cos(60.0 * t)) / (2.0 * np.pi)
+    for fn, epsilon in [(paper, 0.1), (paper, 0.025), (wavy, 0.1)]:
+        coarse = density.solve_population_scaling_1d(fn, epsilon)
+        fine = density._solve_on_grid(fn, epsilon, 4 * coarse.grid.size)
+        # the chosen grid is every fourth point of the finer one
+        np.testing.assert_array_equal(coarse.grid, fine.grid[::4])
+        np.testing.assert_allclose(coarse.rho, fine.rho[::4], rtol=1e-12)
 
 
 def test_population_scaling_rejects_unresolvable_grid():
     fn = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
-    with pytest.raises(ParameterError, match="grid_size"):
-        density.solve_population_scaling_1d(fn, 1e-5, grid_size=1024)
-    # a grid size must count points: 300.5 would space 301 points 2 pi / 300.5 apart
-    for bad in (300.5, 1024.0, 255):
-        with pytest.raises(ParameterError, match="grid_size must be an integer >= 256"):
-            density.solve_population_scaling_1d(fn, 0.05, grid_size=bad)
+    with pytest.raises(ParameterError, match="epsilon too small.*epsilon=1e-05"):
+        density.solve_population_scaling_1d(fn, 1e-5)
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
-            density.solve_population_scaling_1d(fn, bad, grid_size=256)
+            density.solve_population_scaling_1d(fn, bad)
     with pytest.raises(ParameterError):
         density.solve_population_scaling_1d(lambda t: np.zeros_like(t), 0.05)
 

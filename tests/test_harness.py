@@ -35,6 +35,10 @@ def test_experiment_config_validation():
         harness.ExperimentConfig(experiment="fig3", repeats=0)
     with pytest.raises(ParameterError, match="repeats must be an integer"):
         harness.ExperimentConfig(experiment="fig3", repeats=2.5, sweep=[50])
+    # a seed numpy's SeedSequence would refuse only once the first sweep point runs
+    for bad in (-1, 2.5, 3.0, "7"):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            harness.ExperimentConfig(experiment="fig3", seed=bad)
     with pytest.raises(ParameterError):
         harness.ExperimentConfig(experiment="fig3", sweep=[100, 50])
     # a sweep or sweep parameter that the figure would not read
@@ -141,7 +145,7 @@ def test_transition_error_table_computes_one_distance_matrix(monkeypatch):
 def test_median_sq_dist_epsilon():
     pts = np.array([[0.0], [1.0], [2.0]])
     # off-diagonal squared distances are 1, 1, 4 -> median 1
-    assert harness.median_sq_dist_epsilon(pts, divisor=4.0) == 0.25
+    assert harness.median_sq_dist_epsilon(pts) == 0.0625
 
 
 def test_poisson_noise_experiment_tracks_inverse_depth():

@@ -45,7 +45,7 @@ def small_eps_counts():
     # at a hundredth of the median squared distance log d spans about 60, so
     # the degree and Markov weights lie more than ABSORB_THRESHOLD from it
     base = small_counts_experiment()
-    eps = harness.median_sq_dist_epsilon(base["normalized"], divisor=100.0)
+    eps = harness.median_sq_dist_epsilon(base["normalized"]) * 16.0 / 100.0
     return small_counts_experiment(epsilon=eps, tol=1e-9, max_iter=20_000)
 
 
@@ -112,6 +112,12 @@ def test_absorbing_a_zero_row_names_the_first_one():
 
 TINY = np.finfo(float).tiny
 LOG_TINY = np.log(TINY)
+
+
+def test_the_flush_edge_exponentiates_to_a_normal_double():
+    # absorb masks only the exponents below log(tiny): one at the edge must
+    # not land below tiny after exp
+    assert np.exp(kernel._LOG_TINY) >= TINY
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
