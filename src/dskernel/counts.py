@@ -26,7 +26,7 @@ class CountMatrix:
 
 
 def _finalize(matrix, labels=None, shape=None):
-    # the package's one scipy import: only a count matrix needs it
+    # scipy loads lazily: only a count matrix needs scipy.sparse
     import scipy.sparse as sparse
 
     matrix = sparse.csr_matrix(matrix, shape=shape)

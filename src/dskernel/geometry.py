@@ -38,7 +38,6 @@ class ManifoldSample:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    noise_vectors: np.ndarray
     noisy_points: np.ndarray
     true_noise_sq: np.ndarray
 
@@ -156,7 +155,6 @@ def apply_noise(sample, model, seed=0):
         eta = rng.normal(size=(n, m)) * np.sqrt(sigma / m)[:, None]
         eta[rng.uniform(size=n) < 0.9] = 0.0
     return NoiseRealization(
-        noise_vectors=eta,
         noisy_points=sample.clean_points + eta,
         true_noise_sq=np.einsum("ij,ij->i", eta, eta),
     )

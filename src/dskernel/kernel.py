@@ -33,22 +33,6 @@ def _row_blocks(n):
     return (slice(r, r + rows) for r in range(0, n, rows))
 
 
-def _row_logsumexp(t):
-    """Row-wise log-sum-exp of t, overwriting t, as scipy 1.17's logsumexp
-    computes it bit for bit: log1p(sum_j exp(t_ij - M) / k) + log k + M over
-    the entries below the row max M, which k entries reach. A row with a
-    non-finite max (all -inf, +inf or NaN) is that max."""
-    t_max = t.max(axis=1, keepdims=True)
-    at_max = t == t_max
-    k = np.count_nonzero(at_max, axis=1)[:, None]
-    t[at_max] = -np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows of -inf or NaN
-        t -= t_max
-        np.exp(t, out=t)
-        lse = np.log1p(t.sum(axis=1, keepdims=True) / k) + np.log(k) + t_max
-    return np.where(np.isfinite(lse), lse, t_max)[:, 0]
-
-
 class KernelOperator:
     """Row reductions of a matrix A, given as ``log_entries`` = log A, against
     weights e^u; :class:`AffinityMatrix` is the one over the Gaussian kernel.
@@ -158,9 +142,11 @@ class KernelOperator:
             for rows in _row_blocks(self.n):
                 sums[rows] = self._mat[rows] ** s @ g_s
             return np.log(sums) + s * self._m
+        from scipy.special import logsumexp  # only this pass loads scipy
+
         lse = np.empty(self.n)
         for rows in _row_blocks(self.n):
-            lse[rows] = _row_logsumexp(s * (self.log_entries[rows] + u))
+            lse[rows] = logsumexp(s * (self.log_entries[rows] + u), axis=1)
         return lse
 
     def row_entropy(self, u):

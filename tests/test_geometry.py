@@ -101,14 +101,14 @@ def test_varying_ball_radius_bounds():
 def test_outlier_gaussian_zero_fraction():
     sample = clean_sample(10_000, seed=0, m=50)
     noise = geometry.apply_noise(sample, "outlier_gaussian", seed=2)
-    zero_rows = np.all(noise.noise_vectors == 0.0, axis=1).mean()
+    zero_rows = (noise.true_noise_sq == 0.0).mean()
     assert abs(zero_rows - 0.9) < 0.01
 
 
 def test_outlier_scaled_gaussian_basics():
     sample = clean_sample(5000, seed=0, m=40)
     noise = geometry.apply_noise(sample, "outlier_scaled_gaussian", seed=2)
-    zero_rows = np.all(noise.noise_vectors == 0.0, axis=1).mean()
+    zero_rows = (noise.true_noise_sq == 0.0).mean()
     assert abs(zero_rows - 0.9) < 0.02
     assert noise.true_noise_sq.min() >= 0.0
 
@@ -119,7 +119,17 @@ def test_noise_models_are_mean_zero():
                        ("outlier_gaussian", 1.0 / np.sqrt(12))]:
         noise = geometry.apply_noise(sample, model, seed=6)
         bound = 3.0 * std / np.sqrt(100_000)
-        assert np.abs(noise.noise_vectors.mean(axis=0)).max() < bound
+        eta = noise.noisy_points - sample.clean_points
+        assert np.abs(eta.mean(axis=0)).max() < bound
+
+
+@pytest.mark.parametrize("model", geometry.NOISE_MODELS)
+def test_true_noise_sq_is_the_applied_corruption(model):
+    sample = clean_sample(500, seed=1, m=20)
+    noise = geometry.apply_noise(sample, model, seed=5)
+    applied = noise.noisy_points - sample.clean_points
+    np.testing.assert_allclose(noise.true_noise_sq, (applied**2).sum(axis=1),
+                               rtol=0, atol=1e-12)
 
 
 def test_unknown_noise_model_raises():
@@ -134,7 +144,7 @@ def test_sampling_is_deterministic():
     np.testing.assert_array_equal(a.angles, b.angles)
     na = geometry.apply_noise(a, "varying_ball", seed=9)
     nb = geometry.apply_noise(b, "varying_ball", seed=9)
-    np.testing.assert_array_equal(na.noise_vectors, nb.noise_vectors)
+    np.testing.assert_array_equal(na.noisy_points, nb.noisy_points)
 
 
 def test_test_function_values():

@@ -125,8 +125,8 @@ def test_the_flush_edge_exponentiates_to_a_normal_double():
        spread=st.floats(0.0, 50.0), block_entries=st.integers(1, 2000),
        fill=st.sampled_from([None, -1000.0, -1.0]))
 @example(n=40, seed=0, spread=0.0, block_entries=100, fill=None)
-# every off-peak entry flushed, then only the diagonal: a block takes the
-# masked exponent in the first and the plain one in the second
+# the two extremes of the mask: fill=-1000 flushes every off-peak entry, and
+# fill=-1 flushes none (only the diagonal's -inf is a zero of B)
 @example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1000.0)
 @example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1.0)
 def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries, fill):
