@@ -9,7 +9,10 @@ the suite once.
 
 import importlib
 import inspect
+import io
 import pkgutil
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import scipy.io
@@ -17,7 +20,7 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 import dskernel
-from dskernel import density, geometry, harness, kernel, scaling
+from dskernel import cli, counts, density, geometry, harness, kernel, scaling
 
 
 def clean_sample(n, seed=0, m=None):
@@ -179,3 +182,143 @@ def naive_matrix_market(path):
         if symmetric and i != j:
             dense[j, i] += v
     return dense
+
+
+# the golden set: committed outputs of a fixed set of CLI calls, stored as a
+# fixed row subset of each file, with each command's stderr and each file's
+# full row count in manifest.json
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# an estimate may move by this much of its column's largest |value|, which
+# admits solver-tolerance drift (at most 5.8e-11 between tol 1e-9 and 1e-12)
+# and no change of formula
+GOLDEN_RTOL = 1e-8
+# diagnostic columns and meta fields, held only to their solve's tolerance
+GOLDEN_DIAGNOSTICS = {"residual": scaling.POINTS_SOLVE.tol,
+                      "max_scaling_residual": harness.COUNTS_SOLVE.tol}
+GOLDEN_SKIPPED = {"iterations"}
+
+
+def run_golden_set(workdir):
+    """Run the golden set's CLI calls with their outputs in ``workdir`` and
+    its count file in ``workdir/inputs``; returns {command name: its stderr}."""
+    path = lambda name: str(Path(workdir) / name)
+    cm = counts.synth_poisson_counts(200, 1000, seed=0,
+                                     cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
+    inputs = Path(workdir) / "inputs"
+    inputs.mkdir()
+    mtx, labels = write_counts(inputs, cm.entries, cm.labels)
+    count_eps = harness.median_sq_dist_epsilon(counts.normalize_counts(cm)[0])
+    points = ["--input", path("points.csv"), "--epsilon", "0.1"]
+    density_args = [*points, "--sidecar", path("sidecar.csv")]
+    commands = {
+        "simulate": ["simulate", "--n", "300", "--m", "50", "--noise", "varying_ball",
+                     "--seed", "3", "--out", path("points.csv"),
+                     "--sidecar", path("sidecar.csv")],
+        "scale": ["scale", *points, "--out", path("scale.csv")],
+        **{f"density_{tag}": ["density", *density_args, "--s", s, "--dim", dim,
+                              "--out", path(f"density_{tag}.csv")]
+           for tag, s, dim in [("s2", "2", "1"), ("limit", "limit", "1"),
+                               ("s0.01", "0.01", "1"), ("s2_dim2", "2", "2")]},
+        "denoise": ["denoise", *density_args, "--debias", "--dim", "1",
+                    "--out", path("denoise.csv"), "--dists-out", path("dists.csv")],
+        "scrna": ["scrna", "--input", str(mtx), "--labels", str(labels),
+                  "--epsilon", repr(count_eps), "--out", path("scrna.csv"),
+                  "--transitions-out", path("transitions.csv")],
+        "fig8": ["bench", "fig8-synthetic", "--out", path("fig8.csv")],
+    }
+    notes = {}
+    for name, argv in commands.items():
+        with redirect_stderr(io.StringIO()) as err:
+            status = cli.main(argv)
+        if status != 0:
+            raise RuntimeError(f"{name} exited with {status}: {err.getvalue()}")
+        notes[name] = err.getvalue()
+    return notes
+
+
+def golden_subset(lines):
+    """The lines of an output file that the golden set stores: any meta and
+    header lines, then every 10th data row of a table (every 30th of the
+    distance matrix, which has 300 columns), or all of a table of 30 rows or fewer."""
+    head = 0
+    while head < len(lines) and not _is_data(lines[head]):
+        head += 1
+    data = lines[head:]
+    stride = 1 if len(data) <= 30 else 30 if len(data[0].split(",")) > 100 else 10
+    return lines[:head] + data[::stride], len(data)
+
+
+def _is_data(line):
+    try:
+        float(line.split(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _cells(lines):
+    """(meta dict, header list or None, data rows as lists of cell text)."""
+    meta = {}
+    if lines and lines[0].startswith("# "):
+        meta = dict(item.split("=", 1) for item in lines[0][2:].split(", "))
+        lines = lines[1:]
+    header = None if not lines or _is_data(lines[0]) else lines[0].split(",")
+    rows = [line.split(",") for line in lines[header is not None:]]
+    return meta, header, rows
+
+
+def _as_float(text):
+    try:
+        int(text)  # an integer cell, such as an index or a count, is text
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
+
+
+def golden_changes(expected_lines, actual_lines):
+    """Compare an output file with its stored subset.
+
+    Returns (largest change of an estimate relative to its column's largest
+    |value|, list of faults). Text, headers and meta keys must match exactly;
+    a diagnostic must be within its tolerance; iteration counts are not read.
+    """
+    exp_meta, header, expected = _cells(expected_lines)
+    act_meta, act_header, actual = _cells(actual_lines)
+    faults = []
+    if list(act_meta) != list(exp_meta):
+        faults.append(f"meta keys {list(act_meta)} != {list(exp_meta)}")
+    for key, value in act_meta.items():
+        if key in GOLDEN_DIAGNOSTICS:
+            if not float(value) <= GOLDEN_DIAGNOSTICS[key]:
+                faults.append(f"meta {key}={value} above {GOLDEN_DIAGNOSTICS[key]}")
+        elif value != exp_meta.get(key):
+            faults.append(f"meta {key}={value}, expected {exp_meta.get(key)}")
+    if act_header != header:
+        faults.append(f"header {act_header} != {header}")
+    if [len(row) for row in actual] != [len(row) for row in expected]:
+        return float("inf"), faults + ["row or field counts differ"]
+    largest = 0.0
+    for col in range(len(expected[0]) if expected else 0):
+        name = header[col] if header else col
+        if name in GOLDEN_SKIPPED:
+            continue
+        column = [(row[col], act[col]) for row, act in zip(expected, actual)]
+        if name in GOLDEN_DIAGNOSTICS:
+            faults += [f"{name}={a} above {GOLDEN_DIAGNOSTICS[name]}"
+                       for _, a in column if not float(a) <= GOLDEN_DIAGNOSTICS[name]]
+            continue
+        floats = [_as_float(e) for e, _ in column]
+        scale = max((abs(v) for v in floats if v is not None), default=0.0)
+        for (e, a), value in zip(column, floats):
+            if value is None or _as_float(a) is None:
+                if a != e:
+                    faults.append(f"{name}: {a!r}, expected {e!r}")
+                continue
+            change = abs(_as_float(a) - value) / (scale or 1.0)
+            largest = max(largest, change)
+            if not change <= GOLDEN_RTOL:
+                faults.append(f"{name}: {a}, expected {e} (change {change:.2e})")
+    return largest, faults

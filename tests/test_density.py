@@ -41,6 +41,10 @@ def test_normalization_constant_values_and_limit():
     assert abs(lim - np.sqrt(np.pi * np.e * 0.1)) < 1e-14
     near = density.normalization_constant(0.1, 1, 1.0 + 1e-9)
     assert abs(near - lim) < 1e-7
+    # at d=2 the same forms are 2*pi*eps at s=2 and pi*e*eps in the limit
+    assert abs(density.normalization_constant(0.1, 2, 2.0) - 2.0 * np.pi * 0.1) < 1e-14
+    lim2 = density.normalization_constant(0.1, 2, density.S_LIMIT)
+    assert abs(lim2 - np.pi * np.e * 0.1) < 1e-14
 
 
 def test_ds_kde_parameter_validation():
