@@ -10,11 +10,12 @@ traditional normalization conflates depth with geometry.
 
 import numpy as np
 
-from dskernel.harness import poisson_noise_experiment, transition_error_table
+from dskernel.counts import synth_poisson_counts
+from dskernel.harness import count_pipeline, transition_error_table
 
-res = poisson_noise_experiment(
-    n=600, m=5000, seed=0,
-    cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+cm = synth_poisson_counts(600, 5000, seed=0,
+                          cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
+res = count_pipeline(cm)
 
 nhat = res["noise_sq_hat"]
 pred = res["predicted_noise"]

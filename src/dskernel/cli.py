@@ -10,14 +10,13 @@ messages on stderr and leave the exit status alone.
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
 
 from . import counts as counts_mod
 from . import density as density_mod
-from . import geometry, harness, inference
+from . import geometry, harness
 from .errors import ConvergenceError, ParameterError, ParseError
 from .geometry import _write_csv
 from .scaling import POINTS_SOLVE
@@ -119,7 +118,7 @@ def _add_scrna(sub):
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--s", type=_parse_s, default=2.0)
     p.add_argument("--subsample", type=_nonnegative_int, default=500,
-                   help="cells per class (0 keeps every cell)")
+                   help="cells per class, with --labels only (0 keeps every cell)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--tol", type=float, default=harness.COUNTS_SOLVE.tol)
     p.add_argument("--max-iter", type=int, default=harness.COUNTS_SOLVE.max_iter)
@@ -154,7 +153,10 @@ def build_parser():
 
 
 def _read_sidecar_column(path, column, n):
-    """One float column of a sidecar CSV holding a row for each of ``n`` points."""
+    """One float column of a sidecar CSV holding a row for each of ``n``
+    points; without a sidecar, an endless column of empty cells."""
+    if not path:
+        return repeat("")
     reader = csv.DictReader(geometry.read_text_lines(path))
     if column not in (reader.fieldnames or ()):
         raise ParseError(f"no column {column!r}", line=1)
@@ -189,9 +191,7 @@ def _cmd_scale(args):
 
 def _cmd_density(args):
     points = geometry.load_points_csv(args.input)
-    truth = repeat("")
-    if args.sidecar:
-        truth = _read_sidecar_column(args.sidecar, "true_density", len(points))
+    truth = _read_sidecar_column(args.sidecar, "true_density", len(points))
     pipe = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
     est = density_mod.ds_kde(pipe.scaled, args.s, dim=args.dim)
     _write_csv(args.out, ["index", "raw", "normalized", "true_density_if_known", "abs_error"],
@@ -201,17 +201,11 @@ def _cmd_density(args):
 
 def _cmd_denoise(args):
     points = geometry.load_points_csv(args.input)
-    truth = repeat("")
-    if args.sidecar:
-        truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
+    truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
     pipe = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)
-    qhat = density_mod.ds_kde(pipe.scaled, args.s)
-    nhat = inference.noise_magnitude(pipe.solution, qhat, args.epsilon,
-                                     debias=args.debias, dim=args.dim)
-    table = inference.signal_magnitude_and_distances(points, nhat, args.epsilon, args.s,
-                                                     args.dim, scaled=pipe.scaled)
+    table = harness.estimate_table(pipe, points, args.s, args.dim, args.debias)
     _write_csv(args.out, ["index", "noise_sq_hat", "signal_sq_hat", "true_noise_sq_if_known"],
-               zip(range(len(nhat)), nhat, table.signal_sq_hat, truth))
+               zip(range(len(points)), table.noise_sq_hat, table.signal_sq_hat, truth))
     if args.dists_out:
         np.savetxt(args.dists_out, table.corrected_dists, delimiter=",")
         negatives = int((table.corrected_dists < 0).sum())
@@ -229,17 +223,6 @@ def _cmd_laplacian(args):
                 for eps, errs in zip(args.epsilon, sweep) for fam in families))
 
 
-def _subsample_per_class(labels, per_class, seed):
-    rng = np.random.default_rng(seed)
-    keep = []
-    for c in np.unique(labels):
-        idx = np.nonzero(labels == c)[0]
-        if len(idx) > per_class:
-            idx = rng.choice(idx, size=per_class, replace=False)
-        keep.extend(idx.tolist())
-    return np.sort(np.array(keep, dtype=int))
-
-
 def _cmd_scrna(args):
     if args.transitions_out and not args.labels:
         raise ParameterError("--transitions-out requires --labels")
@@ -248,18 +231,11 @@ def _cmd_scrna(args):
     if cm.rejected_rows:
         print(f"note: rejected zero-total rows: {list(cm.rejected_rows)}", file=sys.stderr)
     if cm.labels is not None and args.subsample:
-        keep = _subsample_per_class(cm.labels, args.subsample, args.seed)
-        cm = replace(cm, entries=cm.entries[keep], totals=cm.totals[keep],
-                     labels=cm.labels[keep])
-    y, _ = counts_mod.normalize_counts(cm)
-    pipe = harness.scale_points(y, args.epsilon, args.tol, args.max_iter)
-    qhat = density_mod.ds_kde(pipe.scaled, args.s)
-    nhat = inference.noise_magnitude(pipe.solution, qhat, args.epsilon)
-    _write_csv(args.out, ["index", "label", "total_count", "inv_count", "noise_sq_hat"],
-               zip(range(len(nhat)), repeat("") if cm.labels is None else cm.labels,
-                   map(int, cm.totals), 1.0 / cm.totals, nhat))
+        cm = counts_mod.subsample_per_class(cm, args.subsample, args.seed)
+    result = harness.count_pipeline(cm, args.epsilon, args.s, args.tol, args.max_iter)
+    _write_csv(args.out, *harness.noise_table(result))
     if args.transitions_out:
-        rows = harness.transition_errors(pipe.scaled, qhat, cm.labels)
+        rows = harness.transition_errors(result["scaled"], result["qhat"], cm.labels)
         header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
         _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))
 

@@ -2,7 +2,7 @@
 generator standing in for real sequencing data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -196,6 +196,21 @@ def normalize_counts(counts):
     """
     y = counts.entries.toarray() / counts.totals[:, None]
     return y, 1.0 / counts.totals
+
+
+def subsample_per_class(cm, per_class, seed):
+    """The CountMatrix of at most ``per_class`` rows of each label, drawn
+    without replacement with ``seed``; a class at or under ``per_class`` is
+    kept whole, and the kept rows stay in their original order."""
+    rng = np.random.default_rng(seed)
+    keep = []
+    for c in np.unique(cm.labels):
+        idx = np.nonzero(cm.labels == c)[0]
+        if len(idx) > per_class:
+            idx = rng.choice(idx, size=per_class, replace=False)
+        keep.extend(idx.tolist())
+    keep = np.sort(np.array(keep, dtype=int))
+    return replace(cm, entries=cm.entries[keep], totals=cm.totals[keep], labels=cm.labels[keep])
 
 
 def synth_poisson_counts(n, m, n_clusters=2, seed=0, cluster_depth_ranges=None):

@@ -6,6 +6,7 @@ import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -254,19 +255,20 @@ def _fig7(config):
                   lambda pipe: _laplacian_errors(pipe, config.s))
 
 
-def _estimate_table(pipe, s):
-    """Noise magnitudes, signal magnitudes and corrected distances of one circle."""
+def estimate_table(pipe, points, s, dim, debias=False):
+    """Noise and signal magnitudes and corrected distances of the ``points`` that
+    ``pipe`` solved, at exponent ``s``; ``debias`` subtracts its bias at ``dim``."""
     eps = pipe.affinity.epsilon
     qhat = density.ds_kde(pipe.scaled, s)
-    nhat = inference.noise_magnitude(pipe.solution, qhat, eps)
-    return inference.signal_magnitude_and_distances(
-        pipe.noise.noisy_points, nhat, eps, s, pipe.sample.intrinsic_dim, scaled=pipe.scaled)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, eps, debias=debias, dim=dim)
+    return inference.signal_magnitude_and_distances(points, nhat, eps, s, dim,
+                                                    scaled=pipe.scaled)
 
 
 def _fig4(config):
     pipe = circle_pipeline(1000, 500, config.epsilon, "outlier_scaled_gaussian",
                            config.seed, two_circles=True)
-    table = _estimate_table(pipe, config.s)
+    table = estimate_table(pipe, pipe.noise.noisy_points, config.s, pipe.sample.intrinsic_dim)
     header = ["index", "radius", "noisy_sq_norm", "noise_sq_hat", "true_noise_sq",
               "signal_sq_hat", "true_signal_sq"]
     y_sq = np.einsum("ij,ij->i", pipe.noise.noisy_points, pipe.noise.noisy_points)
@@ -280,7 +282,7 @@ def _fig6(config):
     n = m = 1000
     k_max = 50
     pipe = circle_pipeline(n, m, config.epsilon, "varying_ball", config.seed)
-    table = _estimate_table(pipe, config.s)
+    table = estimate_table(pipe, pipe.noise.noisy_points, config.s, pipe.sample.intrinsic_dim)
     clean = pairwise_sq_dists(pipe.sample.clean_points)
     noisy = pairwise_sq_dists(pipe.noise.noisy_points)
     acc_corr = inference.knn_recovery_accuracy(table.corrected_dists, clean, k_max)
@@ -320,12 +322,10 @@ def median_sq_dist_epsilon(points):
     return float(np.median(off)) / 16.0
 
 
-def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
-                             cluster_depth_ranges=None, tol=COUNTS_SOLVE.tol,
-                             max_iter=COUNTS_SOLVE.max_iter):
-    """Synthetic Poisson pipeline: counts -> normalize -> scale -> noise estimate."""
-    cm = counts_mod.synth_poisson_counts(
-        n, m, seed=seed, cluster_depth_ranges=cluster_depth_ranges)
+def count_pipeline(cm, epsilon=None, s=2.0, tol=COUNTS_SOLVE.tol,
+                   max_iter=COUNTS_SOLVE.max_iter):
+    """Count pipeline: normalize -> median-rule epsilon unless given -> scale
+    -> DS-KDE -> noise estimate; raises ConvergenceError if the solve stops short."""
     y, predicted = counts_mod.normalize_counts(cm)
     if epsilon is None:
         epsilon = median_sq_dist_epsilon(y)
@@ -339,14 +339,21 @@ def poisson_noise_experiment(n=600, m=5000, seed=0, s=2.0, epsilon=None,
     }
 
 
-def _fig8(config):
-    result = poisson_noise_experiment(
-        seed=config.seed, s=config.s, cluster_depth_ranges=FIG8_DEPTH_RANGES)
-    header = ["index", "label", "total_count", "inv_count", "noise_sq_hat"]
+def noise_table(result):
+    """Header and rows of a count pipeline's per-cell noise estimates; the
+    label cells are empty for counts without labels."""
     cm = result["counts"]
-    rows = list(zip(range(len(cm.totals)), cm.labels, map(int, cm.totals),
-                    1.0 / cm.totals, result["noise_sq_hat"]))
-    return header, rows, [result["solution"].residual]
+    labels = repeat("") if cm.labels is None else cm.labels
+    return (["index", "label", "total_count", "inv_count", "noise_sq_hat"],
+            list(zip(range(len(cm.totals)), labels, map(int, cm.totals),
+                     result["predicted_noise"], result["noise_sq_hat"])))
+
+
+def _fig8(config):
+    cm = counts_mod.synth_poisson_counts(600, 5000, seed=config.seed,
+                                         cluster_depth_ranges=FIG8_DEPTH_RANGES)
+    result = count_pipeline(cm, s=config.s)
+    return (*noise_table(result), [result["solution"].residual])
 
 
 def transition_errors(scaled, qhat, labels, alphas=(0.0, 0.5, 1.0)):

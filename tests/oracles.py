@@ -44,10 +44,11 @@ def clean_circle(n, epsilon, seed=0, m=None, tol=None):
 
 
 def small_counts_experiment(**kwargs):
-    """A new Poisson pipeline of 120 cells and 400 genes at seed 2, in fig8's
-    two depth clusters; ``kwargs`` go to ``harness.poisson_noise_experiment``."""
-    return harness.poisson_noise_experiment(
-        n=120, m=400, seed=2, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES, **kwargs)
+    """A new count pipeline of 120 cells and 400 genes at seed 2, in fig8's
+    two depth clusters; ``kwargs`` go to ``harness.count_pipeline``."""
+    cm = counts.synth_poisson_counts(120, 400, seed=2,
+                                     cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
+    return harness.count_pipeline(cm, **kwargs)
 
 
 def write_counts(directory, entries, labels=None):
@@ -268,14 +269,14 @@ def _cells(lines):
 
 
 def _as_float(text):
+    """A float cell's value; None for text or an integer (an index, a count),
+    which compare as text."""
+    if text.lstrip("-").isdigit():
+        return None
     try:
-        int(text)  # an integer cell, such as an index or a count, is text
+        return float(text)
     except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    return None
+        return None
 
 
 def golden_changes(expected_lines, actual_lines):
@@ -310,14 +311,15 @@ def golden_changes(expected_lines, actual_lines):
             faults += [f"{name}={a} above {GOLDEN_DIAGNOSTICS[name]}"
                        for _, a in column if not float(a) <= GOLDEN_DIAGNOSTICS[name]]
             continue
-        floats = [_as_float(e) for e, _ in column]
-        scale = max((abs(v) for v in floats if v is not None), default=0.0)
-        for (e, a), value in zip(column, floats):
-            if value is None or _as_float(a) is None:
+        scale = max((abs(_as_float(e)) for e, _ in column if _as_float(e) is not None),
+                    default=0.0)
+        for e, a in column:
+            value, got = _as_float(e), _as_float(a)
+            if value is None or got is None:
                 if a != e:
                     faults.append(f"{name}: {a!r}, expected {e!r}")
                 continue
-            change = abs(_as_float(a) - value) / (scale or 1.0)
+            change = abs(got - value) / (scale or 1.0)
             largest = max(largest, change)
             if not change <= GOLDEN_RTOL:
                 faults.append(f"{name}: {a}, expected {e} (change {change:.2e})")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dskernel import density, geometry, harness, inference, kernel, laplacian, scaling
+from dskernel import counts, density, geometry, harness, inference, kernel, laplacian, scaling
 from oracles import newton_symmetric_scaling, pairwise_corrected_dists
 
 EPSILON = 0.1
@@ -92,7 +92,7 @@ def test_criterion_01_scaling_correctness():
     row_dev = np.abs(pipe.scaled.w.sum(axis=1) - 1.0).max()
     col_dev = np.abs(pipe.scaled.w.sum(axis=0) - 1.0).max()
     # counts profile: residual within 1e-6
-    res = harness.poisson_noise_experiment(n=200, m=1000, seed=1)
+    res = harness.count_pipeline(counts.synth_poisson_counts(200, 1000, seed=1))
     counts_res = res["solution"].residual
     # two distinct initializations agree on log_d to 1e-6
     aff = pipe.affinity
@@ -217,8 +217,8 @@ def test_criterion_08_population_scaling_trend():
 
 
 def test_criterion_09_poisson_surrogate():
-    res = harness.poisson_noise_experiment(
-        n=600, m=5000, seed=0, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES)
+    res = harness.count_pipeline(counts.synth_poisson_counts(
+        600, 5000, seed=0, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES))
     pearson = stats.pearsonr(res["noise_sq_hat"], res["predicted_noise"])[0]
     eps0 = res["epsilon"]
     rows = harness.transition_error_table(

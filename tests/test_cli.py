@@ -179,6 +179,21 @@ def test_scrna_computes_the_ds_kde_once(labelled_counts, tmp_path, monkeypatch):
     assert [call["s"] for call in calls] == [density.S_LIMIT]
 
 
+def test_scrna_subsample_writes_the_drawn_rows(labelled_counts, tmp_path):
+    mtx, labels_path = labelled_counts
+    out = tmp_path / "scrna.csv"
+    code = run(["scrna", "--input", str(mtx), "--labels", str(labels_path),
+                "--epsilon", "0.0002", "--subsample", "25", "--seed", "4", "--out", str(out)])
+    assert code == 0
+    cm = counts.ingest_counts(mtx, labels=counts.read_labels(labels_path))
+    drawn = counts.subsample_per_class(cm, 25, seed=4)
+    assert len(drawn.totals) == 50  # 25 of each class of 40
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["total_count"]) for r in rows] == drawn.totals.tolist()
+    assert [r["label"] for r in rows] == drawn.labels.tolist()
+
+
 def test_scrna_warns_about_rejected_rows(tmp_path, capsys):
     cm = counts.synth_poisson_counts(40, 200, seed=5)
     # the last row is all zero

@@ -321,6 +321,26 @@ def test_normalize_counts_rows_sum_to_one():
     np.testing.assert_allclose(predicted, 1.0 / cm.totals)
 
 
+def test_subsample_per_class_draws_aligned_rows_in_order():
+    labels = np.array(list("aaabaacaab" * 6))  # 42 a, 12 b and 6 c, interleaved
+    # column 0 holds each row's 1-based source index, so a kept row names its source
+    dense = np.column_stack([np.arange(1, 61), np.random.default_rng(0).poisson(3.0, (60, 4))])
+    entries = sparse.csr_matrix(dense)
+    cm = counts.CountMatrix(entries=entries, totals=dense.sum(axis=1), labels=labels)
+    sub = counts.subsample_per_class(cm, 10, seed=4)
+    kept = sub.entries[:, [0]].toarray().ravel() - 1
+    assert np.all(np.diff(kept) > 0)  # the source order
+    assert [int((sub.labels == c).sum()) for c in "abc"] == [10, 10, 6]
+    np.testing.assert_array_equal(kept[sub.labels == "c"], np.flatnonzero(labels == "c"))
+    np.testing.assert_array_equal(sub.labels, labels[kept])
+    np.testing.assert_array_equal(sub.totals, cm.totals[kept])
+    assert (sub.entries != entries[kept]).nnz == 0
+    again = counts.subsample_per_class(cm, 10, seed=4)
+    assert (again.entries != sub.entries).nnz == 0
+    other = counts.subsample_per_class(cm, 10, seed=5)
+    assert (other.entries != sub.entries).nnz > 0
+
+
 def test_synth_poisson_counts_structure():
     cm = counts.synth_poisson_counts(101, 300, n_clusters=2, seed=3)
     assert cm.entries.shape[0] + len(cm.rejected_rows) == 101

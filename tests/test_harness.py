@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dskernel import cli, density, harness, kernel, scaling
+from dskernel import cli, counts, density, harness, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 from oracles import record_calls, small_counts_experiment, write_counts
 
@@ -148,8 +148,8 @@ def test_median_sq_dist_epsilon():
     assert harness.median_sq_dist_epsilon(pts) == 0.0625
 
 
-def test_poisson_noise_experiment_tracks_inverse_depth():
-    res = harness.poisson_noise_experiment(n=200, m=1000, seed=1)
+def test_count_pipeline_tracks_inverse_depth():
+    res = harness.count_pipeline(counts.synth_poisson_counts(200, 1000, seed=1))
     r = stats.pearsonr(res["noise_sq_hat"], res["predicted_noise"])[0]
     assert r > 0.9
     assert res["solution"].converged

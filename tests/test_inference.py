@@ -222,7 +222,7 @@ def test_denoise_computes_pairwise_distances_once(monkeypatch, tmp_path):
         laplacian.operator_error(fam, f, lap_f, epsilon)
     assert sizes() == [n]
     # the harness table behind fig4 and fig6 reuses the pipeline's kernel
-    harness._estimate_table(pipe, s)
+    harness.estimate_table(pipe, points, s, dim=1)
     assert sizes() == [n]
     path = tmp_path / "points.csv"
     np.savetxt(path, points, delimiter=",")

@@ -201,7 +201,8 @@ def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_count
 def test_only_the_kernel_module_reads_the_dense_log_matrix():
     # a sparse or truncated kernel can replace the dense log K only while
     # every other module reaches it through the operator's methods; likewise
-    # no pipeline step reads the dense W that scaling.py builds
+    # no pipeline step reads the dense W that scaling.py builds, and only
+    # counts.py reads a CountMatrix's entries, so their storage is its own
     package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
 
     def readers(attrs, owner):
@@ -213,3 +214,4 @@ def test_only_the_kernel_module_reads_the_dense_log_matrix():
 
     assert readers({"log_entries"}, "kernel.py") == []
     assert readers({"w"}, "scaling.py") == []
+    assert readers({"entries"}, "counts.py") == []
