@@ -4,6 +4,7 @@ generator standing in for real sequencing data.
 
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -201,7 +202,12 @@ def normalize_counts(counts):
 def subsample_per_class(cm, per_class, seed):
     """The CountMatrix of at most ``per_class`` rows of each label, drawn
     without replacement with ``seed``; a class at or under ``per_class`` is
-    kept whole, and the kept rows stay in their original order."""
+    kept whole, and the kept rows stay in their original order. When no class
+    is over ``per_class``, ``cm`` itself is returned."""
+    if not isinstance(per_class, Integral) or per_class < 1:
+        raise ParameterError(f"per_class must be an integer >= 1, got {per_class}")
+    if cm.labels is None:
+        raise ParameterError("subsampling per class needs labels")
     rng = np.random.default_rng(seed)
     keep = []
     for c in np.unique(cm.labels):
@@ -209,6 +215,8 @@ def subsample_per_class(cm, per_class, seed):
         if len(idx) > per_class:
             idx = rng.choice(idx, size=per_class, replace=False)
         keep.extend(idx.tolist())
+    if len(keep) == len(cm.labels):
+        return cm
     keep = np.sort(np.array(keep, dtype=int))
     return replace(cm, entries=cm.entries[keep], totals=cm.totals[keep], labels=cm.labels[keep])
 

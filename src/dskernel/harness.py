@@ -5,7 +5,6 @@ kernel -> scaling -> estimation pipeline, and writes aggregate CSV tables.
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from numbers import Integral
 
@@ -61,6 +60,8 @@ class ExperimentConfig:
             raise ParameterError(f"{self.experiment} sweeps {' or '.join(sweeps)}, "
                                  f"not {self.sweep_param!r}")
         if self.sweep is not None:
+            if not self.sweep:
+                raise ParameterError("a sweep needs at least one value")
             if not sweeps:
                 raise ParameterError(f"{self.experiment} takes no sweep; only "
                                      f"{_figures_where(lambda f: f.sweeps)} do")
@@ -78,38 +79,28 @@ class ExperimentConfig:
 
 @dataclass
 class PipelineResult:
-    """A dataset's kernel and scaling solve, and its sample and noise if simulated."""
+    """A dataset's kernel, its converged scaling solve and W, and its sample and
+    noise if simulated."""
 
     affinity: object
     solution: object
+    scaled: object
     sample: object = None
     noise: object = None
 
-    @cached_property
-    def scaled(self):
-        """W of the solve; raises ConvergenceError if the solve did not converge."""
-        return assemble_W(self.affinity, self.solution)
-
 
 def _solve(sq_dists, epsilon, tol, max_iter, sample=None, noise=None):
-    """PipelineResult of the kernel of ``sq_dists`` and its solve, converged or not."""
+    """PipelineResult of the kernel of ``sq_dists`` and its solve, the one
+    kernel -> solve -> W step of every pipeline here; raises ConvergenceError
+    with the residual and iteration count when the solve stops short of ``tol``."""
     affinity = gaussian_kernel(sq_dists, epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    return PipelineResult(affinity, solution, sample, noise)
+    return PipelineResult(affinity, solution, assemble_W(affinity, solution), sample, noise)
 
 
 def scale_points(points, epsilon, tol, max_iter):
-    """PipelineResult of the Gaussian kernel of ``points`` and its converged solve.
-
-    Raises ConvergenceError with the residual and iteration count when the
-    solve stops short of ``tol``.
-    """
-    pipe = _solve(pairwise_sq_dists(points), epsilon, tol, max_iter)
-    if not pipe.solution.converged:
-        raise ConvergenceError(
-            f"scaling stopped at residual {pipe.solution.residual:.3e} after "
-            f"{pipe.solution.iterations} iterations")
-    return pipe
+    """``_solve`` on the squared distances of ``points``: their kernel, solve and W."""
+    return _solve(pairwise_sq_dists(points), epsilon, tol, max_iter)
 
 
 def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
@@ -131,10 +122,8 @@ def circle_dataset(n, m, noise_model="none", seed=0, two_circles=False):
 
 def circle_pipeline(n, m, epsilon, noise_model="none", seed=0, tol=POINTS_SOLVE.tol,
                     max_iter=POINTS_SOLVE.max_iter, two_circles=False):
-    """Sample, embed, corrupt, and scale a circle dataset in one call.
-
-    A solve that did not converge is kept as it is; ``scaled`` refuses it.
-    """
+    """Sample, embed, corrupt, and scale a circle dataset in one call; raises
+    ConvergenceError, as ``_solve`` does, when the solve stops short of ``tol``."""
     sample, noise = circle_dataset(n, m, noise_model, seed, two_circles)
     return _solve(pairwise_sq_dists(noise.noisy_points), epsilon, tol, max_iter, sample, noise)
 
@@ -178,8 +167,8 @@ def run_experiment(config):
             "version": __version__,
             "max_scaling_residual": max(residuals) if residuals else "n/a",
         }
-        if figure.all_exponents:
-            del meta["s"]
+        for key in figure.ignores + (("epsilon",) if config.sweep_kind == "epsilon" else ()):
+            del meta[key]
         if config.sweep is not None:
             meta["sweep"] = ";".join(str(v) for v in config.sweep)
         geometry._write_csv(config.out, header, rows, meta)
@@ -315,11 +304,14 @@ def laplacian_errors(n, epsilons, noise_model, seed, s=2.0, alpha=1.0):
             for eps in epsilons]
 
 
+def _median_rule(sq_dists):
+    off = sq_dists[~np.eye(len(sq_dists), dtype=bool)]
+    return float(np.median(off)) / 16.0
+
+
 def median_sq_dist_epsilon(points):
     """Bandwidth rule of thumb for count data: median squared distance / 16."""
-    d = pairwise_sq_dists(points)
-    off = d[~np.eye(len(d), dtype=bool)]
-    return float(np.median(off)) / 16.0
+    return _median_rule(pairwise_sq_dists(points))
 
 
 def count_pipeline(cm, epsilon=None, s=2.0, tol=COUNTS_SOLVE.tol,
@@ -327,9 +319,11 @@ def count_pipeline(cm, epsilon=None, s=2.0, tol=COUNTS_SOLVE.tol,
     """Count pipeline: normalize -> median-rule epsilon unless given -> scale
     -> DS-KDE -> noise estimate; raises ConvergenceError if the solve stops short."""
     y, predicted = counts_mod.normalize_counts(cm)
+    d = pairwise_sq_dists(y)
     if epsilon is None:
-        epsilon = median_sq_dist_epsilon(y)
-    pipe = scale_points(y, epsilon, tol, max_iter)
+        epsilon = _median_rule(d)
+    pipe = _solve(d, epsilon, tol, max_iter)
+    del d  # D is not needed past the kernel; free it before the n x n passes below
     qhat = density.ds_kde(pipe.scaled, s)
     nhat = inference.noise_magnitude(pipe.solution, qhat, epsilon)
     return {
@@ -386,15 +380,16 @@ def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0))
 # The figure table, in the CLI's order: each figure's runner, which returns
 # (header, rows, residuals); the quantities its sweep may vary with their
 # default values, default first (a second one is what sweep_param may pick);
-# and whether it compares s = 0.5, 2 and the limit whatever s says.
-Figure = namedtuple("Figure", "run sweeps all_exponents", defaults=({}, False))
+# and the settings it never reads, which its meta line leaves out (so does a
+# sweep over epsilon leave out epsilon).
+Figure = namedtuple("Figure", "run sweeps ignores", defaults=({}, ()))
 FIGURES = {
-    "fig1": Figure(_fig1),
-    "fig3": Figure(_density_sweep, {"n": (500, 1000, 2000, 3000)}, True),
-    "fig4": Figure(_fig4),
-    "fig5": Figure(_density_sweep, {"epsilon": (0.025, 0.05, 0.1, 0.2, 0.4)}, True),
-    "fig6": Figure(_fig6),
+    "fig1": Figure(_fig1, ignores=("repeats",)),
+    "fig3": Figure(_density_sweep, {"n": (500, 1000, 2000, 3000)}, ("s",)),
+    "fig4": Figure(_fig4, ignores=("repeats",)),
+    "fig5": Figure(_density_sweep, {"epsilon": (0.025, 0.05, 0.1, 0.2, 0.4)}, ("s",)),
+    "fig6": Figure(_fig6, ignores=("repeats",)),
     "fig7": Figure(_fig7, {"epsilon": (0.05, 0.1, 0.2, 0.4), "n": (1000, 2000, 5000)}),
-    "fig8-synthetic": Figure(_fig8),
+    "fig8-synthetic": Figure(_fig8, ignores=("repeats", "epsilon")),
 }
 EXPERIMENTS = tuple(FIGURES)

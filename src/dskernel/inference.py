@@ -8,7 +8,8 @@ from numbers import Integral
 import numpy as np
 
 from .density import S_LIMIT, _check_closed_form, raw_density
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
+from .scaling import _check_converged
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     ``debias=True`` together with ``dim`` >= 1 to subtract it; debiasing reads
     s from ``qhat``, a DensityEstimate.
     """
-    if not solution.converged:
-        raise ConvergenceError("scaling did not converge; refusing noise estimate")
+    _check_converged(solution)
     raw = raw_density(qhat)
     n = len(raw)
     nhat = epsilon * (solution.log_d + 0.5 * np.log((n - 1) * raw))

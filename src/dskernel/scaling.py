@@ -97,6 +97,12 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
                            operator.absorptions - absorbed_before)
 
 
+def _check_converged(solution):
+    if not solution.converged:
+        raise ConvergenceError(f"scaling stopped at residual {solution.residual:.3e} "
+                               f"after {solution.iterations} iterations")
+
+
 def sinkhorn_symmetric(affinity, tol=POINTS_SOLVE.tol, max_iter=POINTS_SOLVE.max_iter,
                        log_d0=None):
     """Solve the symmetric scaling problem for a zero-diagonal affinity matrix.
@@ -153,8 +159,8 @@ def assemble_W(affinity, solution):
 
     log W = log d_i + log d_j + log K_ij is exactly symmetric, since
     log d_i + log d_j is and so is log K; its diagonal is excluded, and every
-    row of W sums to 1 within the solver tolerance.
+    row of W sums to 1 within the solver tolerance. An unconverged solution
+    raises ConvergenceError with its residual and iteration count.
     """
-    if not solution.converged:
-        raise ConvergenceError("scaling did not converge; refusing to assemble W")
+    _check_converged(solution)
     return ScaledMatrix(operator=affinity, log_d=solution.log_d)

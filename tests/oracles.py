@@ -33,14 +33,15 @@ def clean_sample(n, seed=0, m=None):
 
 
 def clean_circle(n, epsilon, seed=0, m=None, tol=None):
-    """``clean_sample(n, seed, m)`` and its Gaussian kernel at ``epsilon``, as a
-    ``harness.PipelineResult``. With ``tol`` the kernel is also solved to it,
-    else ``solution`` is None.
+    """The Gaussian kernel at ``epsilon`` of ``clean_sample(n, seed, m)``. With
+    ``tol`` the kernel is also solved to it, and the result is the sample's
+    ``harness.PipelineResult``, built by the harness's one solve step.
     """
     sample = clean_sample(n, seed, m)
-    affinity = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), epsilon)
-    solution = None if tol is None else scaling.sinkhorn_symmetric(affinity, tol=tol)
-    return harness.PipelineResult(affinity, solution, sample)
+    d = kernel.pairwise_sq_dists(sample.clean_points)
+    if tol is None:
+        return kernel.gaussian_kernel(d, epsilon)
+    return harness._solve(d, epsilon, tol, scaling.POINTS_SOLVE.max_iter, sample)
 
 
 def small_counts_experiment(**kwargs):

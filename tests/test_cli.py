@@ -284,7 +284,8 @@ def test_bench_records_a_failed_sweep_point(tmp_path):
     rows = read_bench_table(out)
     assert len(rows) == 4  # the KDE and three DS-KDE exponents
     for row in rows:
-        assert row["status"] == "failed: scaling did not converge; refusing to assemble W"
+        assert re.fullmatch(r"failed: scaling stopped at residual \S+ after 100000 iterations",
+                            row["status"])
         assert row["mean_max_error"] == row["std_max_error"] == ""
 
 
@@ -301,12 +302,24 @@ def test_bench_settings_are_checked_before_any_data_is_drawn(tmp_path, capsys, m
     assert not out.exists()
 
 
-def test_unconverged_scale_is_a_one_line_error(simulated, tmp_path, capsys):
-    points, _ = simulated
-    code = run(["scale", "--input", str(points), "--epsilon", "0.1", "--max-iter", "1",
-                "--out", str(tmp_path / "o.csv")])
-    assert code == 1
-    assert re.fullmatch(r"error: scaling stopped at residual \S+ after 1 iterations\n",
+@pytest.mark.parametrize("command, flags, steps", [
+    ("scale", ["--epsilon", "0.1", "--max-iter", "1"], 1),
+    ("density", ["--epsilon", "0.1", "--dim", "1", "--max-iter", "1"], 1),
+    ("denoise", ["--epsilon", "0.1", "--max-iter", "1"], 1),
+    ("scrna", ["--epsilon", "0.0002", "--max-iter", "1"], 1),
+    # an n=4 circle stalls short of the default tolerance
+    ("laplacian", ["--n", "4", "--epsilon", "0.1"], 100_000),
+], ids=["scale", "density", "denoise", "scrna", "laplacian"])
+def test_unconverged_solve_is_a_one_line_error(simulated, tmp_path, capsys, command, flags,
+                                               steps):
+    # every solving command refuses an unconverged solve with one message
+    if command == "scrna":
+        mtx, _ = write_counts(tmp_path, counts.synth_poisson_counts(40, 100, seed=5).entries)
+        flags = ["--input", str(mtx), *flags]
+    elif command != "laplacian":
+        flags = ["--input", str(simulated[0]), *flags]
+    assert run([command, *flags, "--out", str(tmp_path / "o.csv")]) == 1
+    assert re.fullmatch(rf"error: scaling stopped at residual \S+ after {steps} iterations\n",
                         one_line_error(capsys))
 
 
@@ -369,19 +382,31 @@ def test_project_version_is_the_package_version():
     assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [dskernel.__version__]
 
 
-@pytest.mark.parametrize("figure,sweep", [("fig3", "60"), ("fig5", "0.4")])
-def test_all_exponent_figures_do_not_record_s(tmp_path, figure, sweep):
+@pytest.mark.parametrize("figure, flags, setting, values", [
     # fig3 and fig5 compare s = 0.5, 2 and the limit whatever --s says
+    ("fig3", ["--sweep", "60", "--repeats", "1", "--noise", "none"], "s", ("2", "limit")),
+    ("fig5", ["--sweep", "0.4", "--repeats", "1", "--noise", "none"], "s", ("2", "limit")),
+    # a sweep over epsilon sets every epsilon itself
+    ("fig5", ["--sweep", "0.4", "--repeats", "1", "--noise", "none"], "epsilon", ("0.1", "0.5")),
+    ("fig7", ["--sweep", "0.4", "--repeats", "1", "--noise", "none"], "epsilon", ("0.1", "0.5")),
+    # these run once, and fig8 takes the median-rule epsilon
+    ("fig1", ["--noise", "none"], "repeats", ("1", "10")),
+    ("fig4", [], "repeats", ("1", "10")),
+    ("fig6", [], "repeats", ("1", "10")),
+    ("fig8-synthetic", [], "repeats", ("1", "10")),
+    ("fig8-synthetic", [], "epsilon", ("0.1", "0.5")),
+], ids=["fig3-s", "fig5-s", "fig5-epsilon", "fig7-epsilon", "fig1-repeats", "fig4-repeats",
+        "fig6-repeats", "fig8-repeats", "fig8-epsilon"])
+def test_bench_meta_line_leaves_out_the_settings_a_figure_ignores(
+        tmp_path, figure, flags, setting, values):
     files = []
-    for s in ("2", "limit"):
-        out = tmp_path / f"{figure}-{s}.csv"
-        code = run(["bench", figure, "--sweep", sweep, "--repeats", "1",
-                    "--noise", "none", "--s", s, "--out", str(out)])
-        assert code == 0
+    for value in values:
+        out = tmp_path / f"{figure}-{value}.csv"
+        assert run(["bench", figure, *flags, f"--{setting}", value, "--out", str(out)]) == 0
         files.append(out.read_bytes())
     assert files[0] == files[1]
     meta = files[0].decode().splitlines()[0]
-    assert "s" not in {item.split("=")[0] for item in meta[2:].split(", ")}
+    assert setting not in {item.split("=")[0] for item in meta[2:].split(", ")}
 
 
 def test_missing_input_is_a_one_line_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -339,6 +341,13 @@ def test_subsample_per_class_draws_aligned_rows_in_order():
     assert (again.entries != sub.entries).nnz == 0
     other = counts.subsample_per_class(cm, 10, seed=5)
     assert (other.entries != sub.entries).nnz > 0
+    # no class over the cap: nothing to draw, nothing copied
+    assert counts.subsample_per_class(cm, 42, seed=4) is cm
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ParameterError, match="per_class must be an integer >= 1"):
+            counts.subsample_per_class(cm, bad, seed=4)
+    with pytest.raises(ParameterError, match="needs labels"):
+        counts.subsample_per_class(replace(cm, labels=None), 10, seed=4)
 
 
 def test_synth_poisson_counts_structure():

@@ -22,10 +22,8 @@ def test_circle_pipeline_two_circles():
 
 
 def test_non_converged_circle_refuses_w():
-    pipe = harness.circle_pipeline(300, 300, 2e-4, max_iter=200)
-    assert not pipe.solution.converged
-    with pytest.raises(ConvergenceError):
-        pipe.scaled
+    with pytest.raises(ConvergenceError, match=r"^scaling stopped at residual \S+ after 200 "):
+        harness.circle_pipeline(300, 300, 2e-4, max_iter=200)
 
 
 def test_experiment_config_validation():
@@ -53,6 +51,8 @@ def test_experiment_config_validation():
             ({"experiment": "fig3", "sweep": [0.05, 0.1]}, "whole numbers"),
             ({"experiment": "fig7", "sweep": [60.5], "sweep_param": "n"}, "whole numbers"),
             ({"experiment": "fig5", "sweep": [0.1, np.inf]}, "finite"),
+            # an empty sweep would run the default one under a meta line "sweep="
+            ({"experiment": "fig3", "sweep": []}, "a sweep needs at least one value"),
             # settings that would fail every sweep point, checked before any data
             ({"experiment": "fig3", "epsilon": 0.0}, "epsilon must be positive and finite"),
             ({"experiment": "fig1", "epsilon": np.nan}, "epsilon must be positive and finite"),
@@ -140,6 +140,14 @@ def test_transition_error_table_computes_one_distance_matrix(monkeypatch):
     rows = harness.transition_error_table(res["normalized"], res["counts"].labels, epsilons)
     assert len(calls["pairwise_sq_dists"]) == 1
     assert [row["epsilon"] for row in rows] == [eps for eps in epsilons for _ in range(6)]
+
+
+def test_count_pipeline_computes_one_distance_matrix(monkeypatch):
+    # the median rule and the kernel read the same D
+    calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)
+    res = small_counts_experiment()
+    assert len(calls["pairwise_sq_dists"]) == 1
+    assert res["epsilon"] == harness.median_sq_dist_epsilon(res["normalized"])
 
 
 def test_median_sq_dist_epsilon():

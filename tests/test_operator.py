@@ -215,3 +215,16 @@ def test_only_the_kernel_module_reads_the_dense_log_matrix():
     assert readers({"log_entries"}, "kernel.py") == []
     assert readers({"w"}, "scaling.py") == []
     assert readers({"entries"}, "counts.py") == []
+
+
+def test_only_the_scaling_module_raises_convergence_errors():
+    # "did the solve converge" is one decision with one message, made in
+    # scaling.py; every other module only catches the error
+    package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
+    builders = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py") if path.name != "scaling.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "ConvergenceError" in {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+    assert builders == []

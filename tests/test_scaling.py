@@ -12,7 +12,7 @@ from oracles import clean_circle, clean_sample, log_w_of, newton_symmetric_scali
 
 
 def test_scaled_matrix_is_doubly_stochastic():
-    aff = clean_circle(300, 0.1, seed=1).affinity
+    aff = clean_circle(300, 0.1, seed=1)
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.converged
     w = scaling.assemble_W(aff, sol).w
@@ -23,7 +23,7 @@ def test_scaled_matrix_is_doubly_stochastic():
 
 
 def test_w_holds_its_kernel_and_reads_epsilon_from_it():
-    aff = clean_circle(60, 0.1).affinity
+    aff = clean_circle(60, 0.1)
     scaled = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff))
     assert [f.name for f in dataclasses.fields(scaled)] == ["operator", "log_d"]
     assert scaled.operator is aff
@@ -44,7 +44,7 @@ def test_matches_newton_oracle_on_small_matrices():
 
 
 def test_distinct_initializations_agree():
-    aff = clean_circle(120, 0.2, seed=3).affinity
+    aff = clean_circle(120, 0.2, seed=3)
     sol_default = scaling.sinkhorn_symmetric(aff, tol=1e-11)
     rng = np.random.default_rng(0)
     sol_random = scaling.sinkhorn_symmetric(aff, tol=1e-11,
@@ -55,7 +55,7 @@ def test_distinct_initializations_agree():
 
 def test_kernel_scale_invariance_of_w():
     # multiplying K by a global constant shifts log d but leaves W unchanged
-    aff = clean_circle(80, 0.15, seed=4).affinity
+    aff = clean_circle(80, 0.15, seed=4)
     shifted = kernel.AffinityMatrix(log_entries=aff.log_entries + 3.7,
                                     epsilon=aff.epsilon)
     w_a = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff, tol=1e-12))
@@ -65,7 +65,7 @@ def test_kernel_scale_invariance_of_w():
 
 @pytest.mark.parametrize("diagonal", [0.0, 5.0, np.nan])
 def test_hand_built_diagonal_is_excluded(diagonal):
-    aff = clean_circle(60, 0.2, seed=6).affinity
+    aff = clean_circle(60, 0.2, seed=6)
     # a matrix that already excludes its diagonal is kept, not copied
     assert kernel.AffinityMatrix(aff.log_entries, aff.epsilon).log_entries is aff.log_entries
     log_k = aff.log_entries.copy()
@@ -95,7 +95,7 @@ def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth,
 
 
 def test_permutation_equivariance():
-    aff = clean_circle(60, 0.2, seed=5).affinity
+    aff = clean_circle(60, 0.2, seed=5)
     perm = np.random.default_rng(1).permutation(60)
     permuted = kernel.AffinityMatrix(
         log_entries=aff.log_entries[np.ix_(perm, perm)], epsilon=aff.epsilon)
@@ -238,7 +238,7 @@ def test_solution_reports_absorptions():
 def test_kernel_without_finite_entries_is_rejected_before_the_first_iteration():
     # at eps = 1e-310 most -D/eps overflow to -inf, an exact zero of K, and
     # whole rows of the kernel are zero; the first absorption names the first
-    aff = clean_circle(60, 1e-310).affinity
+    aff = clean_circle(60, 1e-310)
     empty = np.flatnonzero(np.isneginf(aff.log_entries).all(axis=1))
     assert 0 < empty[0] < empty[-1]
     with pytest.raises(ParameterError, match=f"^row {empty[0]} of the matrix is zero$"):
@@ -246,7 +246,9 @@ def test_kernel_without_finite_entries_is_rejected_before_the_first_iteration():
 
 
 def test_unconverged_solution_reports_every_iteration():
-    sol = harness.circle_pipeline(300, 300, 2e-4, max_iter=200).solution
+    sample, _ = harness.circle_dataset(300, 300)
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(sample.clean_points), 2e-4)
+    sol = scaling.sinkhorn_symmetric(aff, max_iter=200)
     assert not sol.converged
     assert sol.iterations == 200
     assert len(sol.residual_history) == 200
@@ -279,7 +281,7 @@ def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
 
 
 def test_residual_history_reaches_tolerance():
-    aff = clean_circle(100, 0.1, seed=8).affinity
+    aff = clean_circle(100, 0.1, seed=8)
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
     assert sol.residual <= 1e-9
     assert sol.residual_history[-1] == sol.residual
@@ -287,7 +289,7 @@ def test_residual_history_reaches_tolerance():
 
 
 def test_rejects_tiny_matrices_and_bad_entries():
-    aff = clean_circle(10, 0.1).affinity
+    aff = clean_circle(10, 0.1)
     # NaN or +inf in log K is rejected when the affinity is built
     with pytest.raises(ParameterError, match=r"NaN or \+inf"):
         kernel.AffinityMatrix(log_entries=np.full((3, 3), np.nan), epsilon=0.1)
@@ -307,11 +309,11 @@ def test_rejects_tiny_matrices_and_bad_entries():
     ({"max_iter": 1e5}, "max_iter"), ({"max_iter": 2.5}, "max_iter")])
 def test_rejects_bad_solver_parameters(kwargs, name):
     with pytest.raises(ParameterError, match=name):
-        scaling.sinkhorn_symmetric(clean_circle(10, 0.1).affinity, **kwargs)
+        scaling.sinkhorn_symmetric(clean_circle(10, 0.1), **kwargs)
 
 
 def test_assemble_refuses_unconverged_solution():
-    aff = clean_circle(200, 0.05, seed=9).affinity
+    aff = clean_circle(200, 0.05, seed=9)
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-14, max_iter=2)
     assert not sol.converged
     with pytest.raises(ConvergenceError):
@@ -328,7 +330,7 @@ def test_clean_data_diagnostics_are_small():
 
 
 def test_diagnostics_reject_nonpositive_density():
-    aff = clean_circle(20, 0.1).affinity
+    aff = clean_circle(20, 0.1)
     sol = scaling.sinkhorn_symmetric(aff)
     with pytest.raises(ParameterError):
         inference.noise_magnitude(sol, density.DensityEstimate(
