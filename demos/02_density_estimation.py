@@ -17,7 +17,7 @@ for noise_model in ("none", "varying_ball"):
     pipe = circle_pipeline(n, m, epsilon, noise_model=noise_model, seed=0)
     truth = pipe.sample.density_values
 
-    kde = standard_kde(pipe.affinity) / np.sqrt(np.pi * epsilon)
+    kde = standard_kde(pipe.scaled.operator) / np.sqrt(np.pi * epsilon)
     est_s2 = ds_kde(pipe.scaled, s=2.0, dim=1)
     est_lim = ds_kde(pipe.scaled, S_LIMIT, dim=1)
 

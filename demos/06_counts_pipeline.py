@@ -11,7 +11,7 @@ traditional normalization conflates depth with geometry.
 import numpy as np
 
 from dskernel.counts import synth_poisson_counts
-from dskernel.harness import count_pipeline, transition_error_table
+from dskernel.harness import count_pipeline, transition_errors
 
 cm = synth_poisson_counts(600, 5000, seed=0,
                           cluster_depth_ranges=((400.0, 800.0), (2000.0, 4000.0)))
@@ -20,12 +20,10 @@ res = count_pipeline(cm)
 nhat = res["noise_sq_hat"]
 pred = res["predicted_noise"]
 corr = np.corrcoef(nhat, pred)[0, 1]
-print(f"epsilon (median rule): {res['epsilon']:.2e}")
+print(f"epsilon (median rule): {res['scaled'].epsilon:.2e}")
 print(f"corr(N_hat, 1/c_i) = {corr:.4f}")
 
-eps0 = res["epsilon"]
-rows = transition_error_table(res["normalized"], res["counts"].labels,
-                              [eps0], alphas=(0.0,))
-for row in rows:
+rows = transition_errors(res["scaled"], res["qhat"], res["counts"].labels)
+for row in rows[:2]:  # the alpha = 0 rows, robust then traditional
     print(f"alpha=0 {row['family']:>12}: worst-class transition error "
           f"{row['worst_class_error']:.3f}")

@@ -17,7 +17,7 @@ from .errors import ConvergenceError, ParameterError
 from .kernel import _check_epsilon, gaussian_kernel, pairwise_sq_dists, standard_kde
 from .scaling import POINTS_SOLVE, SolveSettings, assemble_W, sinkhorn_symmetric
 
-# every solve on count data: the Poisson pipeline, the transition table, scrna
+# every solve on count data: the count pipeline of scrna and fig8
 COUNTS_SOLVE = SolveSettings(1e-6, 10_000)
 # the depth ranges of fig8's two cell clusters, a shallow and a deep one
 FIG8_DEPTH_RANGES = ((400.0, 800.0), (2000.0, 4000.0))
@@ -79,10 +79,9 @@ class ExperimentConfig:
 
 @dataclass
 class PipelineResult:
-    """A dataset's kernel, its converged scaling solve and W, and its sample and
-    noise if simulated."""
+    """A dataset's converged scaling solve and W, which holds its kernel
+    (``scaled.operator``) and bandwidth, and its sample and noise if simulated."""
 
-    affinity: object
     solution: object
     scaled: object
     sample: object = None
@@ -95,7 +94,7 @@ def _solve(sq_dists, epsilon, tol, max_iter, sample=None, noise=None):
     with the residual and iteration count when the solve stops short of ``tol``."""
     affinity = gaussian_kernel(sq_dists, epsilon)
     solution = sinkhorn_symmetric(affinity, tol=tol, max_iter=max_iter)
-    return PipelineResult(affinity, solution, assemble_W(affinity, solution), sample, noise)
+    return PipelineResult(solution, assemble_W(affinity, solution), sample, noise)
 
 
 def scale_points(points, epsilon, tol, max_iter):
@@ -134,8 +133,8 @@ def _dskde_name(s):
 
 def _density_estimates(pipe, s_values, dim):
     """The normalized standard KDE and DS-KDE per exponent, by column name."""
-    eps = pipe.affinity.epsilon
-    estimates = {"kde": standard_kde(pipe.affinity) / (np.pi * eps) ** (dim / 2.0)}
+    eps = pipe.scaled.epsilon
+    estimates = {"kde": standard_kde(pipe.scaled.operator) / (np.pi * eps) ** (dim / 2.0)}
     for s in s_values:
         estimates[_dskde_name(s)] = density.ds_kde(pipe.scaled, s, dim=dim).normalized
     return estimates
@@ -247,7 +246,7 @@ def _fig7(config):
 def estimate_table(pipe, points, s, dim, debias=False):
     """Noise and signal magnitudes and corrected distances of the ``points`` that
     ``pipe`` solved, at exponent ``s``; ``debias`` subtracts its bias at ``dim``."""
-    eps = pipe.affinity.epsilon
+    eps = pipe.scaled.epsilon
     qhat = density.ds_kde(pipe.scaled, s)
     nhat = inference.noise_magnitude(pipe.solution, qhat, eps, debias=debias, dim=dim)
     return inference.signal_magnitude_and_distances(points, nhat, eps, s, dim,
@@ -283,13 +282,12 @@ def _fig6(config):
 
 def _laplacian_errors(pipe, s, alpha=1.0):
     f, lap_f = geometry.test_function_and_laplacian(pipe.sample.angles)
-    eps = pipe.affinity.epsilon
+    eps = pipe.scaled.epsilon
     qhat = density.ds_kde(pipe.scaled, s)
     robust = laplacian.robust_markov(pipe.scaled, qhat, alpha)
-    trad = laplacian.traditional_markov(pipe.affinity, alpha)
+    trad = laplacian.traditional_markov(pipe.scaled.operator, alpha)
     return {"robust": laplacian.operator_error(robust, f, lap_f, eps),
-            "traditional": laplacian.operator_error(trad, f, lap_f, eps),
-            "residual": pipe.solution.residual}
+            "traditional": laplacian.operator_error(trad, f, lap_f, eps)}
 
 
 def laplacian_errors(n, epsilons, noise_model, seed, s=2.0, alpha=1.0):
@@ -328,18 +326,19 @@ def count_pipeline(cm, epsilon=None, s=2.0, tol=COUNTS_SOLVE.tol,
     nhat = inference.noise_magnitude(pipe.solution, qhat, epsilon)
     return {
         "counts": cm, "normalized": y, "predicted_noise": predicted,
-        "epsilon": epsilon, "affinity": pipe.affinity, "solution": pipe.solution,
-        "scaled": pipe.scaled, "qhat": qhat, "noise_sq_hat": nhat,
+        "solution": pipe.solution, "scaled": pipe.scaled, "qhat": qhat, "noise_sq_hat": nhat,
     }
 
 
 def noise_table(result):
     """Header and rows of a count pipeline's per-cell noise estimates; the
-    label cells are empty for counts without labels."""
+    label cells are empty for counts without labels, and a whole total is
+    written as an integer, any other in full."""
     cm = result["counts"]
     labels = repeat("") if cm.labels is None else cm.labels
+    totals = (int(t) if float(t).is_integer() else t for t in cm.totals)
     return (["index", "label", "total_count", "inv_count", "noise_sq_hat"],
-            list(zip(range(len(cm.totals)), labels, map(int, cm.totals),
+            list(zip(range(len(cm.totals)), labels, totals,
                      result["predicted_noise"], result["noise_sq_hat"])))
 
 
@@ -350,30 +349,20 @@ def _fig8(config):
     return (*noise_table(result), [result["solution"].residual])
 
 
-def transition_errors(scaled, qhat, labels, alphas=(0.0, 0.5, 1.0)):
-    """Mean and worst-class transition errors per (alpha, family) for one solve.
+def transition_errors(scaled, qhat, labels):
+    """Mean and worst-class transition errors per family at alpha = 0, 0.5 and 1.
 
     ``scaled`` is W, whose kernel ``scaled.operator`` the traditional family
     reads, and ``qhat`` the DS-KDE of W that the robust family compensates for.
     """
     rows = []
-    for alpha in alphas:
+    for alpha in (0.0, 0.5, 1.0):
         robust = laplacian.robust_markov(scaled, qhat, alpha)
         trad = laplacian.traditional_markov(scaled.operator, alpha)
         for fam in (robust, trad):
             mean_err, worst_err = laplacian.transition_error(fam, labels)
             rows.append({"epsilon": scaled.epsilon, "alpha": alpha, "family": fam.source_tag,
                          "mean_error": mean_err, "worst_class_error": worst_err})
-    return rows
-
-
-def transition_error_table(normalized, labels, epsilons, alphas=(0.0, 0.5, 1.0)):
-    """Mean and worst-class transition errors per (epsilon, alpha, family) at s = 2."""
-    d = pairwise_sq_dists(normalized)
-    rows = []
-    for eps in epsilons:
-        pipe = _solve(d, eps, *COUNTS_SOLVE)
-        rows += transition_errors(pipe.scaled, density.ds_kde(pipe.scaled, 2.0), labels, alphas)
     return rows
 
 

@@ -112,9 +112,7 @@ def knn_recovery_accuracy(dists_a, dists_clean, k_max):
     clean_rank = np.empty_like(order_clean)
     rows = np.arange(n)[:, None]
     clean_rank[rows, order_clean] = np.arange(n)[None, :]
-    rank_of_a = clean_rank[rows, order_a[:, :k_max]]
-    accuracies = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        overlap = (rank_of_a[:, :k] < k).sum(axis=1)
-        accuracies[k - 1] = overlap.mean() / k
-    return accuracies
+    # the j-th neighbor under a is in both k-sets once k > max(j, its clean rank)
+    shared_after = np.maximum(np.arange(k_max), clean_rank[rows, order_a[:, :k_max]])
+    overlap = np.bincount(shared_after.ravel(), minlength=n)[:k_max].cumsum()
+    return overlap / n / np.arange(1, k_max + 1)

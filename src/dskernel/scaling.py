@@ -83,17 +83,14 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
         operator.absorb(np.zeros(n))
         log_d = 0.5 * (log_t - row_lse(np.zeros(n)))
     history = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         lse = row_lse(log_d)
         residual = np.abs(np.expm1(log_d + lse - log_t)).max()
         log_d = 0.5 * (log_d + log_t - lse)
         history.append(residual)
-        if residual <= tol:
-            return ScalingSolution(log_d, residual, iteration, True, np.array(history),
-                                   operator.absorptions - absorbed_before)
-        if not np.isfinite(residual):  # a NaN in log d spreads to every later step
+        if not residual > tol:  # converged, or a NaN in log d that spreads to every later step
             break
-    return ScalingSolution(log_d, history[-1], len(history), False, np.array(history),
+    return ScalingSolution(log_d, residual, len(history), bool(residual <= tol), np.array(history),
                            operator.absorptions - absorbed_before)
 
 

@@ -95,7 +95,7 @@ def test_criterion_01_scaling_correctness():
     res = harness.count_pipeline(counts.synth_poisson_counts(200, 1000, seed=1))
     counts_res = res["solution"].residual
     # two distinct initializations agree on log_d to 1e-6
-    aff = pipe.affinity
+    aff = pipe.scaled.operator
     alt = scaling.sinkhorn_symmetric(
         aff, tol=1e-11,
         log_d0=np.random.default_rng(0).normal(scale=2.0, size=300))
@@ -220,13 +220,16 @@ def test_criterion_09_poisson_surrogate():
     res = harness.count_pipeline(counts.synth_poisson_counts(
         600, 5000, seed=0, cluster_depth_ranges=harness.FIG8_DEPTH_RANGES))
     pearson = stats.pearsonr(res["noise_sq_hat"], res["predicted_noise"])[0]
-    eps0 = res["epsilon"]
-    rows = harness.transition_error_table(
-        res["normalized"], res["counts"].labels,
-        [eps0 / 2.0, eps0, 2.0 * eps0], alphas=(0.0,))
+    eps0 = res["scaled"].epsilon
+    # one distance matrix for the three solves; only the alpha = 0 rows count
+    d = kernel.pairwise_sq_dists(res["normalized"])
     worst = {}
-    for row in rows:
-        worst[(row["epsilon"], row["family"])] = row["worst_class_error"]
+    for eps in (eps0 / 2.0, eps0, 2.0 * eps0):
+        scaled = harness._solve(d, eps, *harness.COUNTS_SOLVE).scaled
+        for row in harness.transition_errors(scaled, density.ds_kde(scaled, 2.0),
+                                             res["counts"].labels):
+            if row["alpha"] == 0.0:
+                worst[(row["epsilon"], row["family"])] = row["worst_class_error"]
     ordering_ok = all(worst[(eps, "robust")] <= worst[(eps, "traditional")]
                       for eps in (eps0 / 2.0, eps0, 2.0 * eps0))
     ok = pearson >= 0.9 and ordering_ok
@@ -248,7 +251,7 @@ def test_criterion_10_exact_invariants():
     worst = 0.0
     for alpha in (0.0, 0.5, 1.0):
         for fam in (laplacian.robust_markov(pipe.scaled, qhat, alpha),
-                    laplacian.traditional_markov(pipe.affinity, alpha)):
+                    laplacian.traditional_markov(pipe.scaled.operator, alpha)):
             worst = max(worst, np.abs(
                 laplacian.apply_laplacian(fam, const, EPSILON)).max())
     checks["annihilation"] = worst < 1e-9
@@ -278,7 +281,7 @@ def test_criterion_10_exact_invariants():
         density.ds_kde(uniform, S).raw - 1.0).max() < 1e-12
 
     # global kernel rescaling leaves W unchanged
-    shifted = kernel.AffinityMatrix(log_entries=pipe.affinity.log_entries + 2.0,
+    shifted = kernel.AffinityMatrix(log_entries=pipe.scaled.operator.log_entries + 2.0,
                                     epsilon=EPSILON)
     w_shifted = scaling.assemble_W(shifted,
                                    scaling.sinkhorn_symmetric(shifted, tol=1e-12))

@@ -194,6 +194,22 @@ def test_scrna_subsample_writes_the_drawn_rows(labelled_counts, tmp_path):
     assert [r["label"] for r in rows] == drawn.labels.tolist()
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("matrix-market", "%%MatrixMarket matrix coordinate real general\n4 3 7\n1 1 2.5\n"
+                      "1 2 3.2\n2 2 1.4\n2 3 3.5\n3 1 1.25\n3 3 1.0\n4 1 4.0\n"),
+    ("csv", "2.5,3.2,0\n0,1.4,3.5\n1.25,0,1.0\n4.0,0,0\n")])
+def test_scrna_writes_real_totals_in_full(tmp_path, fmt, text):
+    # a whole total is written as an integer, as for integer counts
+    counts_path, out = tmp_path / "counts.txt", tmp_path / "scrna.csv"
+    counts_path.write_text(text)
+    assert run(["scrna", "--input", str(counts_path), "--format", fmt, "--epsilon", "0.1",
+                "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["total_count"] for r in rows] == ["5.7", "4.9", "2.25", "4"]
+    assert [float(r["inv_count"]) for r in rows] == [1 / 5.7, 1 / 4.9, 1 / 2.25, 1 / 4]
+
+
 def test_scrna_warns_about_rejected_rows(tmp_path, capsys):
     cm = counts.synth_poisson_counts(40, 200, seed=5)
     # the last row is all zero

@@ -118,8 +118,7 @@ def test_fig8_uses_the_limit_exponent():
 
 def test_laplacian_errors_keys_and_magnitudes():
     [errs] = harness.laplacian_errors(500, [0.2], "none", seed=0)
-    assert set(errs) == {"robust", "traditional", "residual"}
-    assert errs["residual"] <= 1e-9
+    assert set(errs) == {"robust", "traditional"}
     assert 0.0 < errs["robust"] < 1.5
     assert 0.0 < errs["traditional"] < 1.5
 
@@ -133,21 +132,12 @@ def test_laplacian_sweep_draws_one_circle_and_one_distance_matrix(monkeypatch, t
     assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
 
-def test_transition_error_table_computes_one_distance_matrix(monkeypatch):
-    res = small_counts_experiment()
-    calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)
-    epsilons = [res["epsilon"] * f for f in (1.0, 1.5, 2.0)]
-    rows = harness.transition_error_table(res["normalized"], res["counts"].labels, epsilons)
-    assert len(calls["pairwise_sq_dists"]) == 1
-    assert [row["epsilon"] for row in rows] == [eps for eps in epsilons for _ in range(6)]
-
-
 def test_count_pipeline_computes_one_distance_matrix(monkeypatch):
     # the median rule and the kernel read the same D
     calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)
     res = small_counts_experiment()
     assert len(calls["pairwise_sq_dists"]) == 1
-    assert res["epsilon"] == harness.median_sq_dist_epsilon(res["normalized"])
+    assert res["scaled"].epsilon == harness.median_sq_dist_epsilon(res["normalized"])
 
 
 def test_median_sq_dist_epsilon():
@@ -163,13 +153,14 @@ def test_count_pipeline_tracks_inverse_depth():
     assert res["solution"].converged
 
 
-def test_transition_error_table_structure():
+def test_transition_errors_structure():
     res = small_counts_experiment()
-    rows = harness.transition_error_table(res["normalized"], res["counts"].labels,
-                                          [res["epsilon"]], alphas=(0.0, 1.0))
-    assert len(rows) == 4  # two alphas x two families
+    rows = harness.transition_errors(res["scaled"], res["qhat"], res["counts"].labels)
+    # three alphas x two families, at the solve's epsilon
+    assert [(row["alpha"], row["family"]) for row in rows] == [
+        (alpha, fam) for alpha in (0.0, 0.5, 1.0) for fam in ("robust", "traditional")]
     for row in rows:
-        assert row["family"] in ("robust", "traditional")
+        assert row["epsilon"] == res["scaled"].epsilon
         assert 0.0 <= row["mean_error"] <= row["worst_class_error"] <= 1.0
 
 
@@ -190,5 +181,5 @@ def test_post_solve_steps_leave_the_dense_views_unbuilt(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "est.csv")]) == 0
     mtx, labels = write_counts(tmp_path, res["counts"].entries, res["counts"].labels)
     assert cli.main(["scrna", "--input", str(mtx), "--labels", str(labels),
-                     "--epsilon", str(res["epsilon"]), "--out", str(tmp_path / "scrna.csv"),
+                     "--epsilon", str(res["scaled"].epsilon), "--out", str(tmp_path / "scrna.csv"),
                      "--transitions-out", str(tmp_path / "transitions.csv")]) == 0

@@ -123,6 +123,25 @@ def test_knn_recovery_identity_and_hand_example():
     assert abs(acc[0] - 0.75) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 25), seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 4, 0]),
+       data=st.data())
+def test_knn_recovery_is_the_mean_set_overlap(n, seed, levels, data):
+    # with few distinct levels most distances tie; 0 draws them continuously
+    rng = np.random.default_rng(seed)
+    draw = (lambda: rng.random((n, n))) if levels == 0 else (
+        lambda: rng.integers(0, levels, size=(n, n)).astype(float))
+    dists_a, dists_clean = draw(), draw()
+    k_max = data.draw(st.integers(1, n - 1))
+
+    def knn(d, i, k):  # ties go to the smaller index
+        return set(sorted((j for j in range(n) if j != i), key=lambda j: (d[i, j], j))[:k])
+
+    expected = [sum(len(knn(dists_a, i, k) & knn(dists_clean, i, k)) for i in range(n)) / n / k
+                for k in range(1, k_max + 1)]
+    assert inference.knn_recovery_accuracy(dists_a, dists_clean, k_max).tolist() == expected
+
+
 def test_knn_recovery_rejects_bad_shapes():
     d = np.zeros((4, 4))
     with pytest.raises(ParameterError):
@@ -182,7 +201,8 @@ def test_affinity_check_gap_is_the_dense_gap():
     -eps * (h_i + h_j + log K_ij), h = log((n-1) q)/2 + log d."""
     n, epsilon = 200, 0.1
     pipe = clean_circle(n, epsilon, seed=10, m=100, tol=scaling.POINTS_SOLVE.tol)
-    sample, aff, sol, scaled = pipe.sample, pipe.affinity, pipe.solution, pipe.scaled
+    sample, sol, scaled = pipe.sample, pipe.solution, pipe.scaled
+    aff = scaled.operator
     qhat = density.ds_kde(scaled, 2.0)
     nhat = inference.noise_magnitude(sol, qhat, epsilon)
     h = 0.5 * np.log((n - 1) * qhat.raw) + sol.log_d

@@ -14,7 +14,7 @@ def test_constant_functions_are_annihilated(alpha):
     qhat = density.ds_kde(pipe.scaled, 2.0)
     const = np.full(pipe.scaled.n, 3.1)
     for fam in (laplacian.robust_markov(pipe.scaled, qhat, alpha),
-                laplacian.traditional_markov(pipe.affinity, alpha)):
+                laplacian.traditional_markov(pipe.scaled.operator, alpha)):
         out = laplacian.apply_laplacian(fam, const, 0.1)
         assert np.abs(out).max() < 1e-9
 

@@ -159,12 +159,12 @@ def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_en
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_markov_families_match_dense_log_domain(noisy_circle, alpha):
     pipe, f, labels = noisy_circle
-    eps = pipe.affinity.epsilon
+    eps, affinity = pipe.scaled.epsilon, pipe.scaled.operator
     qhat = density.ds_kde(pipe.scaled, 2.0)
     cases = [(laplacian.robust_markov(pipe.scaled, qhat, alpha),
               dense_robust(log_w_of(pipe.scaled), qhat.raw, alpha)),
-             (laplacian.traditional_markov(pipe.affinity, alpha),
-              dense_traditional(pipe.affinity.log_entries, alpha))]
+             (laplacian.traditional_markov(affinity, alpha),
+              dense_traditional(affinity.log_entries, alpha))]
     for fam, markov in cases:
         assert_rel(laplacian.apply_laplacian(fam, f, eps), 4.0 / eps * (f - markov @ f))
         np.testing.assert_allclose(laplacian.transition_error(fam, labels),
@@ -175,16 +175,15 @@ def test_markov_families_match_dense_log_domain(noisy_circle, alpha):
 
 def test_small_eps_weights_drift_past_the_threshold_and_reabsorb(small_eps_counts):
     res = small_eps_counts
-    affinity, scaled, labels = res["affinity"], res["scaled"], res["counts"].labels
+    scaled, labels = res["scaled"], res["counts"].labels
     operator = scaled.operator
-    assert operator is affinity
     assert np.ptp(scaled.log_d) > kernel.ABSORB_THRESHOLD
     np.testing.assert_allclose(res["qhat"].raw, dense_ds_kde(log_w_of(scaled), 2.0), rtol=RTOL)
     f = np.cos(np.arange(scaled.n))
     for alpha in ALPHAS:
         before = operator.absorptions
-        trad = laplacian.traditional_markov(affinity, alpha)
-        markov = dense_traditional(affinity.log_entries, alpha)
+        trad = laplacian.traditional_markov(operator, alpha)
+        markov = dense_traditional(operator.log_entries, alpha)
         assert_rel(trad.apply(f), markov @ f)
         np.testing.assert_allclose(laplacian.transition_error(trad, labels),
                                    dense_leave(markov, labels), rtol=RTOL)
@@ -215,6 +214,31 @@ def test_only_the_kernel_module_reads_the_dense_log_matrix():
     assert readers({"log_entries"}, "kernel.py") == []
     assert readers({"w"}, "scaling.py") == []
     assert readers({"entries"}, "counts.py") == []
+
+
+def test_every_public_harness_name_has_a_reader_outside_the_tests():
+    # API that only tests call is test code: each public name harness.py
+    # defines is read by cli.py, by another definition in harness.py, or by
+    # the benchmark
+    root = Path(__file__).resolve().parents[1]
+
+    def reads(tree):
+        return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+    def defines(stmt):
+        targets = getattr(stmt, "targets", [])
+        return [stmt.name] if hasattr(stmt, "name") else [t.id for t in targets if hasattr(t, "id")]
+
+    readers = [root / "src" / "dskernel" / "cli.py",
+               *(path for path in (root / "perfbench").glob("*.py")
+                 if not path.name.startswith("test_"))]
+    outside = set().union(*(reads(ast.parse(path.read_text())) for path in readers))
+    body = ast.parse((root / "src" / "dskernel" / "harness.py").read_text()).body
+    unread = [name for stmt in body for name in defines(stmt)
+              if not name.startswith("_") and name not in outside.union(
+                  *(reads(other) for other in body if other is not stmt))]
+    assert unread == []
 
 
 def test_only_the_scaling_module_raises_convergence_errors():

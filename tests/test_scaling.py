@@ -53,6 +53,16 @@ def test_distinct_initializations_agree():
     np.testing.assert_allclose(sol_default.log_d, sol_random.log_d, rtol=0, atol=1e-6)
 
 
+def test_a_start_whose_first_residual_overflows_still_converges():
+    # only a NaN residual ends the solve short of max_iter; +inf does not
+    aff = clean_circle(120, 0.2, seed=3)
+    with np.errstate(over="ignore"):
+        far = scaling.sinkhorn_symmetric(aff, tol=1e-11, log_d0=np.full(120, 1000.0))
+    assert far.residual_history[0] == np.inf and far.converged
+    np.testing.assert_allclose(far.log_d, scaling.sinkhorn_symmetric(aff, tol=1e-11).log_d,
+                               rtol=0, atol=1e-6)
+
+
 def test_kernel_scale_invariance_of_w():
     # multiplying K by a global constant shifts log d but leaves W unchanged
     aff = clean_circle(80, 0.15, seed=4)
