@@ -63,7 +63,10 @@ def _add_scale(sub):
     p.add_argument("--tol", type=float, default=POINTS_SOLVE.tol)
     p.add_argument("--max-iter", type=int, default=POINTS_SOLVE.max_iter)
     p.add_argument("--out", required=True, help="log_d CSV path")
-    p.add_argument("--residuals-out", help="residual history CSV path")
+    p.add_argument("--residuals-out",
+                   help="residual history CSV path: one row per iterate, a rejected "
+                        "Anderson-mixed step included, so the residuals need not fall "
+                        "monotonically")
     p.set_defaults(run=_cmd_scale)
 
 

@@ -1,12 +1,21 @@
 """Symmetric matrix scaling in log domain, and W held in operator form.
 
 Finds d > 0 such that d_i K_ij d_j has prescribed row sums (all ones for the
-doubly stochastic case). The iteration is the damped symmetric fixed point
+doubly stochastic case). The fixed point is that of the damped symmetric map
 
-    log d  <-  (log d + log target - logsumexp_j(log K_ij + log d_j)) / 2
+    G(log d) = (log d + log target - logsumexp_j(log K_ij + log d_j)) / 2
 
-applied to all rows simultaneously. A solve that has not met the tolerance
-after ``max_iter`` steps, or whose residual is not finite, is returned with
+applied to all rows simultaneously, and the iteration is G under Anderson
+mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): each step combines G
+at the current iterate with the differences of G and of G(x) - x over the
+last ``ANDERSON_DEPTH`` accepted steps, the combination that minimizes
+G(x) - x in the least-squares sense. A mixed step is kept only if its
+residual falls below the last accepted one; otherwise, or if that residual
+is not finite, the solve takes the plain damped step from the last accepted
+iterate and clears the history. Every iterate costs one operator product
+and adds one residual to the history, so the history need not fall
+monotonically. A solve that has not met the tolerance after ``max_iter``
+iterates, or whose damped step has a NaN residual, is returned with
 ``converged=False``.
 
 Every row log-sum-exp is one matrix-vector product with the kernel, a
@@ -23,7 +32,7 @@ matrix, and assembling W costs O(n). The dense W is built afresh only when
 a caller asks for it.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -35,16 +44,19 @@ from .kernel import AffinityMatrix
 SolveSettings = namedtuple("SolveSettings", "tol max_iter")
 # every solve on points: the default here, in the harness and in the CLI
 POINTS_SOLVE = SolveSettings(1e-9, 100_000)
+# differences of past steps that each Anderson-mixed step combines
+ANDERSON_DEPTH = 5
 
 
 @dataclass
 class ScalingSolution:
     """Scaling factors of one solve and how the solve went.
 
-    ``residual_history[k]`` is the residual before step k + 1 and
-    ``residual`` its last entry; ``log_d`` is the vector after the last step.
-    ``absorptions`` counts how many times the solve built the stabilized
-    matrix.
+    ``residual_history[k]`` is the residual at iterate k + 1, a rejected
+    mixed step included, so ``iterations`` is its length and the number of
+    operator products; ``residual`` is its last entry, and ``log_d`` the
+    damped step from that iterate. ``absorptions`` counts how many times the
+    solve built the stabilized matrix.
     """
 
     log_d: np.ndarray
@@ -83,14 +95,40 @@ def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):
         operator.absorb(np.zeros(n))
         log_d = 0.5 * (log_t - row_lse(np.zeros(n)))
     history = []
+    # differences of G(x) and of f = G(x) - x between successive accepted
+    # iterates, and G, f and the residual at the last accepted one
+    d_g, d_f = deque(maxlen=ANDERSON_DEPTH), deque(maxlen=ANDERSON_DEPTH)
+    g_acc = f_acc = res_acc = None
+    mixed = False
     for _ in range(max_iter):
         lse = row_lse(log_d)
-        residual = np.abs(np.expm1(log_d + lse - log_t)).max()
-        log_d = 0.5 * (log_d + log_t - lse)
+        with np.errstate(over="ignore"):  # +inf is not converged, as any residual above tol
+            residual = np.abs(np.expm1(log_d + lse - log_t)).max()
         history.append(residual)
-        if not residual > tol:  # converged, or a NaN in log d that spreads to every later step
+        g = 0.5 * (log_d + log_t - lse)
+        if residual <= tol:
             break
-    return ScalingSolution(log_d, residual, len(history), bool(residual <= tol), np.array(history),
+        if mixed and not residual < res_acc:  # no decrease, or not finite
+            log_d, mixed = g_acc, False
+            d_g.clear()
+            d_f.clear()
+            continue
+        if np.isnan(residual):  # a NaN in a damped step spreads to every later one
+            break
+        f = g - log_d
+        if f_acc is not None:
+            d_g.append(g - g_acc)
+            d_f.append(f - f_acc)
+        g_acc, f_acc, res_acc = g, f, residual
+        log_d, mixed = g, False
+        if d_f:
+            df = np.column_stack(d_f)
+            try:  # the k x k normal equations: an SVD costs more than the step saves
+                gamma = np.linalg.solve(df.T @ df, df.T @ f)
+            except np.linalg.LinAlgError:  # singular: take the damped step
+                continue
+            log_d, mixed = g - np.column_stack(d_g) @ gamma, True
+    return ScalingSolution(g, residual, len(history), bool(residual <= tol), np.array(history),
                            operator.absorptions - absorbed_before)
 
 
@@ -105,8 +143,14 @@ def sinkhorn_symmetric(affinity, tol=POINTS_SOLVE.tol, max_iter=POINTS_SOLVE.max
     """Solve the symmetric scaling problem for a zero-diagonal affinity matrix.
 
     On convergence, max_i |sum_j d_i K_ij d_j - 1| <= tol with the sums
-    evaluated by log-sum-exp. A non-converged run returns a diagnostic
-    solution with ``converged=False``; the caller decides how to proceed.
+    evaluated by log-sum-exp. The iteration is the damped fixed point under
+    Anderson mixing; a mixed step that does not lower the residual is
+    replaced by the plain damped step from the last accepted iterate, with
+    the mixing history cleared. ``iterations`` counts every iterate, a
+    rejected one included, at one kernel product each, and
+    ``residual_history`` holds their residuals in order, so it need not fall
+    monotonically. A non-converged run returns a diagnostic solution with
+    ``converged=False``; the caller decides how to proceed.
     ``log_d0`` overrides the default starting vector; the fixed point is
     unique, so every start converges to the same scaling factors. The solve
     runs on the affinity, a kernel operator, and leaves it absorbed near the

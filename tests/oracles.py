@@ -158,6 +158,23 @@ def newton_symmetric_scaling(kernel, targets=None, tol=1e-13, max_iter=200):
     raise RuntimeError("newton oracle did not converge")
 
 
+def damped_symmetric_scaling(affinity, tol, max_iter):
+    """The plain damped fixed point log d <- (log d - row_lse(log d)) / 2
+    from the D^(-1/2) start, one kernel product per iteration, as the solver
+    ran before Anderson mixing. Returns (log d, iterations, converged).
+    """
+    row_lse = affinity.row_lse
+    affinity.absorb(np.zeros(affinity.n))
+    log_d = -0.5 * row_lse(np.zeros(affinity.n))
+    for iterations in range(1, max_iter + 1):
+        lse = row_lse(log_d)
+        residual = np.abs(np.expm1(log_d + lse)).max()
+        log_d = 0.5 * (log_d - lse)
+        if residual <= tol:
+            return log_d, iterations, True
+    return log_d, max_iter, False
+
+
 def pairwise_corrected_dists(points, nhat):
     """Corrected distances ||y_i - y_j||^2 - N_i - N_j from the pairwise
     squared distances, with a zero diagonal."""

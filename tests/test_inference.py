@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dskernel import cli, density, geometry, harness, inference, kernel, laplacian, scaling
@@ -173,6 +173,9 @@ def test_corrected_distances_improve_knn_under_noise():
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(n=st.integers(3, 30), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        epsilon=st.floats(1.0, 5.0), debias=st.booleans())
+# a mixed solve kept on a residual that only stays near its best lets log d
+# drift to +-1.9e14 here while the residual sits at 0.41
+@example(n=3, dim=2, seed=2, epsilon=1.0, debias=False)
 def test_kernel_route_matches_pairwise_route(n, dim, seed, epsilon, debias):
     points = np.random.default_rng(seed).normal(size=(n, dim))
     sq = kernel.pairwise_sq_dists(points)

@@ -8,7 +8,8 @@ from scipy.special import logsumexp
 
 from dskernel import density, harness, inference, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
-from oracles import clean_circle, clean_sample, log_w_of, newton_symmetric_scaling
+from oracles import (clean_circle, clean_sample, damped_symmetric_scaling, log_w_of,
+                     newton_symmetric_scaling)
 
 
 def test_scaled_matrix_is_doubly_stochastic():
@@ -56,8 +57,7 @@ def test_distinct_initializations_agree():
 def test_a_start_whose_first_residual_overflows_still_converges():
     # only a NaN residual ends the solve short of max_iter; +inf does not
     aff = clean_circle(120, 0.2, seed=3)
-    with np.errstate(over="ignore"):
-        far = scaling.sinkhorn_symmetric(aff, tol=1e-11, log_d0=np.full(120, 1000.0))
+    far = scaling.sinkhorn_symmetric(aff, tol=1e-11, log_d0=np.full(120, 1000.0))
     assert far.residual_history[0] == np.inf and far.converged
     np.testing.assert_allclose(far.log_d, scaling.sinkhorn_symmetric(aff, tol=1e-11).log_d,
                                rtol=0, atol=1e-6)
@@ -238,6 +238,50 @@ def test_small_bandwidth_circle_converges_within_budget():
     assert pipe.solution.iterations <= 300
 
 
+@pytest.mark.parametrize("n, epsilon, budget", [(300, 1e-3, 500), (4, 0.1, 200)])
+def test_circles_the_damped_fixed_point_stalled_on_converge_within_budget(n, epsilon, budget):
+    # the damped fixed point alone stopped at residual 5.9e-4 after 3,000
+    # iterations on (300, 1e-3), and at 1e-5 after 100,000 on the n=4 circle
+    sol = harness.circle_pipeline(n, n, epsilon, max_iter=budget).solution
+    assert sol.converged
+    assert sol.iterations == len(sol.residual_history) <= budget
+    assert sol.residual == sol.residual_history[-1]
+
+
+def jittered_ring(n, seed):
+    """``n`` points on the unit circle at equal angles, each moved by up to
+    10 % of the spacing."""
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.1, 0.1, size=n)) / n
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@pytest.mark.parametrize("n, epsilon", [(6, 0.16), (10, 0.086)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jittered_rings_converge_within_budget(n, epsilon, seed):
+    # a kernel close to a bipartite cycle graph, whose slow mode held the
+    # damped fixed point alone above 1e-7 after 20,000 iterations
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(jittered_ring(n, seed)), epsilon)
+    sol = scaling.sinkhorn_symmetric(aff, max_iter=200)
+    assert sol.converged
+    assert sol.iterations == len(sol.residual_history)
+
+
+@pytest.mark.parametrize("noise_model, n, epsilon", [("varying_ball", 300, 0.1),
+                                                     ("none", 800, 5e-3)])
+def test_mixed_solve_matches_the_damped_fixed_point_in_fewer_iterations(noise_model, n,
+                                                                        epsilon):
+    _, noise = harness.circle_dataset(n, n, noise_model)
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(noise.noisy_points), epsilon)
+    tol, max_iter = scaling.POINTS_SOLVE
+    reference, reference_iterations, reference_converged = damped_symmetric_scaling(
+        aff, tol, max_iter)
+    sol = scaling.sinkhorn_symmetric(aff)
+    assert sol.converged and reference_converged
+    np.testing.assert_allclose(sol.log_d, reference, rtol=0, atol=1e-8)
+    assert sol.iterations <= 0.6 * reference_iterations
+
+
 def test_solution_reports_absorptions():
     sol = harness.circle_pipeline(300, 300, 0.1).solution
     assert sol.converged
@@ -320,6 +364,15 @@ def test_rejects_tiny_matrices_and_bad_entries():
 def test_rejects_bad_solver_parameters(kwargs, name):
     with pytest.raises(ParameterError, match=name):
         scaling.sinkhorn_symmetric(clean_circle(10, 0.1), **kwargs)
+
+
+def test_a_tolerance_below_roundoff_runs_out_its_budget():
+    # once log d stops changing, the differences the mixing fits are zero and
+    # its normal equations singular: the solve takes the damped step instead
+    sol = scaling.sinkhorn_symmetric(clean_circle(50, 0.1), tol=1e-18, max_iter=1000)
+    assert not sol.converged
+    assert sol.iterations == len(sol.residual_history) == 1000
+    assert sol.residual < 1e-14
 
 
 def test_assemble_refuses_unconverged_solution():
