@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .kernel import KernelOperator, _check_epsilon
-from .scaling import _scale_log_matrix
+from .scaling import _check_converged, _scale_log_matrix
 
 S_LIMIT = "limit"
 
@@ -89,7 +89,8 @@ def raw_density(qhat):
 
 @dataclass(frozen=True)
 class PopulationScaling:
-    """Solution of the continuum scaling equation on a circle grid."""
+    """Solution of the continuum scaling equation on a circle grid, with the
+    residual its scaling solve measured (at most the solve's tol, 1e-11)."""
 
     grid: np.ndarray  # the N uniformly spaced quadrature angles 2 pi k / N
     rho: np.ndarray
@@ -110,6 +111,8 @@ def solve_population_scaling_1d(density, epsilon):
     trapezoid rule converges exponentially on a smooth periodic integrand, so
     a finer grid gives the same rho on the shared points to rounding. That
     assumes q is smooth on the grid scale: content at a multiple of N aliases.
+    A q that is not one positive, finite value per angle raises ParameterError,
+    and an unconverged solve ConvergenceError, as every solve does.
     """
     _check_epsilon(epsilon)
     resolving = [n for n in (256, 512, 1024, 2048, 4096)
@@ -121,28 +124,24 @@ def solve_population_scaling_1d(density, epsilon):
 
 
 def _solve_on_grid(density, epsilon, size):
-    """The population solve on ``size`` uniformly spaced angles."""
+    """The population solve on ``size`` uniformly spaced angles: one scaling
+    solve of log C = log K + (log w_i + log w_j) / 2, w = q h the weights."""
     h = 2.0 * np.pi / size
     theta = np.arange(size) * h
     q = np.asarray(density(theta), dtype=float)
-    if np.any(q <= 0):
-        raise ParameterError("density must be strictly positive on the grid")
-    # chordal distance on the unit circle
-    diff = theta[:, None] - theta[None, :]
-    log_k = -(4.0 * np.sin(diff / 2.0) ** 2) / epsilon
-    log_w_quad = np.log(q * h)
-    log_c = log_k + 0.5 * (log_w_quad[:, None] + log_w_quad[None, :])
+    if q.shape != theta.shape or not np.all((q > 0) & (q < np.inf)):
+        raise ParameterError("density must give one positive, finite value per grid angle")
+    log_w = np.log(q * h)
+    # the chordal log K = -4 sin^2(diff / 2) / eps, then log C, in one N x N buffer
+    log_c = np.subtract.outer(theta, theta) / 2.0
+    np.sin(log_c, out=log_c)
+    np.square(log_c, out=log_c)
+    log_c *= -4.0 / epsilon
+    log_c += 0.5 * log_w[:, None]
+    log_c += 0.5 * log_w
     # row targets q_k * h * sqrt(pi eps) make psi = rho * sqrt(q h) the scaled vector
-    log_targets = log_w_quad + 0.5 * np.log(np.pi * epsilon)
+    log_targets = log_w + 0.5 * np.log(np.pi * epsilon)
     sol = _scale_log_matrix(KernelOperator(log_c), tol=1e-11, max_iter=100_000,
                             log_targets=log_targets)
-    if not sol.converged:
-        raise ParameterError("population scaling solve did not converge")
-    rho = np.exp(sol.log_d - 0.5 * log_w_quad)
-    # back-substitute into the quadrature form of the integral equation
-    kernel = np.exp(log_k)
-    lhs = rho * (kernel @ (rho * q * h)) / np.sqrt(np.pi * epsilon)
-    residual = np.abs(lhs - 1.0).max()
-    if residual > 1e-8:
-        raise ParameterError(f"population scaling residual {residual:.2e} exceeds 1e-8")
-    return PopulationScaling(grid=theta, rho=rho, residual=residual)
+    _check_converged(sol)
+    return PopulationScaling(theta, np.exp(sol.log_d - 0.5 * log_w), sol.residual)

@@ -175,6 +175,18 @@ def damped_symmetric_scaling(affinity, tol, max_iter):
     return log_d, max_iter, False
 
 
+def population_lhs(population, density, epsilon):
+    """The left side (pi eps)^(-1/2) rho_k sum_j K_kj rho_j q_j h of the
+    trapezoid-rule population equation, at the rho of the PopulationScaling
+    that ``density`` and ``epsilon`` gave, with the dense linear kernel
+    K = exp(-4 sin^2((theta_k - theta_j) / 2) / eps): the back-substitution
+    of the solution into the equation it solves, ones at an exact solution."""
+    theta, rho = population.grid, population.rho
+    h = 2.0 * np.pi / theta.size
+    k = np.exp(-4.0 * np.sin((theta[:, None] - theta[None, :]) / 2.0) ** 2 / epsilon)
+    return rho * (k @ (rho * density(theta) * h)) / np.sqrt(np.pi * epsilon)
+
+
 def pairwise_corrected_dists(points, nhat):
     """Corrected distances ||y_i - y_j||^2 - N_i - N_j from the pairwise
     squared distances, with a zero diagonal."""

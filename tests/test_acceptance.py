@@ -8,9 +8,11 @@ The heavy simulated pipelines are shared through module-scoped fixtures.
 ``circles_2000`` visits each n=m=2000 circle of criteria 2, 3, 4 and 7 once:
 for every noise model and seeds 0-9 it draws the circle, computes its
 distance matrix once and solves every epsilon those criteria need, keeping
-only the error scalars. Criteria 2 and 3 read its seed means at eps=0.1,
-criterion 4 its seeds 0-4 as the n=2000 point, and criterion 7 its per-eps
-means of the Laplacian errors.
+only the error scalars and, at eps=0.1, the per-point gaps between d and its
+population form. Criteria 2 and 3 read its seed means at eps=0.1, criteria 4
+and 11 its seeds 0-4 as the n=2000 point, and criterion 7 its per-eps means
+of the Laplacian errors. ``circles_500_1000`` holds the same eps=0.1 errors
+of the n=m=500 and 1000 circles, seeds 0-4, for criteria 4 and 11.
 """
 
 from collections import defaultdict
@@ -39,13 +41,30 @@ def _report(criterion, ok, detail):
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="module")
-def circles_2000():
+def population():
+    """The population scaling of the paper's density at eps=0.1."""
+    return density.solve_population_scaling_1d(
+        lambda t: geometry.wrapped_normal_density(t, geometry.CIRCLE_SIGMA_SQ), EPSILON)
+
+
+def _population_errors(pipe, population):
+    """sqrt(n) (pi eps)^(1/4) d_i e^(-eta_i/eps) / rho_eps(theta_i) - 1 per point:
+    d with the noise factor e^(eta_i/eps) taken out against its population
+    form, rho_eps interpolated periodically from the population grid."""
+    rho = np.interp(pipe.sample.angles, population.grid, population.rho, period=2.0 * np.pi)
+    d_clean = np.exp(pipe.solution.log_d - pipe.noise.true_noise_sq / EPSILON)
+    return np.sqrt(pipe.scaled.n) * (np.pi * EPSILON) ** 0.25 * d_clean / rho - 1.0
+
+
+@pytest.fixture(scope="module")
+def circles_2000(population):
     """Error scalars of the n=m=2000 circles, seeds 0-9, per noise model.
 
     Each circle is drawn once and gets one distance matrix, shared by its
-    solves: eps=0.1 gives the density errors at s=2, and the Laplacian sweep
-    gives the robust and traditional operator errors at alpha=1 (not for
-    outlier noise). Lists run over seeds in ascending order.
+    solves: eps=0.1 gives the density errors at s=2 and the population
+    errors per point, and the Laplacian sweep gives the robust and
+    traditional operator errors at alpha=1 (not for outlier noise). Lists
+    run over seeds in ascending order.
     """
     out = {}
     for noise in NOISE_MODELS:
@@ -60,6 +79,7 @@ def circles_2000():
                     density_errs = harness._density_errors(pipe, [S], DIM)
                     errs["kde"].append(density_errs["kde"])
                     errs["dskde"].append(density_errs["dskde_s2"])
+                    errs["population"].append(_population_errors(pipe, population))
                 if noise in LAPLACIAN_NOISE:
                     lap_errs = harness._laplacian_errors(pipe, S, 1.0)
                     for family in ("robust", "traditional"):
@@ -67,6 +87,23 @@ def circles_2000():
                 del pipe  # one log K and one absorbed matrix alive at a time
             del d
         out[noise] = dict(errs)
+    return out
+
+
+@pytest.fixture(scope="module")
+def circles_500_1000(population):
+    """The eps=0.1 DS-KDE error at s=2 and the population errors per point of
+    the n=m=500 and 1000 circles, seeds 0-4 in ascending order, by (noise
+    model, n)."""
+    out = {}
+    for noise in NOISE_MODELS:
+        for n in (500, 1000):
+            errs = defaultdict(list)
+            for seed in range(5):
+                pipe = harness.circle_pipeline(n, n, EPSILON, noise, seed=seed)
+                errs["dskde"].append(harness._density_errors(pipe, [S], DIM)["dskde_s2"])
+                errs["population"].append(_population_errors(pipe, population))
+            out[noise, n] = dict(errs)
     return out
 
 
@@ -134,17 +171,11 @@ def test_criterion_03_ds_kde_noise_robustness(circles_2000):
     _report("criterion-03 ds-kde-noise-robustness", ok, detail)
 
 
-def test_criterion_04_convergence_rate(circles_2000):
+def test_criterion_04_convergence_rate(circles_500_1000, circles_2000):
     ns = np.array([500.0, 1000.0, 2000.0])
     slopes = {}
     for noise in NOISE_MODELS:
-        means = []
-        for n in ns[:2]:
-            errs = []
-            for seed in range(5):
-                pipe = harness.circle_pipeline(int(n), int(n), EPSILON, noise, seed=seed)
-                errs.append(harness._density_errors(pipe, [S], DIM)["dskde_s2"])
-            means.append(np.mean(errs))
+        means = [np.mean(circles_500_1000[noise, n]["dskde"]) for n in (500, 1000)]
         means.append(np.mean(circles_2000[noise]["dskde"][:5]))  # n=2000, seeds 0-4
         slopes[noise] = np.polyfit(np.log(ns), np.log(means), 1)[0]
     ok = all(-0.7 <= v <= -0.3 for v in slopes.values())
@@ -298,3 +329,23 @@ def test_criterion_10_exact_invariants():
     ok = all(checks.values())
     _report("criterion-10 exact-invariants", ok,
             ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))
+
+
+def test_criterion_11_population_concentration(circles_500_1000, circles_2000):
+    # d_i e^(-eta_i/eps) approaches n^(-1/2) (pi eps)^(-1/4) rho_eps(theta_i):
+    # per n, the median relative gap (mean over seeds 0-4 and the noise
+    # models), its log-log slope, and the largest median gap between a noisy
+    # circle's errors and the clean one's of the same seed
+    ns = (500, 1000, 2000)
+    errors = {(noise, n): (circles_500_1000[noise, n] if n < 2000 else circles_2000[noise])
+              ["population"][:5] for noise in NOISE_MODELS for n in ns}
+    medians = [np.mean([np.median(np.abs(e)) for noise in NOISE_MODELS
+                        for e in errors[noise, n]]) for n in ns]
+    slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
+    gaps = [max(np.median(np.abs(e - clean)) for noise in NOISE_MODELS[1:]
+                for e, clean in zip(errors[noise, n], errors["none", n])) for n in ns]
+    ok = medians[-1] <= 0.03 and -0.8 <= slope <= -0.25 and max(gaps) <= 0.025
+    _report("criterion-11 population-concentration", ok,
+            f"median errors={[f'{m:.4f}' for m in medians]} (n=2000 <= 0.03), "
+            f"slope={slope:.3f} (band [-0.8, -0.25]), noisy-vs-clean gaps="
+            f"{[f'{g:.4f}' for g in gaps]} (<= 0.025)")

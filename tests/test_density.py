@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from dskernel import density, geometry, kernel, scaling
-from dskernel.errors import ParameterError
+from dskernel.errors import ConvergenceError, ParameterError
 from dskernel.geometry import CIRCLE_SIGMA_SQ
-from oracles import clean_circle, dense_ds_kde, log_w_of
+from oracles import clean_circle, dense_ds_kde, log_w_of, population_lhs
+
+PAPER = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
+WAVY = lambda t: (1.0 + 0.5 * np.cos(60.0 * t)) / (2.0 * np.pi)
+UNIFORM = lambda t: np.full_like(t, 1.0 / (2.0 * np.pi))
 
 
 def test_uniform_w_gives_unit_density():
@@ -72,25 +76,22 @@ def test_normalized_estimate_tracks_true_density():
 
 def test_population_scaling_uniform_density_is_flat():
     q0 = 1.0 / (2.0 * np.pi)
-    ps = density.solve_population_scaling_1d(lambda t: np.full_like(t, q0), 0.05)
-    assert ps.residual <= 1e-8
+    ps = density.solve_population_scaling_1d(UNIFORM, 0.05)
+    assert ps.residual <= 1e-11
     # rho is constant by symmetry and close to q^(-1/2)
     assert ps.rho.std() / ps.rho.mean() < 1e-10
     assert abs(ps.rho.mean() - q0 ** -0.5) / q0 ** -0.5 < 0.05
 
 
 def test_population_scaling_approximates_inverse_sqrt_density():
-    ps = density.solve_population_scaling_1d(
-        lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ), 0.025)
-    q = geometry.wrapped_normal_density(ps.grid, CIRCLE_SIGMA_SQ)
+    ps = density.solve_population_scaling_1d(PAPER, 0.025)
+    q = PAPER(ps.grid)
     rel = np.abs(ps.rho - q**-0.5) / q**-0.5
     assert rel.max() < 0.05
 
 
 def test_population_scaling_grid_refinement_is_stable():
-    paper = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
-    wavy = lambda t: (1.0 + 0.5 * np.cos(60.0 * t)) / (2.0 * np.pi)
-    for fn, epsilon in [(paper, 0.1), (paper, 0.025), (wavy, 0.1)]:
+    for fn, epsilon in [(PAPER, 0.1), (PAPER, 0.025), (WAVY, 0.1)]:
         coarse = density.solve_population_scaling_1d(fn, epsilon)
         fine = density._solve_on_grid(fn, epsilon, 4 * coarse.grid.size)
         # the chosen grid is every fourth point of the finer one
@@ -99,12 +100,41 @@ def test_population_scaling_grid_refinement_is_stable():
 
 
 def test_population_scaling_rejects_unresolvable_grid():
-    fn = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
     with pytest.raises(ParameterError, match="epsilon too small.*epsilon=1e-05"):
-        density.solve_population_scaling_1d(fn, 1e-5)
+        density.solve_population_scaling_1d(PAPER, 1e-5)
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
-            density.solve_population_scaling_1d(fn, bad)
-    with pytest.raises(ParameterError):
-        density.solve_population_scaling_1d(lambda t: np.zeros_like(t), 0.05)
+            density.solve_population_scaling_1d(PAPER, bad)
+    # zero, NaN or +inf at one angle, and a scalar for the whole grid
+    for fn in (np.zeros_like, lambda t: np.where(t > 3.0, np.nan, PAPER(t)),
+               lambda t: np.where(t > 3.0, np.inf, PAPER(t)), lambda t: 1 / (2 * np.pi)):
+        with pytest.raises(ParameterError, match="one positive, finite value per grid angle"):
+            density.solve_population_scaling_1d(fn, 0.05)
 
+
+# every (density, epsilon, grid) of the suite's population solves: grid 1 is
+# the one the solver picks, and 4 its fourfold refinement
+DENSITIES = {"uniform": UNIFORM, "paper": PAPER, "wavy": WAVY}
+POPULATION_CASES = ([("uniform", 0.05, 1), ("wavy", 0.1, 1), ("wavy", 0.1, 4)]
+                    + [("paper", eps, 1) for eps in (0.1, 0.05, 0.025, 0.0125, 1e-3)]
+                    + [("paper", eps, 4) for eps in (0.1, 0.025)])
+
+
+@pytest.mark.parametrize("name, epsilon, refine", POPULATION_CASES)
+def test_population_scaling_solves_the_quadrature_equation(name, epsilon, refine):
+    fn = DENSITIES[name]
+    ps = density.solve_population_scaling_1d(fn, epsilon)
+    if refine > 1:
+        ps = density._solve_on_grid(fn, epsilon, refine * ps.grid.size)
+    assert ps.residual <= 1e-11
+    assert np.abs(population_lhs(ps, fn, epsilon) - 1.0).max() <= 1e-8
+
+
+def test_population_scaling_refuses_an_unconverged_solve(monkeypatch):
+    # the refusal is the scaling module's, with the solve's residual and count
+    solve = density._scale_log_matrix
+    monkeypatch.setattr(density, "_scale_log_matrix",
+                        lambda operator, tol, max_iter, **kw: solve(operator, tol, 1, **kw))
+    with pytest.raises(ConvergenceError,
+                       match=r"^scaling stopped at residual \S+ after 1 iterations$"):
+        density.solve_population_scaling_1d(PAPER, 0.05)

@@ -124,6 +124,19 @@ def test_noise_models_are_mean_zero():
 
 
 @pytest.mark.parametrize("model", geometry.NOISE_MODELS)
+def test_noise_models_have_their_second_moment(model):
+    # E ||eta_i||^2 of each law: r_i^2 m / (m + 2) for a uniform ball of radius
+    # r_i, 0.1 * m / (4m) for outlier_gaussian and 0.1 * m * E sigma / m for
+    # outlier_scaled_gaussian; the mean over the draw lies within 5 standard errors
+    n, m = 100_000, 3
+    sample = clean_sample(n, seed=4, m=m)
+    expected = {"none": 0.0, "outlier_gaussian": 0.1 / 4.0, "outlier_scaled_gaussian": 0.05,
+                "varying_ball": geometry.varying_ball_radius(sample.angles) ** 2 * m / (m + 2)}
+    gap = geometry.apply_noise(sample, model, seed=6).true_noise_sq - expected[model]
+    assert abs(gap.mean()) <= 5.0 * gap.std() / np.sqrt(n)
+
+
+@pytest.mark.parametrize("model", geometry.NOISE_MODELS)
 def test_true_noise_sq_is_the_applied_corruption(model):
     sample = clean_sample(500, seed=1, m=20)
     noise = geometry.apply_noise(sample, model, seed=5)
