@@ -203,6 +203,8 @@ def _cmd_density(args):
 
 
 def _cmd_denoise(args):
+    if args.dim is not None:  # checked whether or not --debias reads it
+        density_mod._check_closed_form(args.epsilon, args.dim, args.s)
     points = geometry.load_points_csv(args.input)
     truth = _read_sidecar_column(args.sidecar, "true_noise_sq", len(points))
     pipe = harness.scale_points(points, args.epsilon, args.tol, args.max_iter)

@@ -315,16 +315,22 @@ def test_bench_records_a_failed_sweep_point(tmp_path, monkeypatch):
         assert row["mean_max_error"] == row["std_max_error"] == ""
 
 
-def test_bench_settings_are_checked_before_any_data_is_drawn(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "fig3", "--epsilon", "0", "--sweep", "50", "--repeats", "1"],
+     "epsilon must be positive and finite, got 0.0"),
+    (["laplacian", "--alpha", "1.5", "--epsilon", "0.1"], "alpha must lie in [0, 1]"),
+    (["laplacian", "--epsilon", "0.1", "--epsilon", "0"],
+     "epsilon must be positive and finite, got 0.0"),
+], ids=["bench-epsilon", "laplacian-alpha", "laplacian-sweep-epsilon"])
+def test_settings_are_checked_before_any_data_is_drawn(tmp_path, capsys, monkeypatch, argv,
+                                                       message):
     def unreachable(*args, **kwargs):
         raise AssertionError("the circle was generated")
 
     monkeypatch.setattr(harness, "circle_dataset", unreachable)
-    out = tmp_path / "f.csv"
-    code = run(["bench", "fig3", "--epsilon", "0", "--sweep", "50", "--repeats", "1",
-                "--out", str(out)])
-    assert code == 1
-    assert one_line_error(capsys) == "error: epsilon must be positive and finite, got 0.0\n"
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert one_line_error(capsys) == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -360,29 +366,6 @@ def test_kernel_without_finite_entries_is_a_one_line_error(simulated, tmp_path, 
                 "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert one_line_error(capsys) == "error: row 0 of the matrix is zero\n"
-
-
-def test_bad_alpha_is_reported_before_any_data_is_built(tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the circle was generated")
-
-    monkeypatch.setattr(harness, "circle_dataset", unreachable)
-    code = run(["laplacian", "--alpha", "1.5", "--epsilon", "0.1",
-                "--out", str(tmp_path / "lap.csv")])
-    assert code == 1
-    assert one_line_error(capsys) == "error: alpha must lie in [0, 1]\n"
-
-
-def test_bad_epsilon_in_a_sweep_is_reported_before_any_data_is_built(
-        tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the circle was generated")
-
-    monkeypatch.setattr(harness, "circle_dataset", unreachable)
-    code = run(["laplacian", "--epsilon", "0.1", "--epsilon", "0",
-                "--out", str(tmp_path / "lap.csv")])
-    assert code == 1
-    assert one_line_error(capsys) == "error: epsilon must be positive and finite, got 0.0\n"
 
 
 def test_bench_subcommand(tmp_path):
@@ -444,15 +427,6 @@ def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     one_line_error(capsys)
 
 
-def test_bad_epsilon_is_reported(simulated, tmp_path, capsys):
-    points, _ = simulated
-    for bad in ("-1", "inf", "nan"):
-        code = run(["scale", "--input", str(points), "--epsilon", bad,
-                    "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert "epsilon must be positive and finite" in one_line_error(capsys)
-
-
 def one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -463,9 +437,12 @@ def one_line_error(capsys):
 @pytest.mark.parametrize("flags, name", [(["--max-iter", "0"], "max_iter"),
                                          (["--max-iter", "-5"], "max_iter"),
                                          (["--tol", "-1"], "tol"),
-                                         (["--tol", "inf"], "tol")])
+                                         (["--tol", "inf"], "tol")]
+                         + [(["--epsilon", bad], "epsilon must be positive and finite")
+                            for bad in ("-1", "inf", "nan")])
 def test_bad_solver_parameters_are_one_line_errors(simulated, tmp_path, capsys, flags, name):
     points, _ = simulated
+    # in the epsilon rows, the second --epsilon replaces the first
     code = run(["scale", "--input", str(points), "--epsilon", "0.05",
                 "--out", str(tmp_path / "o.csv"), *flags])
     assert code == 1
@@ -545,13 +522,15 @@ def test_bad_exponent_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, s):
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_debias_needs_a_positive_dim(simulated, tmp_path, capsys, dim):
+    # a --dim that is given is checked whether or not --debias reads it
     points, _ = simulated
     out = tmp_path / "o.csv"
-    code = run(["denoise", "--input", str(points), "--epsilon", "0.1", "--debias",
-                "--dim", dim, "--out", str(out)])
-    assert code == 1
-    assert f"intrinsic dimension >= 1, got {dim}" in one_line_error(capsys)
-    assert not out.exists()
+    for flags in (["--debias"], []):
+        code = run(["denoise", "--input", str(points), "--epsilon", "0.1", *flags,
+                    "--dim", dim, "--out", str(out)])
+        assert code == 1
+        assert f"intrinsic dimension >= 1, got {dim}" in one_line_error(capsys)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, where", [("1,2\n3,x\n", "line 2: column 2"),

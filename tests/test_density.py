@@ -4,7 +4,7 @@ import pytest
 from dskernel import density, geometry, kernel, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 from dskernel.geometry import CIRCLE_SIGMA_SQ
-from oracles import clean_circle, dense_ds_kde, log_w_of, population_lhs
+from oracles import clean_circle, population_lhs
 
 PAPER = lambda t: geometry.wrapped_normal_density(t, CIRCLE_SIGMA_SQ)
 WAVY = lambda t: (1.0 + 0.5 * np.cos(60.0 * t)) / (2.0 * np.pi)
@@ -19,14 +19,6 @@ def test_uniform_w_gives_unit_density():
     np.testing.assert_allclose(est.raw, 1.0, rtol=0, atol=1e-12)
     est_limit = density.ds_kde(w, density.S_LIMIT)
     np.testing.assert_allclose(est_limit.raw, 1.0, rtol=0, atol=1e-12)
-
-
-def test_ds_kde_matches_brute_force():
-    scaled = clean_circle(120, 0.1, seed=1, tol=1e-12).scaled
-    for s in (0.5, 2.0, 3.0):
-        got = density.ds_kde(scaled, s)
-        expected = dense_ds_kde(log_w_of(scaled), s)
-        np.testing.assert_allclose(got.raw, expected, rtol=1e-10)
 
 
 def test_entropy_limit_agrees_with_s_near_one():

@@ -4,7 +4,7 @@ from scipy.spatial.distance import cdist
 
 from dskernel import counts, geometry, kernel, laplacian
 from dskernel.errors import ParameterError
-from oracles import clean_sample, dense_traditional
+from oracles import clean_sample
 
 
 def random_points(n, m, seed=0):
@@ -70,16 +70,6 @@ def test_traditional_normalization_row_stochastic(alpha):
     np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.diag(markov) == 0.0)
     assert markov.min() >= 0.0
-
-
-def test_traditional_normalization_matches_dense_oracle():
-    pts = random_points(20, 3, seed=6)
-    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.6)
-    for alpha in (0.0, 0.5, 1.0):
-        expected = dense_traditional(aff.log_entries, alpha)
-        fam = laplacian.traditional_markov(aff, alpha)
-        got = fam.apply(np.eye(fam.n))
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-14)
 
 
 def test_pairwise_sq_dists_accurate_on_offset_data():

@@ -5,7 +5,7 @@ import pytest
 
 from dskernel import density, geometry, kernel, laplacian
 from dskernel.errors import ParameterError
-from oracles import clean_circle, dense_robust, log_w_of
+from oracles import clean_circle
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
@@ -35,16 +35,6 @@ def test_robust_markov_is_row_stochastic():
         np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(np.diag(markov) == 0.0)
         assert fam.source_tag == "robust"
-
-
-def test_robust_markov_matches_dense_oracle():
-    scaled = clean_circle(100, 0.1, tol=1e-12).scaled
-    qhat = density.ds_kde(scaled, 2.0)
-    alpha = 0.8
-    expected = dense_robust(log_w_of(scaled), qhat.raw, alpha)
-    fam = laplacian.robust_markov(scaled, qhat, alpha)
-    got = fam.apply(np.eye(fam.n))
-    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-15)
 
 
 def test_alpha_out_of_range_raises():

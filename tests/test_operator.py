@@ -18,10 +18,11 @@ from scipy.special import logsumexp
 
 from dskernel import density, geometry, harness, kernel, laplacian
 from dskernel.errors import ParameterError
+from mutants import MUTANTS
 from oracles import (dense_ds_kde, dense_leave, dense_robust, dense_traditional, log_w_of,
                      small_counts_experiment)
 
-ALPHAS = (0.0, 0.25, 0.5, 1.0)
+ALPHAS = (0.0, 0.25, 0.5, 0.8, 1.0)
 RTOL = 1e-12
 
 
@@ -49,7 +50,7 @@ def small_eps_counts():
     return small_counts_experiment(epsilon=eps, tol=1e-9, max_iter=20_000)
 
 
-@pytest.mark.parametrize("s", [0.5, 2.0, density.S_LIMIT])
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0, density.S_LIMIT])
 def test_ds_kde_matches_dense_log_domain(noisy_circle, s):
     scaled = noisy_circle[0].scaled
     expected = dense_ds_kde(log_w_of(scaled), s)
@@ -252,3 +253,11 @@ def test_only_the_scaling_module_raises_convergence_errors():
         if isinstance(node, ast.Call) and "ConvergenceError" in {
             getattr(node.func, "id", None), getattr(node.func, "attr", None)})
     assert builders == []
+
+
+def test_every_mutant_of_the_gate_applies_once():
+    # tests/mutants.py replaces each text in its file: a refactor that moves
+    # one fails here at once, not only when the gate runs
+    package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
+    for name, file, old, new in MUTANTS:
+        assert (package / file).read_text().count(old) == 1 and new != old, name

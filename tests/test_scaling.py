@@ -12,17 +12,6 @@ from oracles import (clean_circle, clean_sample, damped_symmetric_scaling, log_w
                      newton_symmetric_scaling)
 
 
-def test_scaled_matrix_is_doubly_stochastic():
-    aff = clean_circle(300, 0.1, seed=1)
-    sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
-    assert sol.converged
-    w = scaling.assemble_W(aff, sol).w
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=5e-9)
-    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=5e-9)
-    assert np.array_equal(w, w.T)
-    assert np.all(np.diag(w) == 0.0)
-
-
 def test_w_holds_its_kernel_and_reads_epsilon_from_it():
     aff = clean_circle(60, 0.1)
     scaled = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff))
@@ -44,16 +33,6 @@ def test_matches_newton_oracle_on_small_matrices():
         np.testing.assert_allclose(sol.log_d, expected, rtol=0, atol=1e-8)
 
 
-def test_distinct_initializations_agree():
-    aff = clean_circle(120, 0.2, seed=3)
-    sol_default = scaling.sinkhorn_symmetric(aff, tol=1e-11)
-    rng = np.random.default_rng(0)
-    sol_random = scaling.sinkhorn_symmetric(aff, tol=1e-11,
-                                            log_d0=rng.normal(scale=2.0, size=120))
-    assert sol_default.converged and sol_random.converged
-    np.testing.assert_allclose(sol_default.log_d, sol_random.log_d, rtol=0, atol=1e-6)
-
-
 def test_a_start_whose_first_residual_overflows_still_converges():
     # only a NaN residual ends the solve short of max_iter; +inf does not
     aff = clean_circle(120, 0.2, seed=3)
@@ -61,16 +40,6 @@ def test_a_start_whose_first_residual_overflows_still_converges():
     assert far.residual_history[0] == np.inf and far.converged
     np.testing.assert_allclose(far.log_d, scaling.sinkhorn_symmetric(aff, tol=1e-11).log_d,
                                rtol=0, atol=1e-6)
-
-
-def test_kernel_scale_invariance_of_w():
-    # multiplying K by a global constant shifts log d but leaves W unchanged
-    aff = clean_circle(80, 0.15, seed=4)
-    shifted = kernel.AffinityMatrix(log_entries=aff.log_entries + 3.7,
-                                    epsilon=aff.epsilon)
-    w_a = scaling.assemble_W(aff, scaling.sinkhorn_symmetric(aff, tol=1e-12))
-    w_b = scaling.assemble_W(shifted, scaling.sinkhorn_symmetric(shifted, tol=1e-12))
-    np.testing.assert_allclose(w_a.w, w_b.w, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("diagonal", [0.0, 5.0, np.nan])
@@ -104,16 +73,6 @@ def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth,
     assert np.array_equal(scaled.w, np.exp(log_w))
 
 
-def test_permutation_equivariance():
-    aff = clean_circle(60, 0.2, seed=5)
-    perm = np.random.default_rng(1).permutation(60)
-    permuted = kernel.AffinityMatrix(
-        log_entries=aff.log_entries[np.ix_(perm, perm)], epsilon=aff.epsilon)
-    sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
-    sol_p = scaling.sinkhorn_symmetric(permuted, tol=1e-12)
-    np.testing.assert_allclose(sol_p.log_d, sol.log_d[perm], rtol=0, atol=1e-9)
-
-
 def random_affinity(n, seed, epsilon):
     points = np.random.default_rng(seed).normal(size=(n, 2))
     return kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
@@ -142,7 +101,7 @@ def test_log_d_and_w_are_permutation_equivariant(n, seed, epsilon):
     sol = scaling.sinkhorn_symmetric(aff, tol=1e-12)
     sol_p = scaling.sinkhorn_symmetric(permuted, tol=1e-12)
     assert sol.converged and sol_p.converged
-    np.testing.assert_allclose(sol_p.log_d, sol.log_d[perm], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(sol_p.log_d, sol.log_d[perm], rtol=0, atol=1e-9)
     w = scaling.assemble_W(aff, sol).w
     w_p = scaling.assemble_W(permuted, sol_p).w
     np.testing.assert_allclose(w_p, w[np.ix_(perm, perm)], rtol=0, atol=1e-10)
@@ -332,14 +291,6 @@ def test_row_logsumexp_operator_matches_scipy(n, seed, depth, drift):
         np.testing.assert_allclose(operator.row_lse(u), expected, rtol=1e-12,
                                    atol=1e-15 * scale)
     assert operator.absorptions >= 1
-
-
-def test_residual_history_reaches_tolerance():
-    aff = clean_circle(100, 0.1, seed=8)
-    sol = scaling.sinkhorn_symmetric(aff, tol=1e-9)
-    assert sol.residual <= 1e-9
-    assert sol.residual_history[-1] == sol.residual
-    assert len(sol.residual_history) == sol.iterations
 
 
 def test_rejects_tiny_matrices_and_bad_entries():
