@@ -43,15 +43,18 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     N_i = eps * (log d_i + 0.5 * log((n-1) * qhat_raw_i)). The exponent s
     surfaces as a small global upward bias eps*d*log(s)/(4(s-1)); pass
     ``debias=True`` together with ``dim`` >= 1 to subtract it; debiasing reads
-    s from ``qhat``, a DensityEstimate.
+    s from ``qhat``, a DensityEstimate. A ``dim`` is checked whenever it is
+    given.
     """
+    if dim is not None:
+        _check_closed_form(epsilon, dim, qhat.s)
+    elif debias:
+        raise ParameterError("debiasing requires an intrinsic dimension >= 1, got None")
     _check_converged(solution)
     raw = raw_density(qhat)
     n = len(raw)
     nhat = epsilon * (solution.log_d + 0.5 * np.log((n - 1) * raw))
     if debias:
-        if dim is None or not dim >= 1:
-            raise ParameterError(f"debiasing requires an intrinsic dimension >= 1, got {dim}")
         nhat = nhat - distance_bias(epsilon, dim, qhat.s) / 2.0
     return nhat
 
@@ -64,8 +67,11 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None, *,
     D_ij - N_i - N_j are read off log K = -D/eps. With ``qhat`` too, the
     estimates must agree with the affinity form to 1e-8 (undebiased ones
     only), checked in O(n): the forms differ by delta_i + delta_j,
-    delta = N - eps*(log d + log((n-1) q)/2).
+    delta = N - eps*(log d + log((n-1) q)/2). A ``dim`` is checked whenever
+    it is given.
     """
+    if dim is not None:
+        _check_closed_form(epsilon, dim, s)
     noisy_points = np.asarray(noisy_points, dtype=float)
     nhat = np.asarray(nhat, dtype=float)
     if noisy_points.shape[0] != nhat.shape[0]:

@@ -25,11 +25,18 @@ from .errors import ParameterError
 ABSORB_THRESHOLD = 30.0
 _LOG_TINY = np.log(np.finfo(float).tiny)
 _LOG_EPS = np.log(np.finfo(float).eps)
-_BLOCK_ENTRIES = 1 << 18  # entries per row block of an elementwise pass
+# entries per row block of an elementwise pass: 512 KB of float64, so a
+# block stays in L2 cache across its passes
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_rows(n):
+    """Rows per block of an n-column pass: about _BLOCK_ENTRIES entries."""
+    return min(n, max(1, _BLOCK_ENTRIES // n))
 
 
 def _row_blocks(n):
-    rows = max(1, _BLOCK_ENTRIES // n)  # row slices of about _BLOCK_ENTRIES entries
+    rows = _block_rows(n)
     return (slice(r, r + rows) for r in range(0, n, rows))
 
 
@@ -70,6 +77,7 @@ class KernelOperator:
         if self._mat is None:
             self._mat = np.empty_like(self.log_entries)
         self._m = np.empty(self.n)
+        flush_rows = np.empty((_block_rows(self.n), self.n), dtype=bool)
         for rows in _row_blocks(self.n):
             block = self._mat[rows]
             np.add(self.log_entries[rows], u, out=block)
@@ -79,15 +87,27 @@ class KernelOperator:
             block -= m[:, None]
             # Every entry of B below the smallest normal double is an exact
             # zero: it lies far below the resolution of its row sum, and a
-            # subnormal slows every product severalfold. The exponents that
-            # flush are zeroed before exp, because numpy's exp takes a
-            # per-element slow path below about -707.70 (log 2^-1021), and
-            # clipped at log(tiny) first, because -inf times 0 is NaN.
-            keep = block >= _LOG_TINY
-            np.maximum(block, _LOG_TINY, out=block)
-            block *= keep
-            np.exp(block, out=block)
-            block *= keep
+            # subnormal slows every product severalfold. The two paths below
+            # give the same bits. A block that flushes at most 1/32 of its
+            # entries (often only the -inf diagonal) sends them to exp as
+            # -inf, in two passes. numpy's exp takes a per-element slow path
+            # below about -707.70 (log 2^-1021), -inf included, so any other
+            # block zeroes its flushed exponents before exp and B after it,
+            # clipping at log(tiny) first because -inf times 0 is NaN.
+            # Measured per entry of a cached block (2 vCPUs): at 22% flushed
+            # (n = 800 circle, eps = 5e-3) two passes take 5.5 ns and the
+            # clip, mask, exp and mask 1.6 ns; at 0.1% (n = 2000, eps = 0.1)
+            # 0.6 ns and 1.6 ns.
+            flush = np.less(block, _LOG_TINY, out=flush_rows[:len(block)])
+            if np.count_nonzero(flush) <= flush.size // 32:
+                np.copyto(block, -np.inf, where=flush)
+                np.exp(block, out=block)
+            else:
+                keep = np.logical_not(flush, out=flush)
+                np.maximum(block, _LOG_TINY, out=block)
+                block *= keep
+                np.exp(block, out=block)
+                block *= keep
         self._b = u.copy()
         self.absorptions += 1
 
@@ -168,8 +188,11 @@ class KernelOperator:
     def weighted_log(self, u):
         """The dense log(e^(u_i) A_ij e^(u_j)), summed as (u_i + u_j) + log A_ij
         so that it is exactly symmetric when log A is."""
-        out = u[:, None] + u[None, :]
-        out += self.log_entries
+        out = np.empty_like(self.log_entries)
+        for rows in _row_blocks(self.n):
+            block = out[rows]
+            np.add(u[rows, None], u, out=block)
+            block += self.log_entries[rows]
         return out
 
 
@@ -198,7 +221,9 @@ def pairwise_sq_dists(points):
     origin and a common offset would cancel catastrophically in the expanded
     form. It is built in the Gram matrix's buffer: numpy computes X X^T with
     syrk, exactly symmetric, and adding sq_i + sq_j as one term keeps it so.
-    Negative values from floating-point cancellation are clamped at zero.
+    One pass per cache-sized row block scales the Gram block by -2, adds
+    sq_i + sq_j from a reused scratch block, and clamps at zero the negative
+    values left by floating-point cancellation.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -206,10 +231,12 @@ def pairwise_sq_dists(points):
     points = points - points.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", points, points)
     d = points @ points.T
-    d *= -2.0
+    scratch = np.empty((_block_rows(len(d)), len(d)))
     for rows in _row_blocks(len(d)):
         block = d[rows]
-        block += sq_norms[rows, None] + sq_norms[None, :]
+        block *= -2.0
+        sq_sum = np.add(sq_norms[rows, None], sq_norms, out=scratch[:len(block)])
+        block += sq_sum
         np.maximum(block, 0.0, out=block)
     np.fill_diagonal(d, 0.0)
     return d

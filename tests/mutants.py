@@ -38,7 +38,11 @@ MUTANTS = [
     ("Anderson depth", "scaling.py", "ANDERSON_DEPTH = 5", "ANDERSON_DEPTH = 1"),
     ("residual max -> mean", "scaling.py", "lse - log_t)).max()", "lse - log_t)).mean()"),
     ("absorption threshold", "kernel.py", "ABSORB_THRESHOLD = 30.0", "ABSORB_THRESHOLD = 300.0"),
-    ("flush edge", "kernel.py", "keep = block >= _LOG_TINY", "keep = block > _LOG_TINY"),
+    ("flush edge", "kernel.py", "np.less(block, _LOG_TINY", "np.less_equal(block, _LOG_TINY"),
+    ("two-pass flush to 0, not -inf", "kernel.py", "np.copyto(block, -np.inf,",
+     "np.copyto(block, 0.0,"),
+    ("dense flush's last mask", "kernel.py",
+     "np.exp(block, out=block)\n                block *= keep\n", "np.exp(block, out=block)\n"),
     ("centering", "kernel.py", "points = points - points.mean(axis=0)", "points = points"),
     ("median rule's /16", "harness.py", "np.median(off)) / 16.0", "np.median(off)) / 8.0"),
     ("standard KDE denominator", "kernel.py", "/ (affinity.n - 1)", "/ affinity.n"),

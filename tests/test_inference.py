@@ -108,6 +108,21 @@ def test_noise_magnitude_input_validation():
                                                  np.zeros(5), 0.1, 2.0, scaled=scaled)
 
 
+def test_a_given_dim_below_one_is_rejected_without_debiasing():
+    # the rule and message of `denoise --dim`, whether or not a debias reads it
+    pipe = clean_circle(100, 0.1, seed=7, m=50, tol=scaling.POINTS_SOLVE.tol)
+    qhat = density.ds_kde(pipe.scaled, 2.0)
+    nhat = inference.noise_magnitude(pipe.solution, qhat, 0.1)
+    for dim in (-3, 0, 0.5, np.nan):
+        message = f"^need an intrinsic dimension >= 1, got {dim}$"
+        for debias in (False, True):
+            with pytest.raises(ParameterError, match=message):
+                inference.noise_magnitude(pipe.solution, qhat, 0.1, debias=debias, dim=dim)
+        with pytest.raises(ParameterError, match=message):
+            inference.signal_magnitude_and_distances(pipe.sample.clean_points, nhat, 0.1, 2.0,
+                                                     dim, scaled=pipe.scaled)
+
+
 def test_knn_recovery_identity_and_hand_example():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(30, 3))

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from dskernel import counts, geometry, kernel, laplacian
@@ -102,3 +106,23 @@ def test_pairwise_sq_dists_in_one_buffer_is_bit_identical():
         d = kernel.pairwise_sq_dists(points)
         assert np.array_equal(d, _expanded_form_with_mirror(points))
         assert np.array_equal(d, d.T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       block_entries=st.integers(1, 2000))
+def test_row_blocks_change_no_bit(n, m, seed, block_entries):
+    # one row per block up to many: the distance pass and its reused scratch
+    # block, and the weighted log, give the one-block result bit for bit
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) + rng.uniform(-1e3, 1e3)
+    u = rng.uniform(-5.0, 5.0, size=n)
+    whole = kernel.pairwise_sq_dists(points)
+    whole_log = kernel.gaussian_kernel(whole, 0.5).weighted_log(u)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", block_entries):
+        d = kernel.pairwise_sq_dists(points)
+        log_w = kernel.gaussian_kernel(d, 0.5).weighted_log(u)
+    for got, expected in ((d, whole), (log_w, whole_log)):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(got, got.T)
+    assert np.all(np.diag(d) == 0.0)

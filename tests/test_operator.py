@@ -124,13 +124,20 @@ def test_the_flush_edge_exponentiates_to_a_normal_double():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
        spread=st.floats(0.0, 50.0), block_entries=st.integers(1, 2000),
-       fill=st.sampled_from([None, -1000.0, -1.0]))
-@example(n=40, seed=0, spread=0.0, block_entries=100, fill=None)
+       fill=st.sampled_from([None, -1000.0, -1.0]), flushed=st.integers(0, 100))
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=None, flushed=0)
 # the two extremes of the mask: fill=-1000 flushes every off-peak entry, and
 # fill=-1 flushes none (only the diagonal's -inf is a zero of B)
-@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1000.0)
-@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1.0)
-def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries, fill):
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1000.0, flushed=0)
+@example(n=40, seed=0, spread=0.0, block_entries=100, fill=-1.0, flushed=0)
+# one block of 64 x 64 entries: the diagonal and one finite entry flush, then
+# 128 entries (1/32 of the block, the last share absorb flushes in two
+# passes) and 129 (the first it flushes in the dense sequence)
+@example(n=64, seed=0, spread=0.0, block_entries=4096, fill=-1.0, flushed=1)
+@example(n=64, seed=0, spread=0.0, block_entries=4096, fill=-1.0, flushed=64)
+@example(n=64, seed=0, spread=0.0, block_entries=4096, fill=-1.0, flushed=65)
+def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_entries, fill,
+                                                       flushed):
     # entries across [-1000, 0] and at the flush edge, or all at ``fill``;
     # each row peaks at 0, so at u = 0 the edge values are the exponents of
     # B themselves
@@ -144,6 +151,8 @@ def test_absorb_flushes_exactly_the_entries_below_tiny(n, seed, spread, block_en
         log_a = np.full((n, n), fill)
     log_a[np.arange(n), (np.arange(n) + 1) % n] = 0.0
     np.fill_diagonal(log_a, -np.inf)
+    # the first ``flushed`` entries at -1, in row order, go below log(tiny)
+    log_a.flat[np.flatnonzero(log_a == -1.0)[:flushed]] = -1000.0
     u = rng.uniform(-spread, spread, size=n)
     operator = kernel.KernelOperator(log_a)
     # small blocks take the row-block loop through several passes
