@@ -79,8 +79,7 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None, *,
     if scaled.epsilon != epsilon:
         raise ParameterError(f"W's kernel is at epsilon {scaled.epsilon}, not {epsilon}")
     signal = np.einsum("ij,ij->i", noisy_points, noisy_points) - nhat
-    corrected = scaled.operator.weighted_log(nhat / epsilon)
-    corrected *= -epsilon
+    corrected = scaled.operator.weighted_log(nhat / epsilon, scale=-epsilon)
     if qhat is not None:
         half = 0.5 * np.log((scaled.n - 1) * raw_density(qhat))
         delta = np.partition(nhat - epsilon * (scaled.log_d + half), (1, -2))

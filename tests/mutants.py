@@ -43,6 +43,8 @@ MUTANTS = [
      "np.copyto(block, 0.0,"),
     ("dense flush's last mask", "kernel.py",
      "np.exp(block, out=block)\n                block *= keep\n", "np.exp(block, out=block)\n"),
+    ("outer sum's L without its ones", "kernel.py", "np.column_stack([x, ones])",
+     "np.column_stack([x, 0.0 * ones])"),
     ("centering", "kernel.py", "points = points - points.mean(axis=0)", "points = points"),
     ("median rule's /16", "harness.py", "np.median(off)) / 16.0", "np.median(off)) / 8.0"),
     ("standard KDE denominator", "kernel.py", "/ (affinity.n - 1)", "/ affinity.n"),

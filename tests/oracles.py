@@ -83,9 +83,16 @@ def record_calls(monkeypatch, *functions):
     return calls
 
 
+def broadcast_weighted_log(log_entries, u, scale=None):
+    """(u_i + u_j) + log A_ij, broadcast over the whole matrix at once; with
+    ``scale``, times it."""
+    log_p = (u[:, None] + u[None, :]) + log_entries
+    return log_p if scale is None else log_p * scale
+
+
 def log_w_of(scaled):
     """The dense log W of an assembled W, diagonal -inf."""
-    return scaled.operator.weighted_log(scaled.log_d)
+    return broadcast_weighted_log(scaled.operator.log_entries, scaled.log_d)
 
 
 def dense_ds_kde(log_w, s):

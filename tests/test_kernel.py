@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -126,3 +126,31 @@ def test_row_blocks_change_no_bit(n, m, seed, block_entries):
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert np.array_equal(got, got.T)
     assert np.all(np.diag(d) == 0.0)
+
+
+# magnitudes from 1e-300 to 1e300 of both signs, both zeros, +-inf and NaN
+_OUTER_SUM_ENTRIES = st.one_of(
+    st.tuples(st.floats(1e-300, 1e300), st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(_OUTER_SUM_ENTRIES, min_size=1, max_size=60),
+       block_entries=st.integers(1, 2000))
+# seven rows in blocks of three: the last block holds one row
+@example(x=[1e300, -1e300, np.inf, -np.inf, np.nan, 1e-300, -0.0], block_entries=21)
+def test_outer_sum_factors_give_np_add_outer(x, block_entries):
+    # each row block written by the rank-2 product into a NaN-filled scratch
+    # block equals np.add's outer sum; only the sign of an exact zero may differ
+    x = np.array(x)
+    n = len(x)
+    left, right = kernel._outer_sum_factors(x)
+    got = np.empty((n, n))
+    with (mock.patch.object(kernel, "_BLOCK_ENTRIES", block_entries),
+          np.errstate(over="ignore", invalid="ignore")):
+        scratch = np.full((kernel._block_rows(n), n), np.nan)
+        for rows in kernel._row_blocks(n):
+            block = got[rows]
+            block[...] = np.matmul(left[rows], right, out=scratch[:len(block)])
+        expected = np.add.outer(x, x)
+    assert np.array_equal(got, expected, equal_nan=True)

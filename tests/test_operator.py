@@ -19,8 +19,8 @@ from scipy.special import logsumexp
 from dskernel import density, geometry, harness, kernel, laplacian
 from dskernel.errors import ParameterError
 from mutants import MUTANTS
-from oracles import (dense_ds_kde, dense_leave, dense_robust, dense_traditional, log_w_of,
-                     small_counts_experiment)
+from oracles import (broadcast_weighted_log, dense_ds_kde, dense_leave, dense_robust,
+                     dense_traditional, log_w_of, small_counts_experiment)
 
 ALPHAS = (0.0, 0.25, 0.5, 0.8, 1.0)
 RTOL = 1e-12
@@ -55,6 +55,35 @@ def test_ds_kde_matches_dense_log_domain(noisy_circle, s):
     scaled = noisy_circle[0].scaled
     expected = dense_ds_kde(log_w_of(scaled), s)
     np.testing.assert_allclose(density.ds_kde(scaled, s).raw, expected, rtol=RTOL)
+
+
+@pytest.mark.parametrize("scale", [None, -0.05])
+def test_weighted_log_is_the_broadcast_sum(noisy_circle, scale):
+    # n = 400 spans three row blocks; the sign of an exact zero sum may
+    # differ, so the comparison is by value, not by bits
+    scaled = noisy_circle[0].scaled
+    u = scaled.log_d + np.random.default_rng(0).uniform(-1.0, 1.0, size=scaled.n)
+    got = scaled.operator.weighted_log(u, scale=scale)
+    assert np.array_equal(got, broadcast_weighted_log(scaled.operator.log_entries, u, scale))
+
+
+def test_row_entropy_reads_an_exactly_symmetric_log_p(noisy_circle):
+    # the s -> 1 DS-KDE sums p_ij log p_ij over log p_ij = (u_i + u_j) + log K_ij,
+    # as weighted_log builds it, not (log K_ij + u_j) + u_i
+    scaled = noisy_circle[0].scaled
+    blocks = []
+    log_p = kernel.KernelOperator._log_p
+
+    def recorded(self, factors, rows, out):
+        block = log_p(self, factors, rows, out)
+        blocks.append(block.copy())
+        return block
+
+    with mock.patch.object(kernel.KernelOperator, "_log_p", recorded):
+        scaled.operator.row_entropy(scaled.log_d)
+    got = np.vstack(blocks)
+    assert np.array_equal(got, got.T)
+    assert np.array_equal(got, log_w_of(scaled))
 
 
 @pytest.mark.parametrize("s,shift", [(0.01, 0.0), (0.5, 0.0), (2.0, 25.0), (40.0, 25.0)])
