@@ -73,7 +73,8 @@ def _read_header(fh):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
     lineno = 2
     line = fh.readline()
-    while line.lstrip().startswith("%"):
+    # comment, blank and whitespace-only lines may stand before the size line
+    while line and (not line.strip() or line.lstrip().startswith("%")):
         line = fh.readline()
         lineno += 1
     if not line:
@@ -221,24 +222,21 @@ def subsample_per_class(cm, per_class, seed):
     return replace(cm, entries=cm.entries[keep], totals=cm.totals[keep], labels=cm.labels[keep])
 
 
-def synth_poisson_counts(n, m, n_clusters=2, seed=0, cluster_depth_ranges=None):
+def synth_poisson_counts(n, m, seed=0, cluster_depth_ranges=((500.0, 2500.0), (500.0, 2500.0))):
     """Independent Poisson counts over latent cluster expression profiles.
 
-    Each cluster gets a random positive profile over the m features; each row
-    draws a total-rate scalar uniformly from its cluster's depth range (500 to
-    2500 for every cluster unless ``cluster_depth_ranges`` gives one range
-    per cluster) and Poisson entries with mean profile * rate. Returns a
-    CountMatrix with cluster labels.
+    There is one cluster per depth range (min, max) in
+    ``cluster_depth_ranges``. Each cluster gets a random positive profile over
+    the m features; each row draws a total-rate scalar uniformly from its
+    cluster's depth range and Poisson entries with mean profile * rate.
+    Returns a CountMatrix with cluster labels.
     """
-    if n_clusters < 1:
-        raise ParameterError(f"need at least one cluster, got {n_clusters}")
-    if cluster_depth_ranges is None:
-        cluster_depth_ranges = ((500.0, 2500.0),) * n_clusters
+    if not len(cluster_depth_ranges):
+        raise ParameterError("need at least one cluster depth range")
     for clo, chi in cluster_depth_ranges:
         if clo <= 0 or chi < clo:
             raise ParameterError("cluster depth ranges must satisfy 0 < min <= max")
-    if len(cluster_depth_ranges) != n_clusters:
-        raise ParameterError("need one depth range per cluster")
+    n_clusters = len(cluster_depth_ranges)
     rng = np.random.default_rng(seed)
     profiles = rng.gamma(shape=2.0, size=(n_clusters, m))
     profiles /= profiles.sum(axis=1, keepdims=True)

@@ -10,10 +10,8 @@ class ConvergenceError(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Raised on malformed input files; carries a line number when known."""
+    """Raised on malformed input files; the message starts with ``line N:``
+    when the line is known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")

@@ -325,8 +325,8 @@ def count_pipeline(cm, epsilon=None, s=2.0, tol=COUNTS_SOLVE.tol,
     qhat = density.ds_kde(pipe.scaled, s)
     nhat = inference.noise_magnitude(pipe.solution, qhat, epsilon)
     return {
-        "counts": cm, "normalized": y, "predicted_noise": predicted,
-        "solution": pipe.solution, "scaled": pipe.scaled, "qhat": qhat, "noise_sq_hat": nhat,
+        "counts": cm, "predicted_noise": predicted, "solution": pipe.solution,
+        "scaled": pipe.scaled, "qhat": qhat, "noise_sq_hat": nhat,
     }
 
 

@@ -24,9 +24,6 @@ class EstimateTable:
     noise_sq_hat: np.ndarray
     signal_sq_hat: np.ndarray
     corrected_dists: np.ndarray
-    epsilon: float
-    s: object
-    dim: int
 
 
 def distance_bias(epsilon, dim, s):
@@ -88,8 +85,7 @@ def signal_magnitude_and_distances(noisy_points, nhat, epsilon, s, dim=None, *,
             raise ParameterError(
                 f"affinity-form distances disagree with subtraction form by {gap:.2e}")
     np.fill_diagonal(corrected, 0.0)
-    return EstimateTable(noise_sq_hat=nhat, signal_sq_hat=signal,
-                         corrected_dists=corrected, epsilon=epsilon, s=s, dim=dim)
+    return EstimateTable(noise_sq_hat=nhat, signal_sq_hat=signal, corrected_dists=corrected)
 
 
 def _neighbor_order(dists):

@@ -258,7 +258,7 @@ def pairwise_sq_dists(points):
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
-        raise ParameterError("need at least two points")
+        raise ParameterError(f"need an (n, m) array of n >= 2 points, got shape {points.shape}")
     points = points - points.mean(axis=0)
     sq_norms = np.einsum("ij,ij->i", points, points)
     left, right = _outer_sum_factors(sq_norms)

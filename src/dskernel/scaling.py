@@ -63,8 +63,8 @@ class ScalingSolution:
     residual: float
     iterations: int
     converged: bool
-    residual_history: np.ndarray = field(repr=False, default=None)
-    absorptions: int = 0
+    residual_history: np.ndarray = field(repr=False)
+    absorptions: int
 
 
 def _scale_log_matrix(operator, tol, max_iter, log_targets=None, log_d0=None):

@@ -30,6 +30,8 @@ MUTANTS = [
     ("distance bias", "inference.py", "np.log(s) / (2.0 * (s", "np.log(s) / (4.0 * (s"),
     ("debias halving", "inference.py", "dim, qhat.s) / 2.0", "dim, qhat.s)"),
     ("robust Markov exponent", "laplacian.py", "(alpha - 0.5) * np.log(", "alpha * np.log("),
+    ("robust family compensated by the kernel degrees", "laplacian.py",
+     "np.log(raw_density(qhat))", "log_degrees(scaled.operator)"),
     ("traditional Markov exponent", "laplacian.py", "-alpha * log_deg", "-0.5 * alpha * log_deg"),
     ("Laplacian's 4/eps", "laplacian.py", "return 4.0 / epsilon *", "return 2.0 / epsilon *"),
     ("undamped map", "scaling.py", "g = 0.5 * (log_d + log_t - lse)", "g = log_t - lse"),

@@ -253,7 +253,7 @@ def test_criterion_09_poisson_surrogate():
     pearson = stats.pearsonr(res["noise_sq_hat"], res["predicted_noise"])[0]
     eps0 = res["scaled"].epsilon
     # one distance matrix for the three solves; only the alpha = 0 rows count
-    d = kernel.pairwise_sq_dists(res["normalized"])
+    d = kernel.pairwise_sq_dists(counts.normalize_counts(res["counts"])[0])
     worst = {}
     for eps in (eps0 / 2.0, eps0, 2.0 * eps0):
         scaled = harness._solve(d, eps, *harness.COUNTS_SOLVE).scaled

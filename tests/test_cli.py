@@ -293,6 +293,16 @@ def test_bench_figure_tables(tmp_path, figure, flags, header, n_rows):
     assert all(row.get("status", "ok") == "ok" for row in rows)
 
 
+def test_bench_without_noise_runs_the_three_default_models(tmp_path):
+    # fig1, fig3 and fig5 without --noise run their three default noise models
+    out = tmp_path / "fig3.csv"
+    assert run(["bench", "fig3", "--sweep", "200", "--repeats", "1", "--out", str(out)]) == 0
+    rows = read_bench_table(out)
+    assert len(rows) == 3 * 4  # four estimators per model
+    assert [row["noise"] for row in rows[::4]] == ["none", "varying_ball", "outlier_gaussian"]
+    assert all(row["status"] == "ok" for row in rows)
+
+
 def one_iteration_solves(monkeypatch):
     """Give every harness solve a budget of one iteration, which no solver
     meets at the default tolerance; the commands without ``--max-iter`` reach
@@ -499,6 +509,15 @@ def test_negative_seed_or_subsample_is_a_usage_error(tmp_path, monkeypatch, caps
         run(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be 0 or more, got -" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_integer_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--seed", "x", "--out", "p.csv", "--sidecar", "s.csv"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

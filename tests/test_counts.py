@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,11 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
          "line 1: unsupported storage format 'array'"),
         ("not a header\n2 2 1\n1 1 3\n", "line 1: missing %%MatrixMarket header"),
+        (head, "line 2: missing size line"),
         (head + "2 2\n", "line 2: size line must have three fields"),
+        (head + "2 2 x\n", "line 2: non-integer size line"),
+        # blank lines before the size line keep every later line number
+        (head + "\n \t\n2 2 1\n1 x 3\n", "line 5: malformed entry '1 x 3'"),
         (head + "2 2 1\n1 1\n", "line 3: entry must have three fields"),
         (head + "2 2 1\n5 1 3\n", "line 3: entry index out of bounds"),
         (head + "2 2 1\n1 x 3\n", "line 3: malformed entry '1 x 3'"),
@@ -51,6 +56,19 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         with pytest.raises(ParseError) as exc:
             counts.ingest_counts(path)
         assert str(exc.value) == message
+        assert not hasattr(exc.value, "line")  # the message holds it
+
+
+@pytest.mark.parametrize("before_size_line", ["\n", " \t\n", "% comment\n\n"],
+                         ids=["blank", "whitespace", "comment-then-blank"])
+def test_blank_lines_before_the_size_line_are_skipped(tmp_path, before_size_line):
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                    + before_size_line + "2 2 1\n1 1 3\n")
+    (v, (i, j)), shape = counts._parse_matrix_market(path)
+    parsed = sparse.coo_matrix((v, (i, j)), shape=shape).toarray()
+    np.testing.assert_array_equal(parsed, scipy.io.mmread(path).toarray())
+    assert parsed.tolist() == [[3, 0], [0, 0]]
 
 
 def test_negative_counts_are_rejected_with_their_location(tmp_path):
@@ -314,7 +332,7 @@ def test_subsample_per_class_draws_aligned_rows_in_order():
 
 
 def test_synth_poisson_counts_structure():
-    cm = counts.synth_poisson_counts(101, 300, n_clusters=2, seed=3)
+    cm = counts.synth_poisson_counts(101, 300, seed=3)
     assert cm.entries.shape[0] + len(cm.rejected_rows) == 101
     assert set(np.unique(cm.labels)) <= {0, 1}
     assert sparse.issparse(cm.entries)
@@ -332,14 +350,15 @@ def test_synth_poisson_cluster_depth_ranges():
 
 
 def test_synth_poisson_validates_ranges():
+    # the depth ranges alone set the number of clusters
+    assert list(inspect.signature(counts.synth_poisson_counts).parameters) == [
+        "n", "m", "seed", "cluster_depth_ranges"]
+    three = counts.synth_poisson_counts(30, 20, cluster_depth_ranges=((100.0, 200.0),) * 3)
+    assert np.unique(three.labels).tolist() == [0, 1, 2]
     with pytest.raises(ParameterError):
         counts.synth_poisson_counts(10, 20, cluster_depth_ranges=((5.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(ParameterError):
-        counts.synth_poisson_counts(10, 20, n_clusters=3,
-                                    cluster_depth_ranges=((1.0, 2.0), (1.0, 2.0)))
-    for n_clusters in (0, -1):
-        with pytest.raises(ParameterError, match="at least one cluster"):
-            counts.synth_poisson_counts(10, 20, n_clusters=n_clusters)
+    with pytest.raises(ParameterError, match="at least one cluster"):
+        counts.synth_poisson_counts(10, 20, cluster_depth_ranges=())
 
 
 def test_synth_poisson_is_deterministic():

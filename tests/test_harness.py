@@ -137,7 +137,11 @@ def test_count_pipeline_computes_one_distance_matrix(monkeypatch):
     calls = record_calls(monkeypatch, kernel.pairwise_sq_dists)
     res = small_counts_experiment()
     assert len(calls["pairwise_sq_dists"]) == 1
-    assert res["scaled"].epsilon == harness.median_sq_dist_epsilon(res["normalized"])
+    y, _ = counts.normalize_counts(res["counts"])
+    assert res["scaled"].epsilon == harness.median_sq_dist_epsilon(y)
+    # the input, its solve and the estimates; the normalized counts are not kept
+    assert list(res) == ["counts", "predicted_noise", "solution", "scaled", "qhat",
+                         "noise_sq_hat"]
 
 
 def test_median_sq_dist_epsilon():

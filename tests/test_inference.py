@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -54,6 +54,8 @@ def test_signal_plus_noise_identity_is_exact():
     points, scaled = pipe.sample.clean_points, pipe.scaled
     nhat = inference.noise_magnitude(pipe.solution, density.ds_kde(scaled, 2.0), 0.1)
     table = inference.signal_magnitude_and_distances(points, nhat, 0.1, 2.0, scaled=scaled)
+    assert [f.name for f in fields(table)] == ["noise_sq_hat", "signal_sq_hat",
+                                               "corrected_dists"]
     sq_norms = (points**2).sum(axis=1)
     np.testing.assert_allclose(table.signal_sq_hat + table.noise_sq_hat, sq_norms,
                                rtol=0, atol=1e-12)
@@ -100,7 +102,7 @@ def test_noise_magnitude_input_validation():
         inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.2, 2.0,
                                                  scaled=scaled)
     bad = scaling.ScalingSolution(log_d=sol.log_d, residual=1.0, iterations=1,
-                                  converged=False)
+                                  converged=False, residual_history=np.ones(1), absorptions=1)
     with pytest.raises(ConvergenceError):
         inference.noise_magnitude(bad, qhat, 0.1)
     with pytest.raises(ParameterError):

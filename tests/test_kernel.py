@@ -30,6 +30,14 @@ def test_pairwise_sq_dists_is_exactly_symmetric_with_zero_diagonal():
     assert d.min() >= 0.0
 
 
+def test_pairwise_sq_dists_needs_an_n_by_m_array_of_two_points_or_more():
+    for points in (np.arange(3.0), np.ones((1, 4))):
+        with pytest.raises(ParameterError) as exc:
+            kernel.pairwise_sq_dists(points)
+        assert str(exc.value) == ("need an (n, m) array of n >= 2 points, "
+                                  f"got shape {points.shape}")
+
+
 def test_gaussian_kernel_entries_and_diagonal():
     pts = random_points(25, 3, seed=3)
     sq = kernel.pairwise_sq_dists(pts)
@@ -63,6 +71,12 @@ def test_degrees_match_direct_sum():
     aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(pts), 0.5)
     lin = np.exp(aff.log_entries)
     np.testing.assert_allclose(kernel.standard_kde(aff), lin.sum(axis=1) / 29, rtol=1e-12)
+
+
+def test_standard_kde_needs_two_points():
+    one = kernel.AffinityMatrix(np.zeros((1, 1)), epsilon=0.1)
+    with pytest.raises(ParameterError, match="^need at least two points$"):
+        kernel.standard_kde(one)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from dskernel import density, geometry, harness, kernel, laplacian
+from dskernel import counts, density, geometry, harness, kernel, laplacian
 from dskernel.errors import ParameterError
 from mutants import MUTANTS
 from oracles import (broadcast_weighted_log, dense_ds_kde, dense_leave, dense_robust,
@@ -46,7 +46,8 @@ def small_eps_counts():
     # at a hundredth of the median squared distance log d spans about 60, so
     # the degree and Markov weights lie more than ABSORB_THRESHOLD from it
     base = small_counts_experiment()
-    eps = harness.median_sq_dist_epsilon(base["normalized"]) * 16.0 / 100.0
+    y, _ = counts.normalize_counts(base["counts"])
+    eps = harness.median_sq_dist_epsilon(y) * 16.0 / 100.0
     return small_counts_experiment(epsilon=eps, tol=1e-9, max_iter=20_000)
 
 

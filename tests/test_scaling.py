@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from dskernel import density, harness, inference, kernel, scaling
+from dskernel import density, harness, inference, kernel, laplacian, scaling
 from dskernel.errors import ConvergenceError, ParameterError
 from oracles import (clean_circle, clean_sample, damped_symmetric_scaling, log_w_of,
                      newton_symmetric_scaling)
@@ -18,6 +18,13 @@ def test_w_holds_its_kernel_and_reads_epsilon_from_it():
     assert [f.name for f in dataclasses.fields(scaled)] == ["operator", "log_d"]
     assert scaled.operator is aff
     assert scaled.epsilon == aff.epsilon == 0.1
+
+
+def test_a_solution_states_every_field():
+    # every solve reports its residual history and its absorptions
+    assert [f.name for f in dataclasses.fields(scaling.ScalingSolution)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING] == []
 
 
 def test_matches_newton_oracle_on_small_matrices():
@@ -40,6 +47,22 @@ def test_a_start_whose_first_residual_overflows_still_converges():
     assert far.residual_history[0] == np.inf and far.converged
     np.testing.assert_allclose(far.log_d, scaling.sinkhorn_symmetric(aff, tol=1e-11).log_d,
                                rtol=0, atol=1e-6)
+
+
+def test_a_start_of_another_length_or_with_nan_is_rejected():
+    aff = clean_circle(10, 0.1)
+    for log_d0 in (np.zeros(9), np.append(np.zeros(9), np.nan)):
+        with pytest.raises(ParameterError, match="^log_d0 must be a finite vector of length n$"):
+            scaling.sinkhorn_symmetric(aff, log_d0=log_d0)
+
+
+def test_a_nan_residual_of_a_damped_step_ends_the_solve(monkeypatch):
+    # a NaN in log d would spread to every later step, so the solve stops there
+    aff = clean_circle(10, 0.1)
+    monkeypatch.setattr(aff, "row_lse", lambda u: np.full(aff.n, np.nan))
+    sol = scaling.sinkhorn_symmetric(aff)
+    assert sol.iterations == 1 and not sol.converged
+    assert np.isnan(sol.residual)
 
 
 @pytest.mark.parametrize("diagonal", [0.0, 5.0, np.nan])
@@ -66,7 +89,7 @@ def test_assembled_w_is_exactly_symmetric_with_excluded_diagonal(n, seed, depth,
     log_k = upper + upper.T  # diagonal 0.0, excluded on construction
     aff = kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
     log_d = rng.uniform(-spread, spread, size=n)  # log W stays within exp range
-    scaled = scaling.assemble_W(aff, scaling.ScalingSolution(log_d, 0.0, 1, True))
+    scaled = scaling.assemble_W(aff, scaling.ScalingSolution(log_d, 0.0, 1, True, np.zeros(1), 0))
     log_w = log_w_of(scaled)
     assert np.array_equal(log_w, log_w.T)
     assert np.all(np.isneginf(np.diag(log_w)))
@@ -120,7 +143,8 @@ def estimates_after_the_solve(points, epsilon):
     return {"log_d": sol.log_d, "w": scaled.w, "dskde_s2": qhat.raw,
             "dskde_limit": density.ds_kde(scaled, density.S_LIMIT).raw,
             "noise": nhat, "signal": table.signal_sq_hat,
-            "corrected": table.corrected_dists}
+            "corrected": table.corrected_dists,
+            "robust_markov": laplacian.robust_markov(scaled, qhat, 1.0).apply(np.eye(scaled.n))}
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -143,6 +167,41 @@ def test_log_d_is_invariant_to_rigid_motions(n, dim, seed, epsilon, offset):
     for name in ("noise", "corrected"):
         np.testing.assert_allclose(est_moved[name], est[name], rtol=0, atol=1e-9)
     np.testing.assert_allclose(est_rotated["signal"], est["signal"], rtol=0, atol=1e-9)
+
+
+def traditional_markov_at_one(points, epsilon):
+    aff = kernel.gaussian_kernel(kernel.pairwise_sq_dists(points), epsilon)
+    return laplacian.traditional_markov(aff, 1.0).apply(np.eye(len(points)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(3, 30), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.floats(2.0, 5.0))
+def test_per_point_orthogonal_noise_leaves_w_unchanged(n, dim, seed, epsilon):
+    # Point i moved by r_i along an axis of its own has ||y_i - y_j||^2 =
+    # ||x_i - x_j||^2 + r_i^2 + r_j^2, so K(y) = diag(a) K(x) diag(a) with
+    # a = e^(-r^2/eps). The symmetric scaling absorbs the diagonal exactly:
+    # log d moves by r^2/eps and the noise estimates by r^2, while W, all that
+    # is read off it and the corrected distances stay. The degrees of the
+    # traditional family do not absorb it.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim))
+    r = rng.uniform(0.0, 3.0, size=n)
+    noisy = np.hstack([points, np.diag(r)])
+    est = estimates_after_the_solve(points, epsilon)
+    est_noisy = estimates_after_the_solve(noisy, epsilon)
+    np.testing.assert_allclose(est_noisy["log_d"], est["log_d"] + r**2 / epsilon,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(est_noisy["noise"], est["noise"] + r**2, rtol=0, atol=2e-10)
+    for name in ("w", "robust_markov"):
+        np.testing.assert_allclose(est_noisy[name], est[name], rtol=0, atol=1e-11)
+    for name in ("dskde_s2", "dskde_limit"):
+        np.testing.assert_allclose(est_noisy[name], est[name], rtol=1e-10)
+    for name in ("signal", "corrected"):
+        np.testing.assert_allclose(est_noisy[name], est[name], rtol=0, atol=2e-10)
+    moved = np.abs(traditional_markov_at_one(noisy, epsilon)
+                   - traditional_markov_at_one(points, epsilon)).max()
+    assert moved > 1e-6
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
