@@ -132,7 +132,7 @@ def _add_scrna(sub):
 
 def _add_bench(sub):
     p = sub.add_parser("bench", help="reproduce a benchmark figure's data as CSV")
-    p.add_argument("figure", choices=harness.EXPERIMENTS)
+    p.add_argument("figure", choices=harness.FIGURES)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--repeats", type=int, default=10)
@@ -241,8 +241,7 @@ def _cmd_scrna(args):
     _write_csv(args.out, *harness.noise_table(result))
     if args.transitions_out:
         rows = harness.transition_errors(result["scaled"], result["qhat"], cm.labels)
-        header = ["epsilon", "alpha", "family", "mean_error", "worst_class_error"]
-        _write_csv(args.transitions_out, header, ([row[k] for k in header] for row in rows))
+        _write_csv(args.transitions_out, rows[0].keys(), (row.values() for row in rows))
 
 
 def _cmd_bench(args):

@@ -234,8 +234,8 @@ def synth_poisson_counts(n, m, seed=0, cluster_depth_ranges=((500.0, 2500.0), (5
     if not len(cluster_depth_ranges):
         raise ParameterError("need at least one cluster depth range")
     for clo, chi in cluster_depth_ranges:
-        if clo <= 0 or chi < clo:
-            raise ParameterError("cluster depth ranges must satisfy 0 < min <= max")
+        if not 0 < clo <= chi < np.inf:
+            raise ParameterError("cluster depth ranges must satisfy 0 < min <= max < inf")
     n_clusters = len(cluster_depth_ranges)
     rng = np.random.default_rng(seed)
     profiles = rng.gamma(shape=2.0, size=(n_clusters, m))

@@ -357,11 +357,11 @@ def transition_errors(scaled, qhat, labels):
     """
     rows = []
     for alpha in (0.0, 0.5, 1.0):
-        robust = laplacian.robust_markov(scaled, qhat, alpha)
-        trad = laplacian.traditional_markov(scaled.operator, alpha)
-        for fam in (robust, trad):
+        families = {"robust": laplacian.robust_markov(scaled, qhat, alpha),
+                    "traditional": laplacian.traditional_markov(scaled.operator, alpha)}
+        for name, fam in families.items():
             mean_err, worst_err = laplacian.transition_error(fam, labels)
-            rows.append({"epsilon": scaled.epsilon, "alpha": alpha, "family": fam.source_tag,
+            rows.append({"epsilon": scaled.epsilon, "alpha": alpha, "family": name,
                          "mean_error": mean_err, "worst_class_error": worst_err})
     return rows
 
@@ -381,4 +381,3 @@ FIGURES = {
     "fig7": Figure(_fig7, {"epsilon": (0.05, 0.1, 0.2, 0.4), "n": (1000, 2000, 5000)}),
     "fig8-synthetic": Figure(_fig8, ignores=("repeats", "epsilon")),
 }
-EXPERIMENTS = tuple(FIGURES)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .density import S_LIMIT, _check_closed_form, raw_density
 from .errors import ParameterError
+from .kernel import _check_epsilon
 from .scaling import _check_converged
 
 
@@ -40,9 +41,10 @@ def noise_magnitude(solution, qhat, epsilon, debias=False, dim=None):
     N_i = eps * (log d_i + 0.5 * log((n-1) * qhat_raw_i)). The exponent s
     surfaces as a small global upward bias eps*d*log(s)/(4(s-1)); pass
     ``debias=True`` together with ``dim`` >= 1 to subtract it; debiasing reads
-    s from ``qhat``, a DensityEstimate. A ``dim`` is checked whenever it is
-    given.
+    s from ``qhat``, a DensityEstimate. ``epsilon`` is always checked, and a
+    ``dim`` whenever it is given.
     """
+    _check_epsilon(epsilon)
     if dim is not None:
         _check_closed_form(epsilon, dim, qhat.s)
     elif debias:

@@ -68,11 +68,14 @@ class KernelOperator:
     any u and any offset on log A. Slots holding -inf (the diagonal of log K)
     are exact zeros of B and take part in no reduction.
 
-    ``log_entries`` is kept by reference, never written; NaN or +inf in it
-    raises ParameterError, and so does absorbing a row of only -inf.
+    ``log_entries`` is kept by reference, never written; a matrix that is not
+    square, NaN or +inf in it, and absorbing a row of only -inf raise
+    ParameterError.
     """
 
     def __init__(self, log_entries):
+        if log_entries.ndim != 2 or log_entries.shape[0] != log_entries.shape[1]:
+            raise ParameterError(f"need a square matrix, got shape {log_entries.shape}")
         # max propagates NaN, so one reduction rejects both NaN and +inf
         if not log_entries.max() < np.inf:
             raise ParameterError("affinity matrix contains NaN or +inf in log domain")
@@ -91,11 +94,10 @@ class KernelOperator:
         if self._mat is None:
             self._mat = np.empty_like(self.log_entries)
         self._m = np.empty(self.n)
-        flush_rows = np.empty((_block_rows(self.n), self.n), dtype=bool)
         for rows in _row_blocks(self.n):
             block = self._mat[rows]
             np.add(self.log_entries[rows], u, out=block)
-            m = self._m[rows] = block.max(axis=1)
+            m = np.max(block, axis=1, out=self._m[rows])
             if m.min() == -np.inf:  # the first such row is the first minimum
                 raise ParameterError(f"row {rows.start + m.argmin()} of the matrix is zero")
             block -= m[:, None]
@@ -112,7 +114,7 @@ class KernelOperator:
             # (n = 800 circle, eps = 5e-3) two passes take 5.5 ns and the
             # clip, mask, exp and mask 1.6 ns; at 0.1% (n = 2000, eps = 0.1)
             # 0.6 ns and 1.6 ns.
-            flush = np.less(block, _LOG_TINY, out=flush_rows[:len(block)])
+            flush = np.less(block, _LOG_TINY)
             if np.count_nonzero(flush) <= flush.size // 32:
                 np.copyto(block, -np.inf, where=flush)
                 np.exp(block, out=block)
@@ -122,6 +124,8 @@ class KernelOperator:
                 block *= keep
                 np.exp(block, out=block)
                 block *= keep
+                del keep
+            del flush  # freed before the next block's mask is made
         self._b = u.copy()
         self.absorptions += 1
 
@@ -173,13 +177,11 @@ class KernelOperator:
                 and log_n + s * ABSORB_THRESHOLD < _LOG_EPS - _LOG_TINY):
             g_s = self._weights(u) ** s
             sums = np.empty(self.n)
-            scratch = np.empty((_block_rows(self.n), self.n))
             for rows in _row_blocks(self.n):
                 mat = self._mat[rows]
                 # the same bits as mat ** 2, which runs power's loop at about
                 # twice np.square's cost per entry
-                powered = np.square(mat, out=scratch[:len(mat)]) if s == 2 else mat ** s
-                sums[rows] = powered @ g_s
+                sums[rows] = (np.square(mat) if s == 2 else mat ** s) @ g_s
             return np.log(sums) + s * self._m
         from scipy.special import logsumexp  # only this pass loads scipy
 
@@ -195,14 +197,14 @@ class KernelOperator:
         """
         g = self._weights(u)
         factors = _outer_sum_factors(u)
-        scratch = np.empty((_block_rows(self.n), self.n))
         acc = np.empty(self.n)
         for rows in _row_blocks(self.n):
             mat = self._mat[rows]
-            t = self._log_p(factors, rows, out=scratch[:len(mat)])
+            t = self._log_p(factors, rows)
             t[mat == 0.0] = 0.0  # p log p -> 0; the excluded slots hold -inf
             t *= mat
             acc[rows] = t @ g
+            del t  # freed before the next block's is made
         return -np.exp(u + self._m) * acc
 
     def weighted_log(self, u, scale=None):
@@ -217,9 +219,9 @@ class KernelOperator:
                 block *= scale
         return out
 
-    def _log_p(self, factors, rows, out):
-        """Rows ``rows`` of log p_ij = (u_i + u_j) + log A_ij into ``out``, for
-        the ``_outer_sum_factors`` of u."""
+    def _log_p(self, factors, rows, out=None):
+        """Rows ``rows`` of log p_ij = (u_i + u_j) + log A_ij, into ``out`` if
+        given, for the ``_outer_sum_factors`` of u."""
         left, right = factors
         block = np.matmul(left[rows], right, out=out)
         block += self.log_entries[rows]
@@ -252,9 +254,8 @@ def pairwise_sq_dists(points):
     form. It is built in the Gram matrix's buffer: numpy computes X X^T with
     syrk, exactly symmetric, and adding sq_i + sq_j as one term keeps it so.
     One pass per cache-sized row block scales the Gram block by -2, adds
-    sq_i + sq_j, written by one rank-2 product into a reused scratch block,
-    and clamps at zero the negative values left by floating-point
-    cancellation.
+    sq_i + sq_j, written by one rank-2 product, and clamps at zero the
+    negative values left by floating-point cancellation.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -263,11 +264,10 @@ def pairwise_sq_dists(points):
     sq_norms = np.einsum("ij,ij->i", points, points)
     left, right = _outer_sum_factors(sq_norms)
     d = points @ points.T
-    scratch = np.empty((_block_rows(len(d)), len(d)))
     for rows in _row_blocks(len(d)):
         block = d[rows]
         block *= -2.0
-        block += np.matmul(left[rows], right, out=scratch[:len(block)])
+        block += np.matmul(left[rows], right)
         np.maximum(block, 0.0, out=block)
     np.fill_diagonal(d, 0.0)
     return d

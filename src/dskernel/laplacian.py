@@ -13,17 +13,16 @@ import numpy as np
 
 from .density import raw_density
 from .errors import ParameterError
-from .kernel import log_degrees
+from .kernel import _check_epsilon, log_degrees
 
 
 @dataclass(frozen=True)
 class MarkovFamily:
     """A row-stochastic n x n matrix M from either the robust or the traditional
-    family (``source_tag``), held as its product: ``apply(x)`` is M x for a
-    vector or an n x k block x, one product with a kernel operator.
+    family, held as its product: ``apply(x)`` is M x for a vector or an n x k
+    block x, one product with a kernel operator.
     """
 
-    source_tag: str  # "robust" or "traditional"
     n: int
     apply: Callable
 
@@ -43,9 +42,9 @@ def robust_markov(scaled, qhat, alpha):
     """
     _check_alpha(alpha)
     if alpha == 0.5:
-        return MarkovFamily("robust", scaled.n, scaled.matvec)
+        return MarkovFamily(scaled.n, scaled.matvec)
     log_u = scaled.log_d - (alpha - 0.5) * np.log(raw_density(qhat))
-    return MarkovFamily("robust", scaled.n, partial(scaled.operator.row_mean, log_u))
+    return MarkovFamily(scaled.n, partial(scaled.operator.row_mean, log_u))
 
 
 def traditional_markov(affinity, alpha):
@@ -54,12 +53,12 @@ def traditional_markov(affinity, alpha):
     The row factor cancels, so M = K diag(D^-alpha) over its row sums.
     """
     _check_alpha(alpha)
-    return MarkovFamily("traditional", affinity.n,
-                        partial(affinity.row_mean, -alpha * log_degrees(affinity)))
+    return MarkovFamily(affinity.n, partial(affinity.row_mean, -alpha * log_degrees(affinity)))
 
 
 def apply_laplacian(family, f_values, epsilon):
     """Apply L = 4 (I - M) / eps to samples of a function."""
+    _check_epsilon(epsilon)
     f_values = np.asarray(f_values, dtype=float)
     return 4.0 / epsilon * (f_values - family.apply(f_values))
 

@@ -50,6 +50,8 @@ MUTANTS = [
     ("centering", "kernel.py", "points = points - points.mean(axis=0)", "points = points"),
     ("median rule's /16", "harness.py", "np.median(off)) / 16.0", "np.median(off)) / 8.0"),
     ("standard KDE denominator", "kernel.py", "/ (affinity.n - 1)", "/ affinity.n"),
+    ("standard KDE's (pi eps)^(d/2)", "harness.py", "(np.pi * eps) ** (dim / 2.0)",
+     "(np.pi * eps) ** (dim / 4.0)"),
     ("DS-KDE denominator", "density.py", "-np.log(scaled.n - 1)", "-np.log(scaled.n)"),
     ("worst class max -> min", "laplacian.py", "max(per_class)", "min(per_class)"),
     ("kNN overlap maximum -> minimum", "inference.py", "np.maximum(np.arange(k_max)",

@@ -355,8 +355,9 @@ def test_synth_poisson_validates_ranges():
         "n", "m", "seed", "cluster_depth_ranges"]
     three = counts.synth_poisson_counts(30, 20, cluster_depth_ranges=((100.0, 200.0),) * 3)
     assert np.unique(three.labels).tolist() == [0, 1, 2]
-    with pytest.raises(ParameterError):
-        counts.synth_poisson_counts(10, 20, cluster_depth_ranges=((5.0, 1.0), (1.0, 2.0)))
+    for ranges in (((5.0, 1.0), (1.0, 2.0)), ((np.nan, 5.0),), ((1.0, np.inf),)):
+        with pytest.raises(ParameterError, match="0 < min <= max < inf"):
+            counts.synth_poisson_counts(10, 20, cluster_depth_ranges=ranges)
     with pytest.raises(ParameterError, match="at least one cluster"):
         counts.synth_poisson_counts(10, 20, cluster_depth_ranges=())
 

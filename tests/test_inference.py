@@ -93,6 +93,9 @@ def test_noise_magnitude_input_validation():
     for dim in (None, 0, -1):
         with pytest.raises(ParameterError, match="intrinsic dimension >= 1"):
             inference.noise_magnitude(sol, qhat, 0.1, debias=True, dim=dim)
+    for eps in (-1.0, np.nan):  # without a dim as with one
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            inference.noise_magnitude(sol, qhat, eps)
     nhat = inference.noise_magnitude(sol, qhat, 0.1)
     with pytest.raises(ParameterError):
         inference.signal_magnitude_and_distances(sample.clean_points, nhat, 0.1, 2.0,

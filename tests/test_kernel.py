@@ -126,8 +126,8 @@ def test_pairwise_sq_dists_in_one_buffer_is_bit_identical():
 @given(n=st.integers(2, 60), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        block_entries=st.integers(1, 2000))
 def test_row_blocks_change_no_bit(n, m, seed, block_entries):
-    # one row per block up to many: the distance pass and its reused scratch
-    # block, and the weighted log, give the one-block result bit for bit
+    # one row per block up to many: the distance pass and the weighted log
+    # give the one-block result bit for bit
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, m)) + rng.uniform(-1e3, 1e3)
     u = rng.uniform(-5.0, 5.0, size=n)
@@ -154,17 +154,16 @@ _OUTER_SUM_ENTRIES = st.one_of(
 # seven rows in blocks of three: the last block holds one row
 @example(x=[1e300, -1e300, np.inf, -np.inf, np.nan, 1e-300, -0.0], block_entries=21)
 def test_outer_sum_factors_give_np_add_outer(x, block_entries):
-    # each row block written by the rank-2 product into a NaN-filled scratch
-    # block equals np.add's outer sum; only the sign of an exact zero may differ
+    # each row block written by the rank-2 product into a NaN-filled matrix,
+    # as weighted_log writes into an empty one, equals np.add's outer sum;
+    # only the sign of an exact zero may differ
     x = np.array(x)
     n = len(x)
     left, right = kernel._outer_sum_factors(x)
-    got = np.empty((n, n))
+    got = np.full((n, n), np.nan)
     with (mock.patch.object(kernel, "_BLOCK_ENTRIES", block_entries),
           np.errstate(over="ignore", invalid="ignore")):
-        scratch = np.full((kernel._block_rows(n), n), np.nan)
         for rows in kernel._row_blocks(n):
-            block = got[rows]
-            block[...] = np.matmul(left[rows], right, out=scratch[:len(block)])
+            np.matmul(left[rows], right, out=got[rows])
         expected = np.add.outer(x, x)
     assert np.array_equal(got, expected, equal_nan=True)

@@ -34,7 +34,6 @@ def test_robust_markov_is_row_stochastic():
         markov = fam.apply(np.eye(fam.n))
         np.testing.assert_allclose(markov.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(np.diag(markov) == 0.0)
-        assert fam.source_tag == "robust"
 
 
 def test_alpha_out_of_range_raises():
@@ -54,6 +53,9 @@ def test_operator_error_zero_against_own_output():
     assert laplacian.operator_error(fam, f, out, 0.1) == 0.0
     with pytest.raises(ParameterError):
         laplacian.operator_error(fam, f, out[:-1], 0.1)
+    for eps in (0.0, -0.1):  # zero would divide by zero, and -0.1 flip L's sign
+        with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+            laplacian.operator_error(fam, f, out, eps)
 
 
 def test_graph_laplacian_approximates_laplace_beltrami():

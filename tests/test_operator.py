@@ -75,7 +75,7 @@ def test_row_entropy_reads_an_exactly_symmetric_log_p(noisy_circle):
     blocks = []
     log_p = kernel.KernelOperator._log_p
 
-    def recorded(self, factors, rows, out):
+    def recorded(self, factors, rows, out=None):
         block = log_p(self, factors, rows, out)
         blocks.append(block.copy())
         return block

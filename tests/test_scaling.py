@@ -361,6 +361,8 @@ def test_rejects_tiny_matrices_and_bad_entries():
     log_k[3, 7] = log_k[7, 3] = np.inf
     with pytest.raises(ParameterError, match=r"NaN or \+inf"):
         kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
+    with pytest.raises(ParameterError, match=r"^need a square matrix, got shape \(3, 4\)$"):
+        kernel.gaussian_kernel(np.zeros((3, 4)) + 1.0, 0.1)
     two = kernel.AffinityMatrix(log_entries=aff.log_entries[:2, :2], epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(two)
