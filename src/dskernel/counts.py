@@ -231,6 +231,8 @@ def synth_poisson_counts(n, m, seed=0, cluster_depth_ranges=((500.0, 2500.0), (5
     cluster's depth range and Poisson entries with mean profile * rate.
     Returns a CountMatrix with cluster labels.
     """
+    if not (isinstance(n, Integral) and isinstance(m, Integral) and n >= 1 and m >= 1):
+        raise ParameterError(f"n and m must be integers >= 1, got {n} and {m}")
     if not len(cluster_depth_ranges):
         raise ParameterError("need at least one cluster depth range")
     for clo, chi in cluster_depth_ranges:

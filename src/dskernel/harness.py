@@ -269,10 +269,11 @@ def _fig4(config):
 def _fig6(config):
     n = m = 1000
     k_max = 50
-    pipe = circle_pipeline(n, m, config.epsilon, "varying_ball", config.seed)
-    table = estimate_table(pipe, pipe.noise.noisy_points, config.s, pipe.sample.intrinsic_dim)
-    clean = pairwise_sq_dists(pipe.sample.clean_points)
-    noisy = pairwise_sq_dists(pipe.noise.noisy_points)
+    sample, noise = circle_dataset(n, m, "varying_ball", config.seed)
+    noisy = pairwise_sq_dists(noise.noisy_points)  # solved, then the kNN baseline
+    pipe = _solve(noisy, config.epsilon, *POINTS_SOLVE, sample, noise)
+    table = estimate_table(pipe, noise.noisy_points, config.s, sample.intrinsic_dim)
+    clean = pairwise_sq_dists(sample.clean_points)
     acc_corr = inference.knn_recovery_accuracy(table.corrected_dists, clean, k_max)
     acc_noisy = inference.knn_recovery_accuracy(noisy, clean, k_max)
     header = ["k", "corrected_accuracy", "noisy_accuracy"]

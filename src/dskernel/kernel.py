@@ -30,13 +30,9 @@ _LOG_EPS = np.log(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _block_rows(n):
-    """Rows per block of an n-column pass: about _BLOCK_ENTRIES entries."""
-    return min(n, max(1, _BLOCK_ENTRIES // n))
-
-
 def _row_blocks(n):
-    rows = _block_rows(n)
+    """Row slices of an n-column pass, about _BLOCK_ENTRIES entries each."""
+    rows = max(1, _BLOCK_ENTRIES // n)
     return (slice(r, r + rows) for r in range(0, n, rows))
 
 
@@ -149,10 +145,9 @@ class KernelOperator:
         """
         g = self._weights(u)
         x = np.asarray(x, dtype=float)
-        scale = np.exp(u + self._m)
-        if x.ndim == 1:
-            return scale * (self._mat @ (g * x))
-        return scale[:, None] * (self._mat @ (g[:, None] * x))
+        block = x.reshape(len(x), -1)
+        y = self._mat @ (g[:, None] * block)
+        return (np.exp(u + self._m)[:, None] * y).reshape(x.shape)
 
     def row_mean(self, u, x):
         """sum_j A_ij e^(u_j) x_j / sum_j A_ij e^(u_j) for a vector or an n x k
@@ -234,12 +229,12 @@ class AffinityMatrix(KernelOperator):
 
     The diagonal of ``log_entries`` holds -inf (K_ii = 0), so every row
     reduction reads the matrix as it is. A matrix built with any other
-    diagonal is copied once with -inf written there; one holding NaN or +inf
-    raises ParameterError.
+    diagonal is copied once with -inf written there; one that is not square
+    and 2-D, or holds NaN or +inf, raises ParameterError.
     """
 
     def __init__(self, log_entries, epsilon):
-        if not np.isneginf(np.diagonal(log_entries)).all():
+        if np.ndim(log_entries) == 2 and not np.isneginf(np.diagonal(log_entries)).all():
             log_entries = np.array(log_entries, dtype=float)
             np.fill_diagonal(log_entries, -np.inf)
         super().__init__(log_entries)

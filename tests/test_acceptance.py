@@ -22,7 +22,8 @@ import pytest
 from scipy import stats
 
 from dskernel import counts, density, geometry, harness, inference, kernel, laplacian, scaling
-from oracles import newton_symmetric_scaling, pairwise_corrected_dists
+from oracles import (dense_traditional, log_w_of, newton_symmetric_scaling,
+                     pairwise_corrected_dists)
 
 EPSILON = 0.1
 S = 2.0
@@ -109,15 +110,17 @@ def circles_500_1000(population):
 
 @pytest.fixture(scope="module")
 def varying_noise_1000():
-    """Full inference pipeline on the varying-noise circle at n=m=1000."""
-    pipe = harness.circle_pipeline(1000, 1000, EPSILON, "varying_ball", seed=0)
+    """Full inference pipeline on the varying-noise circle at n=m=1000; its
+    noisy distance matrix is the one the solve read, as in fig6."""
+    sample, noise = harness.circle_dataset(1000, 1000, "varying_ball", 0)
+    noisy = kernel.pairwise_sq_dists(noise.noisy_points)
+    pipe = harness._solve(noisy, EPSILON, *scaling.POINTS_SOLVE, sample, noise)
     qhat = density.ds_kde(pipe.scaled, S)
     nhat = inference.noise_magnitude(pipe.solution, qhat, EPSILON)
     table = inference.signal_magnitude_and_distances(
         pipe.noise.noisy_points, nhat, EPSILON, S, DIM,
         scaled=pipe.scaled, qhat=qhat)
     clean = kernel.pairwise_sq_dists(pipe.sample.clean_points)
-    noisy = kernel.pairwise_sq_dists(pipe.noise.noisy_points)
     return pipe, table, clean, noisy
 
 
@@ -351,3 +354,39 @@ def test_criterion_11_population_concentration(circles_500_1000, circles_2000):
             f"median errors={[f'{m:.4f}' for m in medians]} (n=2000 <= 0.03), "
             f"slope={slope:.3f} (band [-0.8, -0.25]), noisy-vs-clean gaps="
             f"{[f'{g:.4f}' for g in gaps]} (<= 0.025)")
+
+
+def _dense_w_and_row_stochastic(sample, noise):
+    """The dense W of the circle's eps=0.1 solve at tol 1e-12, and its
+    row-stochastic D^-1 K."""
+    pipe = harness._solve(kernel.pairwise_sq_dists(noise.noisy_points), EPSILON, 1e-12,
+                          scaling.POINTS_SOLVE.max_iter, sample, noise)
+    return (np.exp(log_w_of(pipe.scaled)),
+            dense_traditional(pipe.scaled.operator.log_entries, 0.0))
+
+
+def test_criterion_12_w_concentrates_in_ambient_dimension():
+    # n=500 circles in m dimensions, seeds 0-2: the largest row l1 gap
+    # max_i sum_j |W~_ij - W_ij| between a noisy circle's W and its clean
+    # twin's (the same clean points) falls as m^(-1/2), while the
+    # row-stochastic D^-1 K keeps a larger gap at every m and seed
+    ms = (250, 1000, 4000)
+    noises = ("varying_ball", "outlier_gaussian")
+    gaps = {}
+    for m in ms:
+        for seed in range(3):
+            clean = _dense_w_and_row_stochastic(*harness.circle_dataset(500, m, "none", seed))
+            for noise in noises:
+                noisy = _dense_w_and_row_stochastic(*harness.circle_dataset(500, m, noise, seed))
+                gaps[noise, m, seed] = [np.abs(a - b).sum(axis=1).max()
+                                        for a, b in zip(noisy, clean)]
+    slopes = {noise: np.polyfit(np.log(ms), np.log(
+        [np.mean([gaps[noise, m, seed][0] for seed in range(3)]) for m in ms]), 1)[0]
+        for noise in noises}
+    worst_ds = max(gaps[noise, ms[-1], seed][0] for noise in noises for seed in range(3))
+    margin = min(rs - ds for ds, rs in gaps.values())
+    ok = max(slopes.values()) <= -0.40 and worst_ds <= 0.15 and margin > 0.0
+    _report("criterion-12 ambient-concentration", ok,
+            f"DS slopes={[f'{v:.3f}' for v in slopes.values()]} (<= -0.40), "
+            f"DS gap at m=4000 <= {worst_ds:.4f} (<= 0.15), "
+            f"row-stochastic minus DS gap >= {margin:.4f} (> 0)")

@@ -360,6 +360,9 @@ def test_synth_poisson_validates_ranges():
             counts.synth_poisson_counts(10, 20, cluster_depth_ranges=ranges)
     with pytest.raises(ParameterError, match="at least one cluster"):
         counts.synth_poisson_counts(10, 20, cluster_depth_ranges=())
+    for n, m in ((0, 5), (-1, 5), (4, 0), (3, -2), (2.5, 5)):
+        with pytest.raises(ParameterError, match="n and m must be integers >= 1"):
+            counts.synth_poisson_counts(n, m)
 
 
 def test_synth_poisson_is_deterministic():

@@ -96,10 +96,13 @@ def test_error_sweep_writes_deterministic_csv(tmp_path):
     assert all(row[-1] == "ok" for row in rows)
 
 
-def test_fig6_experiment_shape(tmp_path):
+def test_fig6_experiment_shape(monkeypatch, tmp_path):
+    # one noisy D, solved and read by the kNN baseline, and one clean D
+    calls = record_calls(monkeypatch, harness.circle_dataset, kernel.pairwise_sq_dists)
     out = tmp_path / "fig6.csv"
     config = harness.ExperimentConfig(experiment="fig6", seed=0, out=str(out))
     header, rows = harness.run_experiment(config)
+    assert [len(calls["circle_dataset"]), len(calls["pairwise_sq_dists"])] == [1, 2]
     assert header == ["k", "corrected_accuracy", "noisy_accuracy"]
     assert len(rows) == 50
     accs = np.array([[float(r[1]), float(r[2])] for r in rows])

@@ -22,8 +22,11 @@ def test_constant_functions_are_annihilated(alpha):
 def test_alpha_half_returns_w_bit_identically():
     scaled = clean_circle(150, 0.1, tol=1e-12).scaled
     fam = laplacian.robust_markov(scaled, density.ds_kde(scaled, 2.0), 0.5)
-    for x in (np.eye(fam.n), np.cos(np.arange(fam.n))):
+    vector = np.cos(np.arange(fam.n))
+    for x in (np.eye(fam.n), vector):
         assert np.array_equal(fam.apply(x), scaled.matvec(x))
+    # a vector's product is its one-column block's, bit for bit
+    assert np.array_equal(scaled.matvec(vector), scaled.matvec(vector[:, None])[:, 0])
 
 
 def test_robust_markov_is_row_stochastic():

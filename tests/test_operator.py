@@ -298,5 +298,5 @@ def test_every_mutant_of_the_gate_applies_once():
     # tests/mutants.py replaces each text in its file: a refactor that moves
     # one fails here at once, not only when the gate runs
     package = Path(__file__).resolve().parents[1] / "src" / "dskernel"
-    for name, file, old, new in MUTANTS:
+    for name, file, old, new, _ in MUTANTS:
         assert (package / file).read_text().count(old) == 1 and new != old, name

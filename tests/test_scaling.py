@@ -363,6 +363,10 @@ def test_rejects_tiny_matrices_and_bad_entries():
         kernel.AffinityMatrix(log_entries=log_k, epsilon=0.1)
     with pytest.raises(ParameterError, match=r"^need a square matrix, got shape \(3, 4\)$"):
         kernel.gaussian_kernel(np.zeros((3, 4)) + 1.0, 0.1)
+    # a matrix that is not 2-D is refused before its diagonal is read
+    for shape, text in (((4,), r"\(4,\)"), ((2, 3, 4), r"\(2, 3, 4\)")):
+        with pytest.raises(ParameterError, match=rf"^need a square matrix, got shape {text}$"):
+            kernel.AffinityMatrix(np.zeros(shape), 0.1)
     two = kernel.AffinityMatrix(log_entries=aff.log_entries[:2, :2], epsilon=0.1)
     with pytest.raises(ParameterError):
         scaling.sinkhorn_symmetric(two)
